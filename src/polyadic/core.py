@@ -213,19 +213,40 @@ class AxiomReport:
 
 
 def verify_axioms(p, caps=_caps.DEFAULT):
-    """Exhaustive check of associativity (all position pairs) and unique
-    solvability (every position). Witnesses are the lexicographically least
-    violations; the report never raises on mathematical failure.
+    """Associativity (all position pairs) and unique solvability (every
+    position) of p's operation.
+
+    Success is proved by reconstruction: when `hosszu_gloskin(p, 0)` rebuilds
+    f on all |G|^n tuples from a validated retract, automorphism and
+    constant, f is a derived operation, and every derived operation is
+    associative and uniquely solvable. When that proof fails, the exhaustive
+    |G|^(2n-1) scans decide, so witnesses are the lexicographically least
+    violations. The cap on |G|^(2n-1) tuples holds for both paths; the
+    report never raises on mathematical failure.
     """
     n, g = p.n, p.order
     _caps.check(caps, "associativity tuples", g ** (2 * n - 1), caps.max_axiom_tuples)
+    try:
+        hosszu_gloskin(p, 0)
+    except PolyadicError:
+        return _verify_axioms_exhaustive(p)
+    return AxiomReport(
+        ok=True,
+        associative=True,
+        associativity_witness=None,
+        solvable=True,
+        solvability_witness=None,
+        unique=True,
+        uniqueness_witness=None,
+    )
 
-    assoc_witness = None
-    if isinstance(p, (TablePolyadicGroup, DerivedPolyadicGroup)):
-        flat, strides = _flat_op(p)
-        assoc_witness = _assoc_scan_flat(n, g, flat, strides)
-    else:
-        assoc_witness = _assoc_scan_generic(p)
+
+def _verify_axioms_exhaustive(p):
+    """Scan every (2n-1)-tuple for associativity and every position for
+    unique solvability; the oracle behind `verify_axioms`."""
+    n, g = p.n, p.order
+    flat, strides = _flat_op(p)
+    assoc_witness = _assoc_scan_flat(n, g, flat, strides)
 
     solv_witness = None
     uniq_witness = None
@@ -309,29 +330,19 @@ def _assoc_scan_flat(n, g, flat, strides):
     return None
 
 
-def _assoc_scan_generic(p):
-    n, g = p.n, p.order
-    for t in product(range(g), repeat=2 * n - 1):
-        first = None
-        for i in range(n):
-            inner = p.f(list(t[i : i + n]))
-            v = p.f(list(t[:i]) + [inner] + list(t[i + n :]))
-            if first is None:
-                first = (i, v)
-            elif v != first[1]:
-                return (first[0] + 1, i + 1, t, first[1], v)
-    return None
-
-
 def dornte_check(p):
     """Skew-element cancellation identities at every position.
 
     For 2 <= i <= n checks f(x^(i-2), skew x, x^(n-i), y) = y and the mirror
-    f(y, x^(n-i), skew x, x^(i-2)) = y for all x, y. Returns (ok, witness).
+    f(y, x^(n-i), skew x, x^(i-2)) = y for all x, y. Returns (ok, witness);
+    the witness is ("no-skew", x) when x has no unique skew element.
     """
     n = p.n
     for x in p.elements():
-        sx = p.skew(x)
+        try:
+            sx = p.skew(x)
+        except NoSolution:
+            return False, ("no-skew", x)
         for i in range(2, n + 1):
             left_block = [x] * (i - 2) + [sx] + [x] * (n - i)
             for y in p.elements():

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -57,6 +58,40 @@ def test_validate_polyadic_table_corruption_exit1(tmp_path, capsys):
         capsys, "validate", "--polyadic", write(tmp_path, "p2b.json", table_doc)
     )
     assert code == 0 and doc2["ok"]
+
+
+def _table_doc(k, n, op):
+    names = [str(i) for i in range(k)]
+    table = [names[op(args)] for args in product(range(k), repeat=n)]
+    return {"elements": names, "n": n, "table": table}
+
+
+def _monoid(u, k):
+    def op(args):
+        v = u
+        for x in args:
+            v = v * x % k
+        return v
+    return op
+
+
+@pytest.mark.parametrize(
+    "doc, witness",
+    [
+        # u*x1*...*xn mod k: associative, f(0, 0, 0, x) = 0 for every x
+        (_table_doc(5, 4, _monoid(2, 5)), [0, [0, 0, 0], 0, 0, 1]),
+        (_table_doc(6, 4, _monoid(5, 6)), [0, [0, 0, 0], 0, 0, 1]),
+        # left zero, f = x1: associative, f(0, x, 0) = 0 for every x
+        (_table_doc(4, 3, lambda args: args[0]), [1, [0, 0], 0, 0, 1]),
+    ],
+)
+def test_validate_associative_not_solvable_exit1(tmp_path, capsys, doc, witness):
+    path = write(tmp_path, "op.json", doc)
+    code, out = run(capsys, "validate", "--polyadic", path)
+    assert code == 1
+    assert not out["ok"] and out["associative"] and "associativity_witness" not in out
+    assert out["unique"] is False and out["uniqueness_witness"] == witness
+    assert out["dornte"] is False and out["dornte_witness"] == ["no-skew", 0]
 
 
 def test_derive_condition_failure_exit1(tmp_path, capsys):
