@@ -542,12 +542,18 @@ def main(argv=None):
     try:
         doc, status = _HANDLERS[args.verb](args)
     except PolyadicError as e:
-        _emit({"error": _error_doc(e)}, args.format)
-        return 2
+        doc, status = {"error": _error_doc(e)}, 2
     except OSError as e:
-        _emit({"error": {"type": "IOError", "message": str(e)}}, args.format)
-        return 2
-    _emit(doc, args.format)
+        doc, status = {"error": {"type": "IOError", "message": str(e)}}, 2
+    try:
+        _emit(doc, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so
+        # the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return status
 
 

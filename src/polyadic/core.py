@@ -221,14 +221,18 @@ def verify_axioms(p, caps=_caps.DEFAULT):
     constant, f is a derived operation, and every derived operation is
     associative and uniquely solvable. When that proof fails, the exhaustive
     |G|^(2n-1) scans decide, so witnesses are the lexicographically least
-    violations. The cap on |G|^(2n-1) tuples holds for both paths; the
-    report never raises on mathematical failure.
+    violations. The max_axiom_tuples cap bounds each path's own work:
+    |G|^n tuples before the reconstruction, |G|^(2n-1) before the scans.
+    The report never raises on mathematical failure.
     """
     n, g = p.n, p.order
-    _caps.check(caps, "associativity tuples", g ** (2 * n - 1), caps.max_axiom_tuples)
+    _caps.check(caps, "reconstruction tuples", g ** n, caps.max_axiom_tuples)
     try:
         hosszu_gloskin(p, 0)
     except PolyadicError:
+        _caps.check(
+            caps, "associativity tuples", g ** (2 * n - 1), caps.max_axiom_tuples
+        )
         return _verify_axioms_exhaustive(p)
     return AxiomReport(
         ok=True,

@@ -9,6 +9,7 @@ n-ary groups transform into ordinary presentations of the cover, which a
 bounded coset enumeration can then try to realize as a finite table.
 """
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 from . import caps as _caps
@@ -54,14 +55,8 @@ class PostCover:
     def embed_index(self, g):
         return self.base_order + g
 
-    def embed(self, g):
-        return self.base_order + g
-
     def grade(self, c):
         return c // self.base_order
-
-    def component(self, c):
-        return c % self.base_order
 
     def embedded(self):
         return range(self.base_order, 2 * self.base_order)
@@ -242,13 +237,21 @@ def presentation_to_group(pres, n):
 def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
     """Enumerate cosets of the trivial subgroup for a finite presentation.
 
-    Deduction-driven strategy: after every new coset definition, relator
-    scans run to a fixed point before the next definition, and cosets are
-    defined in first-gap order, so the numbering is deterministic. If more
-    than cap cosets would ever be defined the enumeration stops with
-    CapExceeded; that outcome makes no claim about the group being
-    infinite. On closure, returns the multiplication table of the group
-    with elements named c0, c1, ... in word-search order from c0 = 1.
+    Felsch strategy driven by a deduction stack (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, ch. 5). Every new table entry
+    (a, c) is pushed as a deduction; popping it scans, and fills where one
+    entry is missing, the cyclic conjugates of the relators and their
+    inverses that start with column c at coset a. Coincidences merge into
+    the lesser coset, so table entries always name live cosets. A new
+    coset is defined only when the stack is empty, which is the fixed
+    point of scanning every relator at every coset, and only at the first
+    gap: the least live coset with an empty entry, in its least empty
+    column. So the numbering is deterministic. The cap counts every coset
+    ever defined, merged ones included: if more than cap would be defined
+    the enumeration stops with CapExceeded; that outcome makes no claim
+    about the group being infinite. On closure, returns the multiplication
+    table of the group with elements named c0, c1, ... in breadth-first
+    order from c0 = 1, read off that search's spanning tree.
     """
     if not pres.generators:
         raise EmptyGeneratorSet()
@@ -268,138 +271,139 @@ def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
         if cols:
             rels.append(tuple(cols))
 
+    # cyclic conjugates of every relator and its inverse, by first column
+    conjugates = [[] for _ in range(ncols)]
+    for rel in rels:
+        inv = tuple(c ^ 1 for c in reversed(rel))
+        for w in dict.fromkeys(r[i:] + r[:i] for r in (rel, inv) for i in range(len(r))):
+            conjugates[w[0]].append(w)
+    singles = [w for ws in conjugates for w in ws if len(w) == 1]
+
     table = [[None] * ncols]
-    parent = [0]
+    rep = [0]
+    deductions = []
 
     def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def get(a, c):
-        v = table[a][c]
-        return None if v is None else find(v)
-
-    def define(a, c):
-        if len(table) >= cap:
-            raise CapExceeded(cap)
-        b = len(table)
-        table.append([None] * ncols)
-        parent.append(b)
-        table[a][c] = b
-        table[b][c ^ 1] = a
+        root = a
+        while rep[root] != root:
+            root = rep[root]
+        while rep[a] != root:
+            rep[a], a = root, rep[a]
+        return root
 
     def coincide(a, b):
-        queue = [(a, b)]
-        while queue:
-            a, b = queue.pop(0)
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            parent[b] = a
+        """Merge a and b, and every pair that forces, into lesser cosets."""
+        dead = deque()
+
+        def merge(x, y):
+            x, y = find(x), find(y)
+            if x != y:
+                if y < x:
+                    x, y = y, x
+                rep[y] = x
+                dead.append(y)
+
+        merge(a, b)
+        while dead:
+            g = dead.popleft()
             for c in range(ncols):
-                d = table[b][c]
+                d = table[g][c]
                 if d is None:
                     continue
-                d = find(d)
-                e = get(a, c)
-                if e is None:
-                    table[a][c] = d
-                elif e != d:
-                    queue.append((e, d))
-                r = get(d, c ^ 1)
-                if r is None:
-                    table[d][c ^ 1] = a
-                elif r != a:
-                    queue.append((r, a))
+                ci = c ^ 1
+                table[d][ci] = None
+                mu, nu = find(g), find(d)
+                if table[mu][c] is not None:
+                    merge(nu, table[mu][c])
+                elif table[nu][ci] is not None:
+                    merge(mu, table[nu][ci])
+                else:
+                    table[mu][c] = nu
+                    table[nu][ci] = mu
+                    deductions.append((mu, c))
 
-    def scan(a, rel):
-        """Trace one relator at one coset; returns True on any change."""
-        f = a
-        i = 0
-        while i < len(rel):
-            nxt = get(f, rel[i])
+    def scan(a, w):
+        """Trace relator cycle w at coset a; fill a single gap."""
+        f, i, end = a, 0, len(w)
+        while i < end:
+            nxt = table[f][w[i]]
             if nxt is None:
                 break
             f = nxt
             i += 1
-        if i == len(rel):
+        else:
             if f != a:
                 coincide(f, a)
-                return True
-            return False
-        b = a
-        j = len(rel) - 1
+            return
+        b, j = a, end - 1
         while j >= i:
-            prv = get(b, rel[j] ^ 1)
+            prv = table[b][w[j] ^ 1]
             if prv is None:
                 break
             b = prv
             j -= 1
         if j < i:
-            if f != b:
-                coincide(f, b)
-                return True
-            return False
-        if j == i:
-            table[f][rel[i]] = b
-            table[b][rel[i] ^ 1] = f
-            return True
-        return False
+            coincide(f, b)
+        elif j == i:
+            table[f][w[i]] = b
+            table[b][w[i] ^ 1] = f
+            deductions.append((f, w[i]))
 
-    while True:
-        progress = True
-        while progress:
-            progress = False
-            for a in range(len(table)):
-                if find(a) != a:
-                    continue
-                for rel in rels:
-                    if scan(a, rel):
-                        progress = True
-        gap = None
-        for a in range(len(table)):
-            if find(a) != a:
-                continue
-            for c in range(ncols):
-                if get(a, c) is None:
-                    gap = (a, c)
+    def close(b):
+        """Scan the one-letter relators at new coset b, then every deduction."""
+        for w in singles:
+            scan(b, w)
+        while deductions:
+            a, c = deductions.pop()
+            for w in conjugates[c]:
+                if rep[a] != a:
                     break
-            if gap:
-                break
-        if gap is None:
-            break
-        define(*gap)
+                scan(a, w)
 
-    # read out the closed table as a group
-    root = find(0)
-    order_bfs = [root]
-    seen = {root}
-    head = 0
-    paths = {root: ()}
-    while head < len(order_bfs):
-        x = order_bfs[head]
-        head += 1
-        for c in range(ncols):
-            y = get(x, c)
-            if y not in seen:
-                seen.add(y)
-                paths[y] = paths[x] + (c,)
-                order_bfs.append(y)
-    label = {x: i for i, x in enumerate(order_bfs)}
+    close(0)
+    a = c = 0
+    while a < len(table):
+        if c == ncols or rep[a] != a:
+            a, c = a + 1, 0
+        elif table[a][c] is not None:
+            c += 1
+        else:
+            if len(table) >= cap:
+                raise CapExceeded(cap)
+            b = len(table)
+            table.append([None] * ncols)
+            rep.append(b)
+            table[a][c] = b
+            table[b][c ^ 1] = a
+            deductions.append((a, c))
+            close(b)
 
-    def trace(a, path):
-        for c in path:
-            a = get(a, c)
-        return a
+    # read out the closed table as a group: label cosets breadth-first from
+    # coset 0 = 1, so each label y > 0 is parent(y) . col(y) in that tree
+    order = [0]
+    label = {0: 0}
+    tree = []
+    for x in order:
+        for c, y in enumerate(table[x]):
+            if y not in label:
+                tree.append((label[x], c))
+                label[y] = len(order)
+                order.append(y)
+    act = [[label[y] for y in table[x]] for x in order]
+    size = len(order)
 
-    size = len(order_bfs)
+    def row_of(g):
+        """g * y for every y, as g * y = (g * parent(y)) . col(y)."""
+        row = [g]
+        for p, c in tree:
+            row.append(act[row[p]][c])
+        return row
+
+    # x * y = parent(x) * (col(x) * y): compose rows with generator rows
+    gen_rows = [row_of(g) for g in act[0]]
+    mul_table = [list(range(size))]
+    for p, c in tree:
+        mul_table.append(list(map(mul_table[p].__getitem__, gen_rows[c])))
     names = [f"c{i}" for i in range(size)]
-    mul_table = [
-        [label[trace(x, paths[y])] for y in order_bfs] for x in order_bfs
-    ]
     relaxed = replace(caps, max_table_order=max(caps.max_table_order, size))
     return validate_group(names, mul_table, name="presented", caps=relaxed)

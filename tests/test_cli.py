@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,27 @@ def test_validate_associative_not_solvable_exit1(tmp_path, capsys, doc, witness)
     assert not out["ok"] and out["associative"] and "associativity_witness" not in out
     assert out["unique"] is False and out["uniqueness_witness"] == witness
     assert out["dornte"] is False and out["dornte_witness"] == ["no-skew", 0]
+
+
+def test_validate_cap_keyed_on_each_path(tmp_path, capsys):
+    z7 = {
+        "name": "Z7",
+        "elements": [str(i) for i in range(7)],
+        "table": [[str((i + j) % 7) for j in range(7)] for i in range(7)],
+    }
+    ident = {"map": {str(i): str(i) for i in range(7)}}
+    path = write(tmp_path, "z7n5.json", {"group": z7, "theta": ident, "b": "0", "n": 5})
+    # 7^5 tuples prove it by reconstruction; the 7^9 scan would exceed the cap
+    code, doc = run(capsys, "validate", "--polyadic", path)
+    assert code == 0 and doc["ok"] and doc["dornte"]
+    # a corrupted table falls back to the scan, which the cap still guards
+    table = _table_doc(7, 5, lambda args: sum(args) % 7)
+    table["table"][1] = "0"
+    path = write(tmp_path, "z7n5bad.json", table)
+    code, doc = run(capsys, "validate", "--polyadic", path)
+    assert code == 2
+    assert doc["error"]["type"] == "SizeCapExceeded"
+    assert doc["error"]["what"] == "associativity tuples"
 
 
 def test_derive_condition_failure_exit1(tmp_path, capsys):
@@ -278,3 +303,23 @@ def test_unknown_verb_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_closed_stdout_is_quiet(tmp_path):
+    # a cyclic group of order 150 prints ~300 kB, more than a pipe buffers
+    path = write(tmp_path, "c150.json", {"generators": ["x"], "relators": ["x^150"]})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    with subprocess.Popen(
+        [sys.executable, "-m", "polyadic.cli", "cosets", "--presentation", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(64).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and err == ""
