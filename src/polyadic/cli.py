@@ -108,7 +108,6 @@ def _parser():
     ap.add_argument("--anchor", metavar="ELEM")
     ap.add_argument("--cap", type=int)
     ap.add_argument("--format", choices=("json", "table"), default="json")
-    ap.add_argument("--jobs", type=int)
     return ap
 
 
@@ -157,7 +156,7 @@ def _point_set(args):
     p, m, eqs, pts = _load_system(args)
     if pts:
         return p, m, pts
-    v = solve(p, EquationSystem(p, m, eqs), jobs=args.jobs)
+    v = solve(p, EquationSystem(p, m, eqs))
     return p, m, v.points
 
 
@@ -208,7 +207,7 @@ def _cmd_validate(args):
 def _cmd_derive(args):
     path = _need(args.polyadic, "--polyadic FILE")
     raw = load_json(path)
-    if "group" not in raw:
+    if not isinstance(raw, dict) or "group" not in raw:
         raise PolyadicError("derive needs the derived-form polyadic document")
     try:
         p = polyadic_from_doc(raw, n=args.n)
@@ -330,7 +329,7 @@ def _cmd_present2group(args):
 def _cmd_cosets(args):
     path = _need(args.presentation, "--presentation FILE")
     doc = load_json(path)
-    if "relators" in doc:
+    if isinstance(doc, dict) and "relators" in doc:
         gp = group_presentation_from_doc(doc)
     else:
         n = _need(args.n, "--n INT (to flatten an n-ary presentation)")
@@ -375,7 +374,7 @@ def _cmd_translate(args):
 
 def _cmd_solve(args):
     p, m, eqs, _ = _load_system(args)
-    v = solve(p, EquationSystem(p, m, eqs), jobs=args.jobs)
+    v = solve(p, EquationSystem(p, m, eqs))
     return (
         {"vars": m, "count": len(v.points), "points": points_to_names(p, v.points)},
         0,

@@ -37,7 +37,7 @@ from .core import (
 )
 from .cover import GroupPresentation, PolyadicPresentation
 from .errors import ParseError, PolyadicError
-from .groups import automorphism_from_map, validate_group
+from .groups import automorphism, validate_group
 from .terms import parse_equation
 from .words import parse_word
 
@@ -50,8 +50,14 @@ def load_json(path):
         raise ParseError(f"{path}: {e.msg}", line=e.lineno, column=e.colno)
 
 
+def _object(doc, where):
+    if not isinstance(doc, dict):
+        raise PolyadicError(f"{where} document must be a JSON object")
+    return doc
+
+
 def _require(doc, field, where):
-    if field not in doc:
+    if field not in _object(doc, where):
         raise PolyadicError(f"{where} document is missing the field {field!r}")
     return doc[field]
 
@@ -59,24 +65,52 @@ def _require(doc, field, where):
 def _element(g, name):
     try:
         return g.index(name)
-    except KeyError:
+    except (KeyError, TypeError):
         raise PolyadicError(f"unknown element name {name!r}") from None
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise PolyadicError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def _strings(value, what):
+    for s in _list(value, what):
+        if not isinstance(s, str):
+            raise PolyadicError(f"{what} must hold strings, not {s!r}")
+    return value
+
+
+def _integer(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise PolyadicError(f"{what} must be an integer, not {value!r}") from None
+
+
+def _positions(names):
+    """Element name -> index, for a list of distinct scalar names."""
+    for s in _list(names, "elements"):
+        if isinstance(s, (list, dict)):
+            raise PolyadicError(f"element name {s!r} is not a scalar")
+    pos = {s: i for i, s in enumerate(names)}
+    if len(pos) != len(names):
+        raise PolyadicError("duplicate element names")
+    return pos
+
+
+def _entry(pos, entry):
+    if isinstance(entry, (list, dict)) or entry not in pos:
+        raise PolyadicError(f"unknown element name {entry!r} in table")
+    return pos[entry]
 
 
 def group_from_doc(doc, caps=_caps.DEFAULT):
     names = _require(doc, "elements", "group")
-    rows = _require(doc, "table", "group")
-    pos = {s: i for i, s in enumerate(names)}
-    if len(pos) != len(names):
-        raise PolyadicError("duplicate element names")
-    table = []
-    for row in rows:
-        out = []
-        for entry in row:
-            if entry not in pos:
-                raise PolyadicError(f"unknown element name {entry!r} in table")
-            out.append(pos[entry])
-        table.append(out)
+    rows = _list(_require(doc, "table", "group"), "table")
+    pos = _positions(names)
+    table = [[_entry(pos, e) for e in _list(row, "table row")] for row in rows]
     return validate_group(names, table, name=doc.get("name", "G"), caps=caps)
 
 
@@ -100,32 +134,27 @@ def automorphism_map(doc):
 def polyadic_from_doc(doc, n=None, caps=_caps.DEFAULT):
     """Build from either form; an explicit n argument overrides the
     document's arity."""
-    if "group" in doc:
+    if "group" in _object(doc, "polyadic"):
         g = group_from_doc(_require(doc, "group", "polyadic"), caps=caps)
         mapping = automorphism_map(_require(doc, "theta", "polyadic"))
         missing = [s for s in g.names() if s not in mapping]
         if missing:
             raise PolyadicError(f"theta map is missing {missing[0]!r}")
-        theta = automorphism_from_map(g, mapping)
+        theta = automorphism(g, [_element(g, mapping[s]) for s in g.names()])
         b = _element(g, _require(doc, "b", "polyadic"))
         arity = n if n is not None else doc.get("n")
         if arity is None:
             raise PolyadicError("no arity: the document has no n and none was given")
-        return derive(g, theta, b, int(arity), caps=caps)
+        return derive(g, theta, b, _integer(arity, "n"), caps=caps)
     if "table" in doc:
         names = _require(doc, "elements", "polyadic")
         arity = n if n is not None else doc.get("n")
         if arity is None:
             raise PolyadicError("no arity: the document has no n and none was given")
-        pos = {s: i for i, s in enumerate(names)}
-        if len(pos) != len(names):
-            raise PolyadicError("duplicate element names")
-        flat = []
-        for entry in _require(doc, "table", "polyadic"):
-            if entry not in pos:
-                raise PolyadicError(f"unknown element name {entry!r} in table")
-            flat.append(pos[entry])
-        return polyadic_from_table(names, int(arity), flat, caps=caps)
+        pos = _positions(names)
+        table = _list(_require(doc, "table", "polyadic"), "table")
+        flat = [_entry(pos, e) for e in table]
+        return polyadic_from_table(names, _integer(arity, "n"), flat, caps=caps)
     raise PolyadicError("polyadic document needs either a group or a table field")
 
 
@@ -149,10 +178,10 @@ def polyadic_to_doc(p, caps=_caps.DEFAULT):
 
 
 def polyadic_presentation_from_doc(doc):
-    gens = tuple(_require(doc, "generators", "presentation"))
+    gens = tuple(_strings(_require(doc, "generators", "presentation"), "generators"))
     relations = []
-    for pair in _require(doc, "relations", "presentation"):
-        if len(pair) != 2:
+    for pair in _list(_require(doc, "relations", "presentation"), "relations"):
+        if len(_strings(pair, "relation")) != 2:
             raise PolyadicError("each relation must be a pair of terms")
         left = parse_term_over(pair[0], gens)
         right = parse_term_over(pair[1], gens)
@@ -167,8 +196,9 @@ def parse_term_over(text, generators):
 
 
 def group_presentation_from_doc(doc):
-    gens = tuple(_require(doc, "generators", "group presentation"))
-    relators = tuple(parse_word(w) for w in _require(doc, "relators", "group presentation"))
+    gens = tuple(_strings(_require(doc, "generators", "group presentation"), "generators"))
+    texts = _strings(_require(doc, "relators", "group presentation"), "relators")
+    relators = tuple(parse_word(w) for w in texts)
     return GroupPresentation(gens, relators)
 
 
@@ -187,29 +217,24 @@ def system_from_doc(doc, base_dir=".", p=None, n=None, caps=_caps.DEFAULT):
     """
     if p is None:
         ref = _require(doc, "polyadic", "system")
+        if not isinstance(ref, str):
+            raise PolyadicError(f"the polyadic field must be a file path, not {ref!r}")
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
         p = polyadic_from_doc(load_json(path), n=n, caps=caps)
-    m = int(_require(doc, "vars", "system"))
+    m = _integer(_require(doc, "vars", "system"), "vars")
     if m < 0:
         raise PolyadicError("vars must be nonnegative")
     names = list(p.names())
-    equations = tuple(
-        parse_equation(s, element_names=names) for s in doc.get("equations", [])
-    )
+    texts = _strings(doc.get("equations", []), "equations")
+    equations = tuple(parse_equation(s, element_names=names) for s in texts)
     points = tuple(
-        tuple(_element_by_name(p, nm) for nm in pt) for pt in doc.get("points", [])
+        tuple(_element(p, nm) for nm in _list(pt, "point"))
+        for pt in _list(doc.get("points", []), "points")
     )
     for pt in points:
         if len(pt) != m:
             raise PolyadicError(f"point {pt} does not have {m} coordinates")
     return p, m, equations, points
-
-
-def _element_by_name(p, name):
-    try:
-        return p.index(name)
-    except KeyError:
-        raise PolyadicError(f"unknown element name {name!r}") from None
 
 
 def points_to_names(p, points):

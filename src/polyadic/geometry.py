@@ -10,14 +10,14 @@ coordinate groups over G and over its cover are all computed exactly by
 enumeration at small scale.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
+from operator import getitem
 from typing import Optional
 
 from . import caps as _caps
-from .core import TablePolyadicGroup, as_derived, derive
-from .errors import PolyadicError, SizeCapExceeded
+from .core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived
+from .errors import PolyadicError
 from .groups import (
     constant_tuple,
     direct_power,
@@ -28,6 +28,8 @@ from .groups import (
 from .terms import (
     eval_term,
     is_coefficient_free,
+    term_compiler,
+    term_variables,
     validate_term,
 )
 
@@ -69,36 +71,57 @@ class AlgebraicSet:
         return tuple(pt) in set(self.points)
 
 
-def _holds(equations, pt, p):
-    return all(
-        eval_term(eq.left, pt, p) == eval_term(eq.right, pt, p)
-        for eq in equations
-    )
-
-
-def _solve_chunk(args):
-    p, equations, chunk = args
-    return [pt for pt in chunk if _holds(equations, pt, p)]
-
-
-def solve(p, system, jobs=None, caps=_caps.DEFAULT):
+def solve(p, system, caps=_caps.DEFAULT):
     """Exact solution set of the system: all points of G^m where every
-    equation's two sides evaluate equal. With jobs > 1 the point grid is
-    split across worker processes; output order is unchanged."""
-    total = p.order ** system.m
-    _caps.check(caps, "solution grid", total, caps.max_points)
-    pts = list(product(range(p.order), repeat=system.m))
-    if jobs is None or jobs <= 1 or len(pts) < 2 * (jobs or 1):
-        sols = [pt for pt in pts if _holds(system.equations, pt, p)]
-    else:
-        size = (len(pts) + jobs - 1) // jobs
-        chunks = [pts[i : i + size] for i in range(0, len(pts), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(_solve_chunk, [(p, system.equations, c) for c in chunks])
-            )
-        sols = [pt for part in parts for pt in part]
-    return AlgebraicSet(m=system.m, points=tuple(sols), system=system)
+    equation's two sides evaluate equal, in lexicographic order.
+
+    A depth-first search binds x1, x2, ... in turn, trying values in
+    increasing order, and checks each equation, compiled once, as soon as
+    its highest-index variable is bound; a failed check prunes every point
+    below that prefix."""
+    m = system.m
+    _caps.check(caps, "solution grid", p.order ** m, caps.max_points)
+    compile_term = term_compiler(p)
+    # at_depth[d]: the equations decided once x1..xd are bound
+    at_depth = [[] for _ in range(m + 1)]
+    for eq in system.equations:
+        used = term_variables(eq.left) | term_variables(eq.right)
+        at_depth[max(used) + 1 if used else 0].append(
+            (compile_term(eq.left), compile_term(eq.right))
+        )
+    tests = [_conjunction(pairs) for pairs in at_depth]
+    a = [0] * m
+    sols = []
+    if tests[0] is None or tests[0](a):
+        if m == 0:
+            sols.append(())
+        last, top = m - 1, p.order - 1
+        d = 0
+        while 0 <= d < m:
+            test = tests[d + 1]
+            if test is None or test(a):
+                if d == last:
+                    sols.append(tuple(a))
+                else:
+                    d += 1
+                    a[d] = 0
+                    continue
+            while d >= 0 and a[d] == top:
+                d -= 1
+            if d >= 0:
+                a[d] += 1
+    return AlgebraicSet(m=m, points=tuple(sols), system=system)
+
+
+def _conjunction(pairs):
+    """One predicate over an assignment for a list of compiled equations,
+    or None when the list is empty."""
+    if not pairs:
+        return None
+    if len(pairs) == 1:
+        left, right = pairs[0]
+        return lambda a: left(a) == right(a)
+    return lambda a: all(left(a) == right(a) for left, right in pairs)
 
 
 def radical_member(p, y, s, t):
@@ -141,17 +164,32 @@ class CoordinateGroup:
         return self.power.base.encode(values)
 
     def as_polyadic(self, caps=_caps.DEFAULT):
-        """The carrier as a standalone polyadic group in table form."""
+        """The carrier as a standalone polyadic group in table form.
+
+        Rows of the table are built by prefix products on coordinate
+        tuples: f(x1,...,xn) = x1 . theta(x2) ... theta^(n-1)(xn) . b, each
+        factor one column lookup per coordinate, and every prefix shared by
+        all the tuples that extend it."""
         if self.power is None:
             return TablePolyadicGroup(("1",), self.source.n, (0,))
-        n = self.power.n
+        d = self.source
+        n = d.n
         _caps.check(caps, "n-ary table", self.order ** n, caps.max_tabulate)
-        pos = {x: i for i, x in enumerate(self.elements)}
-        names = [self.power.base.name(x) for x in self.elements]
-        flat = [
-            pos[self.power.f(list(args))]
-            for args in product(self.elements, repeat=n)
-        ]
+        pg = self.power.base
+        tuples = [pg.decode(x) for x in self.elements]
+        pos = {x: i for i, x in enumerate(tuples)}
+        names = [pg.name(x) for x in self.elements]
+        cols = _columns(d.base)
+        prefixes = tuples
+        for k in range(1, n - 1):
+            # steps[j][i]: right multiplication by theta^k of coordinate i of
+            # element j
+            steps = [[cols[d.theta_pows[k][c]] for c in x] for x in tuples]
+            prefixes = [tuple(map(getitem, s, pre)) for pre in prefixes for s in steps]
+        bcol = cols[d.b]
+        last = [tuple(bcol[v] for v in cols[t]) for t in d.theta_pows[n - 1]]
+        steps = [[last[c] for c in x] for x in tuples]
+        flat = [pos[tuple(map(getitem, s, pre))] for pre in prefixes for s in steps]
         return TablePolyadicGroup(names, n, flat)
 
     def local_index(self, power_index):
@@ -177,7 +215,8 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     pg = direct_power(d.base, k, caps=caps)
     theta_hat = induced_automorphism(d.theta, pg)
     b_hat = constant_tuple(pg, d.b)
-    power = derive(pg, theta_hat, b_hat, d.n, caps=caps)
+    # d meets both derivation conditions, so they hold coordinatewise
+    power = DerivedPolyadicGroup(pg, theta_hat, b_hat, d.n)
     projections = tuple(
         pg.encode(tuple(pt[j] for pt in pts)) for j in range(m)
     )
@@ -189,35 +228,77 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     gens = list(dict.fromkeys(projections + constants))
     if not gens:
         raise PolyadicError("no generators: zero variables and no constants")
-    elements = _f_skew_closure(power.f, power.skew, power.n, gens, caps)
+    closed = _term_closure(d, [pg.decode(x) for x in gens], caps, "closure")
+    elements = tuple(pg.encode(x) for x in sorted(closed))
     return CoordinateGroup(
         source=d, points=pts, m=m, power=power,
         projections=projections, constants=constants, elements=elements,
     )
 
 
-def _f_skew_closure(f, skew, n, gens, caps=_caps.DEFAULT):
-    """Smallest set containing gens closed under the n-ary operation and
-    skew; worklist over tuples touching at least one new element."""
-    closed = set(gens)
-    frontier = set(gens)
-    while frontier:
-        _caps.check(caps, "closure", len(closed), caps.max_closure_algebra)
-        snapshot = sorted(closed)
-        fresh = set()
-        for x in sorted(frontier):
-            s = skew(x)
-            if s not in closed:
-                fresh.add(s)
-        for args in product(snapshot, repeat=n):
-            if not any(a in frontier for a in args):
-                continue
-            v = f(list(args))
-            if v not in closed:
-                fresh.add(v)
-        closed |= fresh
-        frontier = fresh
-    return tuple(sorted(closed))
+def _columns(base):
+    """cols[g][a] = a . g over the base group: right multiplication by g."""
+    els = base.elements()
+    return [tuple(base.mul(a, g) for a in els) for g in els]
+
+
+def _generated(base, identity, gens, caps, what, psi=None):
+    """Subgroup generated by gens in the coordinatewise power of base,
+    twisted so that `identity` is its identity (x * y = x . identity^-1 . y)
+    and closed under the automorphism psi of that twist when given.
+
+    Elements are coordinate tuples. The psi-orbits of gens are generators
+    too; a breadth-first search from the identity then right-multiplies
+    only by the steps identity^-1 . t for each generator t, one column
+    lookup per coordinate, so the work is |H| times the number of
+    generators, and a finite monoid generated that way is the subgroup.
+    """
+    found = list(dict.fromkeys(gens))
+    if psi is not None:
+        seen = set(found)
+        for t in found:
+            y = psi(t)
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    cols = _columns(base)
+    shift = [base.inv(c) for c in identity]
+    steps = [
+        [cols[base.mul(shift[i], c)] for i, c in enumerate(t)] for t in found
+    ]
+    closed = {identity}
+    queue = [identity]
+    for x in queue:
+        for s in steps:
+            y = tuple(map(getitem, s, x))
+            if y not in closed:
+                closed.add(y)
+                queue.append(y)
+        _caps.check(caps, what, len(closed), caps.max_closure_algebra)
+    return closed
+
+
+def _term_closure(d, gens, caps, what):
+    """Closure of coordinate tuples under d's operation and skew, applied
+    coordinatewise.
+
+    It is the subgroup of the twist by u = skew(gens[0]) generated by gens
+    and f(u,...,u) and stable under x -> u . theta(x) . theta(u^-1): the
+    subgroup criterion used for polyadic subgroups, cross-checked against
+    direct f/skew saturation in the test suite.
+    """
+    base = d.base
+    skews = [d.skew(x) for x in base.elements()]
+    u = tuple(skews[c] for c in gens[0])
+    fu = tuple(d.f([c] * d.n) for c in u)
+    tail = [d.theta(base.inv(c)) for c in u]
+
+    def psi(x):
+        return tuple(
+            base.mul(base.mul(ui, d.theta(c)), ti) for ui, c, ti in zip(u, x, tail)
+        )
+
+    return _generated(base, u, list(gens) + [fu], caps, what, psi)
 
 
 def structural_check(cg):
@@ -257,12 +338,8 @@ class TermFunctions:
     tabulated as value tuples over the lexicographically ordered points
     of G^m. Shared by the closure operator and the irreducibility test.
 
-    The saturation runs inside the twist of the pointwise power by
-    u = skew(first generator): the f/skew closure of a generating set
-    equals the smallest u-twisted subgroup containing the generators and
-    f(u,...,u) that is stable under x -> u theta(x) theta(u^-1). This is
-    the same subgroup criterion used for polyadic subgroups and is
-    cross-checked against direct f/skew saturation in the test suite.
+    The saturation is `_term_closure` of the projections and diagonal
+    constants: a generated subgroup of a twist of the pointwise power.
     """
 
     def __init__(self, p, m, caps=_caps.DEFAULT):
@@ -271,57 +348,11 @@ class TermFunctions:
         self.m = m
         self.points = list(product(range(d.order), repeat=m))
         self.index = {pt: i for i, pt in enumerate(self.points)}
-        base = d.base
         coords = len(self.points)
         projections = [tuple(pt[j] for pt in self.points) for j in range(m)]
         diagonals = [(g,) * coords for g in range(d.order)]
         gens = list(dict.fromkeys(projections + diagonals))
-
-        def mul(u, v):
-            return tuple(base.mul(a, b) for a, b in zip(u, v))
-
-        def inv(u):
-            return tuple(base.inv(a) for a in u)
-
-        def theta(u):
-            return tuple(d.theta(a) for a in u)
-
-        skew_map = tuple(d.skew(x) for x in base.elements())
-        u0 = tuple(skew_map[a] for a in gens[0])
-        fu = u0
-        for k in range(1, d.n):
-            fu = mul(fu, tuple(d.theta_pows[k][a] for a in u0))
-        fu = mul(fu, (d.b,) * coords)
-
-        iu0 = inv(u0)
-        tiu0 = theta(iu0)
-
-        def tmul(x, y):
-            return mul(mul(x, iu0), y)
-
-        def tinv(x):
-            return mul(mul(u0, inv(x)), u0)
-
-        def psi(x):
-            return mul(mul(u0, theta(x)), tiu0)
-
-        closed = {u0, fu}
-        closed.update(gens)
-        frontier = list(closed)
-        while frontier:
-            _caps.check(caps, "term algebra", len(closed), caps.max_closure_algebra)
-            fresh = set()
-            for x in frontier:
-                for y in (tinv(x), psi(x)):
-                    if y not in closed and y not in fresh:
-                        fresh.add(y)
-                for y in list(closed) + list(fresh):
-                    for z in (tmul(x, y), tmul(y, x)):
-                        if z not in closed and z not in fresh:
-                            fresh.add(z)
-            closed |= fresh
-            frontier = sorted(fresh)
-        self.functions = sorted(closed)
+        self.functions = sorted(_term_closure(d, gens, caps, "term algebra"))
 
     def closure(self, z, caps=_caps.DEFAULT):
         """Smallest algebraic superset: the points where every pair of
@@ -443,29 +474,6 @@ def eval_term_in_group(t, assignment, grp, n):
     raise PolyadicError("coefficient-free term required")
 
 
-def _tuple_subgroup_closure(grp, gens, coords):
-    identity = (grp.identity,) * coords
-    closed = {identity}
-    closed.update(gens)
-    frontier = sorted(closed)
-    while frontier:
-        fresh = set()
-        for x in frontier:
-            ix = tuple(grp.inv(a) for a in x)
-            if ix not in closed and ix not in fresh:
-                fresh.add(ix)
-            for y in list(closed) + list(fresh):
-                for z in (
-                    tuple(grp.mul(a, b) for a, b in zip(x, y)),
-                    tuple(grp.mul(b, a) for a, b in zip(x, y)),
-                ):
-                    if z not in closed and z not in fresh:
-                        fresh.add(z)
-        closed |= fresh
-        frontier = sorted(fresh)
-    return sorted(closed)
-
-
 @dataclass(frozen=True)
 class Theorem63Report:
     """Outcome of the cover-comparison check for a coefficient-free
@@ -514,10 +522,9 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
     star_projections = [
         tuple(pt[j] for pt in vstar) for j in range(m)
     ]
-    star_elements = (
-        _tuple_subgroup_closure(cg, star_projections, coords)
-        if coords
-        else [()]
+    identity = (cg.identity,) * coords
+    star_elements = sorted(
+        _generated(cg, identity, star_projections, caps, "word functions")
     )
     pos = {x: i for i, x in enumerate(star_elements)}
     names = [f"w{i}" for i in range(len(star_elements))]
@@ -525,7 +532,7 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
         [pos[tuple(cg.mul(a, b) for a, b in zip(x, y))] for y in star_elements]
         for x in star_elements
     ]
-    relaxed = _caps.Caps(max_table_order=max(caps.max_table_order, len(table)))
+    relaxed = replace(caps, max_table_order=max(caps.max_table_order, len(table)))
     star_group = validate_group(names, table, name="word functions", caps=relaxed)
 
     gen_local = [gamma.local_index(x) for x in gamma.projections]

@@ -436,11 +436,12 @@ def psi_u(base, theta, u):
 
 def induced_automorphism(theta, power_group):
     """Apply theta coordinatewise on a direct power of its group."""
-    pg = power_group
-    images = tuple(
-        pg.encode(tuple(theta(c) for c in pg.decode(i))) for i in range(pg.order)
-    )
-    return GroupAutomorphism(pg, images)
+    base = power_group.base
+    images = [0]
+    for _ in range(power_group.k):
+        # mixed radix, first coordinate most significant
+        images = [hi * base.order + theta(c) for hi in images for c in base.elements()]
+    return GroupAutomorphism(power_group, images)
 
 
 def constant_tuple(power_group, b):

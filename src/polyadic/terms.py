@@ -11,9 +11,18 @@ forms coincide.
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
+from .core import DerivedPolyadicGroup, TablePolyadicGroup
 from .errors import ArityMismatch, ParseError, PolyadicError, UnboundVariable
+from .groups import TableGroup
 from .words import FreeWord, generator
+
+# Deepest nesting of f(...) and ~ that the term parser accepts. Every walker
+# over terms recurses once per level (the translation to group terms and
+# its printer up to n-1 times), so parsed terms stay well inside the
+# interpreter's recursion limit.
+MAX_TERM_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,99 @@ def eval_term(t, assignment, p):
 
 def eval_equation(eq, assignment, p):
     return eval_term(eq.left, assignment, p) == eval_term(eq.right, assignment, p)
+
+
+def term_compiler(p):
+    """A function that compiles terms over p into evaluators.
+
+    A compiled term is a closure that takes an assignment (a sequence of
+    element indices, one per variable, each bound) and returns the value
+    `eval_term` gives. It reads p's own tables: for the derived form the
+    base group's table with theta's powers and b folded into one |G|^2
+    table per argument position, for the table form the flat table,
+    otherwise p.f. Subterms without variables are evaluated once, at
+    compile time, and skew values are tabulated on first use.
+    """
+    n = p.n
+    if isinstance(p, TablePolyadicGroup):
+        flat, order = p.flat, p.order
+
+        def apply(kids):
+            if all(isinstance(k, int) for k in kids):
+                return p.f(kids)
+            idx = _callable(kids[0])
+            for kid in kids[1:]:
+                idx = _shift_add(idx, _callable(kid), order)
+            return lambda a: flat[idx(a)]
+
+    elif isinstance(p, DerivedPolyadicGroup) and isinstance(p.base, TableGroup):
+        # steps[k-1][acc][x] = acc . theta^k(x), times b at the last position
+        tab = p.base.table
+        steps = [
+            tuple(tuple(row[t] for t in p.theta_pows[k]) for row in tab)
+            for k in range(1, n)
+        ]
+        steps[-1] = tuple(tuple(tab[v][p.b] for v in row) for row in steps[-1])
+
+        def apply(kids):
+            acc = kids[0]
+            for rows, kid in zip(steps, kids[1:]):
+                acc = _lookup(rows, acc, kid)
+            return acc
+
+    else:
+        f = p.f
+
+        def apply(kids):
+            if all(isinstance(k, int) for k in kids):
+                return f(list(kids))
+            fns = [_callable(k) for k in kids]
+            return lambda a: f([fn(a) for fn in fns])
+
+    skews = None
+
+    def walk(t):
+        # an int is a constant, anything else a closure over the assignment
+        nonlocal skews
+        if isinstance(t, Variable):
+            return itemgetter(t.index)
+        if isinstance(t, Constant):
+            return t.element
+        if isinstance(t, Skew):
+            if skews is None:
+                skews = tuple(p.skew(x) for x in p.elements())
+            kid = walk(t.child)
+            if isinstance(kid, int):
+                return skews[kid]
+            return lambda a: skews[kid(a)]
+        if len(t.children) != n:
+            raise ArityMismatch(n, len(t.children))
+        return apply([walk(c) for c in t.children])
+
+    return lambda t: _callable(walk(t))
+
+
+def _callable(node):
+    if isinstance(node, int):
+        return lambda a: node
+    return node
+
+
+def _shift_add(high, low, order):
+    return lambda a: high(a) * order + low(a)
+
+
+def _lookup(rows, left, right):
+    """rows[left][right], with either side a compiled constant."""
+    if isinstance(left, int):
+        if isinstance(right, int):
+            return rows[left][right]
+        row = rows[left]
+        return lambda a: row[right(a)]
+    if isinstance(right, int):
+        col = tuple(r[right] for r in rows)
+        return lambda a: col[left(a)]
+    return lambda a: rows[left(a)][right(a)]
 
 
 def is_coefficient_free(t):
@@ -432,16 +534,21 @@ class _TermParser:
         if tok != want:
             raise ParseError(f"expected {want!r}, found {tok!r}", column=col)
 
-    def term(self):
+    def term(self, depth=0):
         tok, col = self.next()
+        nests = tok == "~" or (tok == "f" and self.peek() == "(")
+        if nests and depth == MAX_TERM_DEPTH:
+            raise ParseError(
+                f"term nested deeper than {MAX_TERM_DEPTH} levels", column=col
+            )
         if tok == "~":
-            return Skew(self.term())
+            return Skew(self.term(depth + 1))
         if tok == "f" and self.peek() == "(":
             self.next()
-            children = [self.term()]
+            children = [self.term(depth + 1)]
             while self.peek() == ",":
                 self.next()
-                children.append(self.term())
+                children.append(self.term(depth + 1))
             self.expect(")")
             return Apply(tuple(children))
         if not re.fullmatch(r"[A-Za-z0-9_]+", tok):

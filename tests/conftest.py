@@ -2,9 +2,11 @@ import pytest
 
 from polyadic.core import derive
 from polyadic.groups import (
+    GroupAutomorphism,
     automorphism,
     cyclic_group,
     direct_product,
+    enumerate_homs,
     identity_automorphism,
     inner_automorphism,
     symmetric_group,
@@ -54,3 +56,50 @@ def p4(catalog):
 @pytest.fixture(scope="session")
 def p7(catalog):
     return catalog["p7"]
+
+
+@pytest.fixture(scope="session")
+def small_bases():
+    """Z2-Z5, S3 and Z2xZ2: bases small enough for the exhaustive oracles."""
+    z2 = cyclic_group(2)
+    return [
+        z2,
+        cyclic_group(3),
+        cyclic_group(4),
+        cyclic_group(5),
+        symmetric_group(3),
+        direct_product(z2, z2, name="K4"),
+    ]
+
+
+def derivation_pairs(g, n):
+    """Every (theta, b) meeting both derivation conditions for arity n."""
+    pairs = []
+    for hom in enumerate_homs(g, g):
+        if not hom.is_injective():
+            continue
+        theta = GroupAutomorphism(g, hom.images)
+        top = theta.iterate(n - 1)
+        for b in g.elements():
+            if theta(b) == b and all(
+                top(x) == g.conjugate(b, x) for x in g.elements()
+            ):
+                pairs.append((theta, b))
+    return pairs
+
+
+@pytest.fixture(scope="session")
+def random_derived():
+    """make(rng, base, arities): a derived n-ary group over base with n
+    drawn from arities and (theta, b) drawn from all valid pairs."""
+    cache = {}
+
+    def make(rng, base, arities=(3, 4)):
+        n = arities[0] if len(arities) == 1 else rng.choice(arities)
+        key = (id(base), n)
+        if key not in cache:
+            cache[key] = derivation_pairs(base, n)
+        theta, b = rng.choice(cache[key])
+        return derive(base, theta, b, n)
+
+    return make

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from polyadic.cli import main
+from polyadic.core import tabulate
 from polyadic.fileio import (
     group_from_doc,
     group_to_doc,
@@ -273,6 +275,90 @@ def test_parse_error_exit2(tmp_path, capsys):
     code, doc = run(capsys, "validate", "--group", str(path))
     assert code == 2
     assert doc["error"]["type"] == "ParseError"
+
+
+def _nested_table_doc():
+    doc = polyadic_to_doc(tabulate(polyadic_from_doc(P2)))
+    doc["table"][5] = [doc["table"][5], doc["table"][5]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "verb, flag, doc",
+    [
+        ("validate", "--polyadic", dict(P2, n="three")),
+        ("skew", "--polyadic", _nested_table_doc()),
+        ("solve", "--system",
+         {"polyadic": "p2.json", "vars": "x", "equations": ["f(x1,x1,x1) = x1"]}),
+        ("solve", "--system",
+         {"polyadic": "p2.json", "vars": 1, "equations": ["~" * 3000 + "x1 = x1"]}),
+    ],
+    ids=["n-string", "nested-table", "vars-string", "deep-skew"],
+)
+def test_malformed_document_exit2(tmp_path, capsys, verb, flag, doc):
+    write(tmp_path, "p2.json", P2)
+    path = write(tmp_path, "bad.json", doc)
+    code = main([verb, flag, path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert isinstance(json.loads(captured.out)["error"]["message"], str)
+    assert captured.err == ""
+
+
+SYSTEM = {"polyadic": "p2.json", "vars": 2, "equations": ["f(x1,x2,1) = ~x2"],
+          "points": [["0", "1"], ["2", "2"]]}
+FUZZ_CASES = [
+    ("validate", "--polyadic", P2),
+    ("derive", "--polyadic", P2),
+    ("validate", "--group", Z3),
+    ("solve", "--system", SYSTEM),
+    ("coordgroup", "--system", SYSTEM),
+    ("closure", "--system", SYSTEM),
+    ("present2group", "--presentation",
+     {"generators": ["x", "y"], "relations": [["~x", "y"], ["f(x,y,x)", "x"]]}),
+    ("cosets", "--presentation", {"generators": ["a", "b"], "relators": ["a^3", "b^2", "abab"]}),
+]
+JUNK = [None, 0, -1, 2.5, True, "", "zz", [], ["0"], [["0"]], {}, {"a": 1}, "f(", "~" * 120 + "x1"]
+
+
+def _mutate(rng, doc):
+    """doc with one value (or the whole document) replaced by junk, or one
+    field deleted."""
+    doc = json.loads(json.dumps(doc))
+    paths = [[]]
+    for path in paths:
+        node = doc
+        for k in path:
+            node = node[k]
+        if isinstance(node, dict):
+            paths.extend(path + [k] for k in node)
+        elif isinstance(node, list):
+            paths.extend(path + [i] for i in range(len(node)))
+    path = rng.choice(paths)
+    if not path:
+        return rng.choice(JUNK)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(JUNK)
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_mutated_documents_exit_cleanly(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    write(tmp_path, "p2.json", P2)
+    for _ in range(300):
+        verb, flag, doc = rng.choice(FUZZ_CASES)
+        path = write(tmp_path, "doc.json", _mutate(rng, doc))
+        argv = [verb, flag, path] + (["--n", "3"] if verb == "present2group" else [])
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out), dict)
 
 
 def test_homs_two_files(tmp_path, capsys):

@@ -14,56 +14,17 @@ import pytest
 
 from polyadic.core import (
     _verify_axioms_exhaustive,
-    derive,
     polyadic_from_table,
     tabulate,
     verify_axioms,
 )
 from polyadic.errors import NotAssociative
 from polyadic.groups import (
-    GroupAutomorphism,
     cyclic_group,
     direct_product,
-    enumerate_homs,
     symmetric_group,
     validate_group,
 )
-
-
-def _bases():
-    """Small bases: the exhaustive oracle scans |G|^(2n-1) tuples, which
-    at order 12 already takes a second."""
-    z2 = cyclic_group(2)
-    return [
-        z2,
-        cyclic_group(3),
-        cyclic_group(4),
-        cyclic_group(5),
-        symmetric_group(3),
-        direct_product(z2, z2, name="K4"),
-    ]
-
-
-def _derivation_pairs(g, n):
-    """Every (theta, b) meeting both derivation conditions for arity n."""
-    pairs = []
-    for hom in enumerate_homs(g, g):
-        if not hom.is_injective():
-            continue
-        theta = GroupAutomorphism(g, hom.images)
-        top = theta.iterate(n - 1)
-        for b in g.elements():
-            if theta(b) == b and all(
-                top(x) == g.conjugate(b, x) for x in g.elements()
-            ):
-                pairs.append((theta, b))
-    return pairs
-
-
-def _random_derived(rng, base):
-    n = 3 if base.order > 5 else rng.choice((3, 4))
-    theta, b = rng.choice(_derivation_pairs(base, n))
-    return derive(base, theta, b, n)
 
 
 def _corrupt(rng, t):
@@ -78,10 +39,11 @@ def _corrupt(rng, t):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_verify_axioms_matches_exhaustive(seed):
+def test_verify_axioms_matches_exhaustive(seed, small_bases, random_derived):
     rng = random.Random(seed)
-    for base in _bases():
-        p = _random_derived(rng, base)
+    for base in small_bases:
+        # n = 4 over S3 would have the exhaustive oracle scan 6^7 tuples
+        p = random_derived(rng, base, (3,) if base.order > 5 else (3, 4))
         t = tabulate(p)
         for q in (p, t):
             rep = verify_axioms(q)
@@ -143,12 +105,12 @@ def _check_validate_group(table):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_validate_group_matches_cubic_scan(seed):
+def test_validate_group_matches_cubic_scan(seed, small_bases):
     rng = random.Random(seed)
     for k in (6, 8, 10, 12):
         loop = _relabel(rng, _intercalate_loop(rng, k))
         assert _check_validate_group(loop) is not None
     s3z2 = direct_product(symmetric_group(3), cyclic_group(2))
-    for base in _bases() + [s3z2]:
+    for base in small_bases + [s3z2]:
         table = _relabel(rng, [list(row) for row in base.table])
         assert _check_validate_group(table) is None

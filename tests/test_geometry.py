@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from polyadic.core import as_derived
-from polyadic.errors import PolyadicError
+from polyadic import geometry
+from polyadic.caps import Caps
+from polyadic.core import as_derived, derive, tabulate
+from polyadic.errors import PolyadicError, SizeCapExceeded
 from polyadic.geometry import (
     AlgebraicSet,
     EquationSystem,
@@ -18,12 +20,14 @@ from polyadic.geometry import (
     structural_check,
     theorem63_check,
 )
+from polyadic.groups import direct_power, induced_automorphism
 from polyadic.terms import (
     Apply,
     Constant,
     Equation,
     Skew,
     Variable,
+    eval_equation,
     parse_equation,
     parse_term,
 )
@@ -42,11 +46,6 @@ def test_solve_golden(p2):
     assert v.points == ((2,),)
     assert (2,) in v and (0,) not in v
     assert len(v) == 1
-
-
-def test_solve_jobs_path_agrees(p2):
-    s = EquationSystem(p2, 2, eqs(p2, ["f(x1,x2,x1) = f(x2,x1,x2)"]))
-    assert solve(p2, s).points == solve(p2, s, jobs=2).points
 
 
 def test_union_is_intersection(p2):
@@ -240,7 +239,7 @@ def test_minimal_subsystem_drops_redundant(p2):
 def random_term(rng, m, order, depth, n):
     r = rng.random()
     if depth <= 0 or r < 0.35:
-        if r < 0.15:
+        if r < 0.15 or m == 0:
             return Constant(rng.randrange(order))
         return Variable(rng.randrange(m))
     if r < 0.55:
@@ -302,3 +301,123 @@ def test_theorem63_negative_identity_system(p2):
 def test_theorem63_rejects_coefficients(p2):
     with pytest.raises(PolyadicError):
         theorem63_check(p2, EquationSystem(p2, 1, eqs(p2, ["x1 = c2"])))
+
+
+def test_theorem63_keeps_caller_caps(p2, monkeypatch):
+    system = EquationSystem(p2, 1, eqs(p2, ["x1 = x1"]))
+    # the word-function group over the cover's six solutions has order 6
+    with pytest.raises(SizeCapExceeded) as info:
+        theorem63_check(p2, system, caps=Caps(max_closure_algebra=5))
+    assert info.value.what == "word functions"
+    # the word-function group is validated under the caller's caps (only
+    # the table-order cap would be raised, to the group's order)
+    seen = []
+
+    def spy(*args, caps, **kwargs):
+        seen.append(caps)
+        return validate_group(*args, caps=caps, **kwargs)
+
+    validate_group = geometry.validate_group
+    monkeypatch.setattr(geometry, "validate_group", spy)
+    tight = Caps(max_table_order=6, max_points=50, max_closure_algebra=40)
+    theorem63_check(p2, system, caps=tight)
+    assert seen == [tight]
+
+
+# ---------------------------------------------------------------------------
+# seeded differential tests: compiled solve, generated closures and the
+# coordinate-group table against direct oracles, on random derived groups
+# over small bases and on their table forms
+
+# Pairwise saturation makes |H|^n products per round, so the oracles run
+# only where that stays small.
+ORACLE_PRODUCTS = 20_000
+
+
+def grid_scan(p, system):
+    """Every point of G^m, each equation evaluated by eval_term."""
+    return tuple(
+        pt
+        for pt in itertools.product(range(p.order), repeat=system.m)
+        if all(eval_equation(eq, pt, p) for eq in system.equations)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_matches_grid_scan(seed, small_bases, random_derived):
+    rng = random.Random(seed)
+    for base in small_bases:
+        p = random_derived(rng, base)
+        # a base without a stored table takes the compiler's p.f path
+        pg = direct_power(base, 1)
+        lazy = derive(pg, induced_automorphism(p.theta, pg), p.b, p.n)
+        for q in (p, tabulate(p), lazy):
+            for _ in range(3):
+                m = rng.randrange(4)
+                equations = tuple(
+                    Equation(
+                        random_term(rng, m, q.order, 3, q.n),
+                        random_term(rng, m, q.order, 2, q.n),
+                    )
+                    for _ in range(rng.randrange(1, 4))
+                )
+                s = EquationSystem(q, m, equations)
+                assert solve(q, s).points == grid_scan(q, s), (q, equations)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_term_functions_match_naive_random(seed, small_bases, random_derived):
+    rng = random.Random(seed)
+    compared = 0
+    for base in small_bases:
+        p = random_derived(rng, base)
+        for q in (p, tabulate(p)):
+            for m in (1, 2):
+                # abelian bases give the |G|^(m+1) affine functions; S3
+                # gives 324 in one variable, too many for the oracle
+                if base.is_abelian() and base.order ** ((m + 1) * p.n) <= ORACLE_PRODUCTS:
+                    assert TermFunctions(q, m).functions == naive_algebra(q, m)
+                    compared += 1
+    assert compared >= 6
+
+
+def naive_power_closure(power, gens):
+    """f/skew saturation of encoded elements of the direct power, over
+    tuples touching at least one new element."""
+    closed = set(gens)
+    frontier = set(gens)
+    while frontier:
+        snapshot = sorted(closed)
+        fresh = {power.skew(x) for x in frontier} - closed
+        for args in itertools.product(snapshot, repeat=power.n):
+            if any(a in frontier for a in args):
+                v = power.f(list(args))
+                if v not in closed:
+                    fresh.add(v)
+        closed |= fresh
+        frontier = fresh
+    return tuple(sorted(closed))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coordinate_group_matches_saturation(seed, small_bases, random_derived):
+    rng = random.Random(seed)
+    for base in small_bases:
+        p = random_derived(rng, base)
+        for q in (p, tabulate(p)):
+            m = rng.choice((1, 2))
+            k = 2 if base.order ** (2 * p.n) <= ORACLE_PRODUCTS else 1
+            grid = list(itertools.product(range(q.order), repeat=m))
+            pts = tuple(sorted(rng.sample(grid, min(k, len(grid)))))
+            with_constants = rng.random() < 0.7
+            if not with_constants and m == 1 and len(pts) == 1:
+                continue
+            cg = coordinate_group(q, AlgebraicSet(m, pts), with_constants)
+            gens = list(dict.fromkeys(cg.projections + cg.constants))
+            assert cg.elements == naive_power_closure(cg.power, gens)
+            pos = {x: i for i, x in enumerate(cg.elements)}
+            flat = [
+                pos[cg.power.f(list(args))]
+                for args in itertools.product(cg.elements, repeat=cg.power.n)
+            ]
+            assert list(cg.as_polyadic().flat) == flat

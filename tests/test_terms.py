@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from polyadic.core import retract
+from polyadic.core import derive, retract
 from polyadic.cover import build_post_cover
 from polyadic.errors import (
     ArityMismatch,
@@ -11,7 +11,9 @@ from polyadic.errors import (
     PolyadicError,
     UnboundVariable,
 )
+from polyadic.groups import cyclic_group, identity_automorphism
 from polyadic.terms import (
+    MAX_TERM_DEPTH,
     Apply,
     Constant,
     Equation,
@@ -36,6 +38,7 @@ from polyadic.terms import (
     parse_term,
     polyadic_to_group,
     term_to_free_word,
+    term_compiler,
     term_to_string,
     terms_equal,
     term_variables,
@@ -60,6 +63,32 @@ def test_parse_term_bare_constant_names():
         parse_term("q", element_names=NAMES)
     with pytest.raises(ParseError):
         parse_term("f(x1,x2", element_names=NAMES)
+
+
+def test_parse_depth_bound_keeps_walkers_inside_the_stack():
+    z3 = cyclic_group(3)
+    p = derive(z3, identity_automorphism(z3), 0, 6)  # the default arity cap
+    names = list(p.names())
+    # nested in the last argument, the deepest chain in the group
+    # translation; the innermost ~x1 is at the bound
+    levels = MAX_TERM_DEPTH - 1
+    deepest = "f(x1,1,x1,~x1,2," * levels + "x1" + ")" * levels
+    t = parse_term(deepest, element_names=names)
+    assert term_to_string(t, p) == deepest
+    value = eval_term(t, [1], p)
+    assert term_compiler(p)(t)([1]) == value
+    cover = build_post_cover(p)
+    g = polyadic_to_group(t, cover)
+    group_term_to_string(g, cover.group)
+    assert eval_group_term(g, [cover.embed_index(1)], cover.group) == cover.embed_index(value)
+    normalize_term(t, p, cover)
+    skews = "~" * MAX_TERM_DEPTH + "x1"
+    assert term_to_string(parse_term(skews, element_names=names), p) == skews
+    for text in ("~" + skews, "f(x1,x1,x1,x1,x1," + deepest + ")"):
+        with pytest.raises(ParseError):
+            parse_term(text, element_names=names)
+    with pytest.raises(ParseError):
+        parse_equation("x1 = ~" + skews, element_names=names)
 
 
 def test_parse_term_generator_mode():
