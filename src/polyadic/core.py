@@ -303,12 +303,67 @@ def _flat_op(p):
 def _assoc_scan_flat(n, g, flat, strides):
     """First tuple where the n insertion positions disagree, else None.
 
-    Scans all (2n-1)-tuples in lexicographic order; for each, evaluates
-    f(prefix, f(window), suffix) at every insertion position with incremental
-    window and prefix indices.
+    A (2n-1)-tuple splits into a head t_0..t_(n-1) and a suffix
+    t_n..t_(2n-2); heads in lexicographic order, each followed by its
+    g^(n-1) suffixes in order, is lexicographic order on the tuples. For one
+    head, the values of f(t_0..t_(i-1), f(t_i..t_(i+n-1)), rest) over all
+    suffixes form one block of the flat table taken as bytes:
+
+    - i = 0: the row of f(head), flat[w*g^(n-1) : (w+1)*g^(n-1)];
+    - 0 < i < n-1: the suffix's first i digits finish the inner window, whose
+      g^i values are one contiguous slice; each picks one of the g chunks of
+      length g^(n-1-i) after the prefix, and the block is their join;
+    - i = n-1: the inner values are the row of t_(n-1), mapped through the
+      g-entry row after the prefix with `bytes.translate`.
+
+    The blocks are compared with `==`, and only a head whose blocks differ is
+    scanned tuple by tuple, for the least witness. Orders above 256 do not
+    fit in a byte; there every head is scanned tuple by tuple.
     """
-    top = strides[0] * g  # g**n
-    for t in product(range(g), repeat=2 * n - 1):
+    span = strides[0]  # g**(n-1) suffixes per head
+    if g > 256:
+        for head in product(range(g), repeat=n):
+            witness = _assoc_scan_head(n, g, flat, strides, head)
+            if witness is not None:
+                return witness
+        return None
+    table = bytes(flat)
+    pad = bytes(256 - g)
+    middles = []  # (window cut, chunk width, inner count, chunks) per 0<i<n-1
+    for i in range(1, n - 1):
+        width = strides[i]
+        chunks = [table[k:k + width] for k in range(0, g * span, width)]
+        middles.append((strides[i - 1], width, g ** i, chunks))
+    for h in range(g * span):
+        w = table[h]
+        first = table[w * span:(w + 1) * span]
+        for cut, width, count, chunks in middles:
+            tail = h % cut
+            at = (h - tail) // width
+            lo = tail * count
+            pick = chunks[at:at + g].__getitem__
+            if b"".join(map(pick, table[lo:lo + count])) != first:
+                break
+        else:
+            last = h % g
+            row = table[h - last:h - last + g] + pad
+            if table[last * span:(last + 1) * span].translate(row) == first:
+                continue
+        head = tuple(h // s % g for s in strides)
+        return _assoc_scan_head(n, g, flat, strides, head)
+    return None
+
+
+def _assoc_scan_head(n, g, flat, strides, head):
+    """The least tuple starting with `head` where the n insertion positions
+    disagree, as (1, j, tuple, value_1, value_j), else None.
+
+    Scans the head's suffixes in lexicographic order; for each tuple,
+    evaluates f(prefix, f(window), suffix) at every insertion position with
+    incremental window and prefix indices.
+    """
+    for rest in product(range(g), repeat=n - 1):
+        t = head + rest
         # window index for positions [i, i+n)
         w = 0
         for k in range(n):

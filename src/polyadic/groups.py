@@ -124,42 +124,40 @@ def validate_group(element_names, table, name="G", caps=_caps.DEFAULT):
     _caps.check(caps, "group order", n, caps.max_table_order)
     if len(table) != n or any(len(row) != n for row in table):
         raise PolyadicError("table is not square")
+    rows = [tuple(row) for row in table]
     full = set(range(n))
-    for i, row in enumerate(table):
+    for i, row in enumerate(rows):
         if set(row) != full:
             raise NotLatinSquare("row", i)
-    for j in range(n):
-        if {table[i][j] for i in range(n)} != full:
+    cols = list(zip(*rows))
+    for j, col in enumerate(cols):
+        if set(col) != full:
             raise NotLatinSquare("column", j)
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    # In a Latin square only the row e with e*0 = 0 can be the identity's,
+    # and only y = row_x.index(identity) can be the inverse of x.
+    identity = cols[0].index(0)
+    ident = tuple(range(n))
+    if rows[identity] != ident or cols[identity] != ident:
         raise NoIdentity()
-    inverses = [None] * n
-    for x in range(n):
-        for y in range(n):
-            if table[x][y] == identity and table[y][x] == identity:
-                inverses[x] = y
-                break
-        if inverses[x] is None:
+    inverses = [row.index(identity) for row in rows]
+    for x, y in enumerate(inverses):
+        if rows[y][x] != identity:
             raise NoInverse(x)
-    if not _light_associative(table):
+    if not _light_associative(rows, cols):
         for a in range(n):
-            ta = table[a]
+            ta = rows[a]
             for b in range(n):
-                tab = table[ta[b]]
-                tb = table[b]
+                tab = rows[ta[b]]
+                tb = rows[b]
                 for c in range(n):
                     if tab[c] != ta[tb[c]]:
                         raise NotAssociative((a, b, c))
-    return TableGroup(names, table, identity, inverses, name=name)
+    return TableGroup(names, rows, identity, inverses, name=name)
 
 
-def _light_associative(table):
-    """Light's associativity test on a Latin square of element indices.
+def _light_associative(rows, cols):
+    """Light's associativity test on a Latin square of element indices,
+    given as its tuples of rows and of columns.
 
     The elements g with (x g) y = x (g y) for all x, y form a submagma: for
     two of them, (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y). So it
@@ -169,8 +167,6 @@ def _light_associative(table):
     subgroup and at least doubles with each generator, so at most log2(N)
     of them are tested.
     """
-    rows = [tuple(row) for row in table]
-    cols = list(zip(*rows))
     members, inside = [], set()
     for g in range(len(rows)):
         if g in inside:

@@ -14,15 +14,26 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import DerivedPolyadicGroup, TablePolyadicGroup
-from .errors import ArityMismatch, ParseError, PolyadicError, UnboundVariable
+from .errors import (
+    ArityMismatch,
+    ParseError,
+    PolyadicError,
+    SizeCapExceeded,
+    UnboundVariable,
+)
 from .groups import TableGroup
 from .words import FreeWord, generator
 
 # Deepest nesting of f(...) and ~ that the term parser accepts. Every walker
 # over terms recurses once per level (the translation to group terms and
 # its printer up to n-1 times), so parsed terms stay well inside the
-# interpreter's recursion limit.
+# interpreter's recursion limit. The group-term parser applies the same
+# bound to parentheses, to the depth of the term it builds and to exponents.
 MAX_TERM_DEPTH = 100
+# Most nodes a group term may have, counting every copy of a repeated
+# subterm (a power repeats its base), as parsed and as translated to the
+# n-ary language. Walkers and printers visit every copy.
+MAX_TERM_NODES = MAX_TERM_DEPTH ** 2
 
 
 @dataclass(frozen=True)
@@ -413,7 +424,32 @@ def group_to_polyadic(t, a, n):
 
 
 def group_to_polyadic_equation(left, right, a, n):
+    """Both sides through `group_to_polyadic`; SizeCapExceeded when the
+    result would have more than MAX_TERM_NODES nodes."""
+    memo = {}
+    size = _translated_nodes(left, n, memo) + _translated_nodes(right, n, memo)
+    if size > MAX_TERM_NODES:
+        raise SizeCapExceeded("translated term nodes", size, MAX_TERM_NODES)
     return Equation(group_to_polyadic(left, a, n), group_to_polyadic(right, a, n))
+
+
+def _translated_nodes(t, n, memo):
+    """Nodes of group_to_polyadic(t, a, n), every copy of a subterm counted;
+    memo holds the count of each shared subterm, by identity."""
+    key = id(t)
+    if key not in memo:
+        if isinstance(t, (GVar, GConst)):
+            memo[key] = 1
+        elif isinstance(t, GOne):
+            memo[key] = 2
+        elif isinstance(t, GMul):
+            memo[key] = (
+                n - 1 + _translated_nodes(t.left, n, memo)
+                + _translated_nodes(t.right, n, memo)
+            )
+        else:
+            memo[key] = 6 + (n - 2) * _translated_nodes(t.child, n, memo)
+    return memo[key]
 
 
 def polyadic_to_group(t, cover):
@@ -465,6 +501,7 @@ def term_to_free_word(t, generators, n):
 
 _TOKEN = re.compile(r"\s*([A-Za-z0-9_]+|\^-?[0-9]+|[(),=~*'])")
 _VAR = re.compile(r"x([0-9]+)$")
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 def _tokenize(text):
@@ -479,6 +516,19 @@ def _tokenize(text):
         out.append((m.group(1), m.start(1)))
         pos = m.end()
     return out
+
+
+def _variable_index(name, col):
+    """k - 1 for a variable name xk, else None."""
+    m = _VAR.match(name)
+    if m is None:
+        return None
+    digits = m.group(1).lstrip("0")
+    if not digits:
+        raise ParseError("variables are numbered from x1", column=col)
+    if len(digits) > 9:
+        raise ParseError("variable index has more than 9 digits", column=col)
+    return int(digits) - 1
 
 
 class _Resolver:
@@ -499,12 +549,9 @@ class _Resolver:
             if name in self.generators:
                 return Variable(self.generators[name])
             raise ParseError(f"unknown generator {name!r}", column=col)
-        m = _VAR.match(name)
-        if m:
-            k = int(m.group(1))
-            if k < 1:
-                raise ParseError("variables are numbered from x1", column=col)
-            return Variable(k - 1)
+        k = _variable_index(name, col)
+        if k is not None:
+            return Variable(k)
         if self.elements is not None:
             if name in self.elements:
                 return Constant(self.elements[name])
@@ -551,7 +598,7 @@ class _TermParser:
                 children.append(self.term(depth + 1))
             self.expect(")")
             return Apply(tuple(children))
-        if not re.fullmatch(r"[A-Za-z0-9_]+", tok):
+        if not _NAME.fullmatch(tok):
             raise ParseError(f"expected a term, found {tok!r}", column=col)
         return self.resolver.atom(tok, col)
 
@@ -602,7 +649,14 @@ def term_to_string(t, p=None, generators=None):
 class _GroupTermParser:
     """Binary group terms: juxtaposition or * for products (grouped to
     the right), postfix ' or ^-1 for inverses, ^k for powers, 1 for the
-    identity, parentheses for grouping."""
+    identity, parentheses for grouping.
+
+    Parentheses nest at most MAX_TERM_DEPTH deep and exponents are at most
+    MAX_TERM_DEPTH in absolute value. The term built is at most
+    MAX_TERM_DEPTH deep, so a product has at most that many factors, and has
+    at most MAX_TERM_NODES nodes. Each bound is checked before the term that
+    would break it is built. Subterms are carried as (term, depth, nodes).
+    """
 
     def __init__(self, tokens, element_names):
         self.tokens = tokens
@@ -619,50 +673,92 @@ class _GroupTermParser:
         self.pos += 1
         return tok
 
-    def product(self):
-        factors = [self.factor()]
+    def product(self, nest=0):
+        factors = [self.factor(nest)]
         while True:
             nxt = self.peek()
             if nxt == "*":
                 self.next()
-                factors.append(self.factor())
-            elif nxt is not None and (re.fullmatch(r"[A-Za-z0-9_]+", nxt) or nxt == "("):
-                factors.append(self.factor())
-            else:
+            elif nxt is None or not (nxt == "(" or _NAME.fullmatch(nxt)):
                 break
-        return _gproduct(factors)
+            if len(factors) == MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"product of more than {MAX_TERM_DEPTH} factors",
+                    column=self.tokens[self.pos - 1][1],
+                )
+            factors.append(self.factor(nest))
+        out = factors[-1]
+        for u in reversed(factors[:-1]):
+            out = self._mul(u, out)
+        return out
 
-    def factor(self):
+    def factor(self, nest):
         tok, col = self.next()
         if tok == "(":
-            base = self.product()
+            if nest == MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_TERM_DEPTH} levels",
+                    column=col,
+                )
+            base = self.product(nest + 1)
             tok2, col2 = self.next()
             if tok2 != ")":
                 raise ParseError(f"expected ')', found {tok2!r}", column=col2)
-        elif re.fullmatch(r"[A-Za-z0-9_]+", tok):
-            base = self.atom(tok, col)
+        elif _NAME.fullmatch(tok):
+            base = (self.atom(tok, col), 1, 1)
         else:
             raise ParseError(f"expected a factor, found {tok!r}", column=col)
         while True:
             nxt = self.peek()
             if nxt == "'":
                 self.next()
-                base = GInv(base)
+                base = self._inv(base)
             elif nxt is not None and nxt.startswith("^"):
-                self.next()
-                base = _gpower(base, int(nxt[1:]))
+                _, col = self.next()
+                # a long digit string is refused before int() reads it
+                k = int(nxt[1:]) if len(nxt[1:].lstrip("-0")) <= 3 else None
+                if k is None or abs(k) > MAX_TERM_DEPTH:
+                    raise ParseError(
+                        f"exponent outside -{MAX_TERM_DEPTH}..{MAX_TERM_DEPTH}",
+                        column=col,
+                    )
+                base = self._power(base, k)
             else:
                 return base
+
+    def _power(self, base, k):
+        if k == 0:
+            return GOne(), 1, 1
+        if k < 0:
+            return self._inv(self._power(base, -k))
+        out = base
+        for _ in range(k - 1):
+            out = self._mul(base, out)
+        return out
+
+    def _mul(self, u, v):
+        return self._bounded(GMul(u[0], v[0]), max(u[1], v[1]) + 1, u[2] + v[2] + 1)
+
+    def _inv(self, u):
+        return self._bounded(GInv(u[0]), u[1] + 1, u[2] + 1)
+
+    def _bounded(self, term, depth, nodes):
+        """(term, depth, nodes), or a ParseError at the last token read."""
+        col = self.tokens[self.pos - 1][1]
+        if depth > MAX_TERM_DEPTH:
+            raise ParseError(
+                f"term nested deeper than {MAX_TERM_DEPTH} levels", column=col
+            )
+        if nodes > MAX_TERM_NODES:
+            raise ParseError(f"term of more than {MAX_TERM_NODES} nodes", column=col)
+        return term, depth, nodes
 
     def atom(self, name, col):
         if name == "1":
             return GOne()
-        m = _VAR.match(name)
-        if m:
-            k = int(m.group(1))
-            if k < 1:
-                raise ParseError("variables are numbered from x1", column=col)
-            return GVar(k - 1)
+        k = _variable_index(name, col)
+        if k is not None:
+            return GVar(k)
         if name in self.elements:
             return GConst(self.elements[name])
         if name[0] == "c" and name[1:] in self.elements:
@@ -670,17 +766,9 @@ class _GroupTermParser:
         raise ParseError(f"unknown name {name!r}", column=col)
 
 
-def _gpower(base, k):
-    if k == 0:
-        return GOne()
-    if k < 0:
-        return GInv(_gpower(base, -k))
-    return _gproduct([base] * k)
-
-
 def parse_group_term(text, element_names):
     parser = _GroupTermParser(_tokenize(text), element_names)
-    t = parser.product()
+    t = parser.product()[0]
     if parser.pos != len(parser.tokens):
         raise ParseError(
             f"trailing input {parser.tokens[parser.pos][0]!r}",
@@ -691,11 +779,11 @@ def parse_group_term(text, element_names):
 
 def parse_group_equation(text, element_names):
     parser = _GroupTermParser(_tokenize(text), element_names)
-    left = parser.product()
+    left = parser.product()[0]
     tok, col = parser.next()
     if tok != "=":
         raise ParseError(f"expected '=', found {tok!r}", column=col)
-    right = parser.product()
+    right = parser.product()[0]
     if parser.pos != len(parser.tokens):
         raise ParseError(
             f"trailing input {parser.tokens[parser.pos][0]!r}",

@@ -283,22 +283,39 @@ def _nested_table_doc():
     return doc
 
 
+def _g2p(equation, n=3):
+    """A translate g2p case: P2 at arity 3, else P1 (identity theta, so
+    every arity is a derivation) at arity n."""
+    doc = P2 if n == 3 else dict(P1, n=n)
+    return ("translate", "--polyadic", doc, ["g2p", equation, "--anchor", "1"])
+
+
 @pytest.mark.parametrize(
-    "verb, flag, doc",
+    "verb, flag, doc, rest",
     [
-        ("validate", "--polyadic", dict(P2, n="three")),
-        ("skew", "--polyadic", _nested_table_doc()),
+        ("validate", "--polyadic", dict(P2, n="three"), []),
+        ("skew", "--polyadic", _nested_table_doc(), []),
         ("solve", "--system",
-         {"polyadic": "p2.json", "vars": "x", "equations": ["f(x1,x1,x1) = x1"]}),
+         {"polyadic": "p2.json", "vars": "x", "equations": ["f(x1,x1,x1) = x1"]}, []),
         ("solve", "--system",
-         {"polyadic": "p2.json", "vars": 1, "equations": ["~" * 3000 + "x1 = x1"]}),
+         {"polyadic": "p2.json", "vars": 1, "equations": ["~" * 3000 + "x1 = x1"]}, []),
+        _g2p("(" * 3000 + "x1" + ")" * 3000 + " = x1"),
+        _g2p("x1^2000 = x1"),
+        _g2p(" ".join(["x1"] * 3000) + " = x1"),
+        _g2p("x1" + "'" * 3000 + " = x1"),
+        _g2p("x1" + "^2" * 40 + " = x1"),
+        _g2p("x1^" + "9" * 5000 + " = x1"),
+        _g2p("x" + "9" * 5000 + " = x1"),
+        _g2p("x1" + "'" * 20 + " = x1", n=6),
     ],
-    ids=["n-string", "nested-table", "vars-string", "deep-skew"],
+    ids=["n-string", "nested-table", "vars-string", "deep-skew", "g2p-deep-parens",
+         "g2p-big-power", "g2p-long-product", "g2p-deep-inverse", "g2p-power-tower",
+         "g2p-long-exponent", "g2p-long-variable", "g2p-wide-translation"],
 )
-def test_malformed_document_exit2(tmp_path, capsys, verb, flag, doc):
+def test_malformed_document_exit2(tmp_path, capsys, verb, flag, doc, rest):
     write(tmp_path, "p2.json", P2)
     path = write(tmp_path, "bad.json", doc)
-    code = main([verb, flag, path])
+    code = main([verb, flag, path, *rest])
     captured = capsys.readouterr()
     assert code == 2
     assert isinstance(json.loads(captured.out)["error"]["message"], str)

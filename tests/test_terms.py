@@ -9,11 +9,13 @@ from polyadic.errors import (
     ArityMismatch,
     ParseError,
     PolyadicError,
+    SizeCapExceeded,
     UnboundVariable,
 )
 from polyadic.groups import cyclic_group, identity_automorphism
 from polyadic.terms import (
     MAX_TERM_DEPTH,
+    MAX_TERM_NODES,
     Apply,
     Constant,
     Equation,
@@ -161,6 +163,44 @@ def test_group_term_parse_and_string():
     assert parse_group_term("1", ["a", "b"]) == GOne()
     left, right = parse_group_equation("x1*x2 = 1", ["a", "b"])
     assert right == GOne()
+
+
+def test_group_term_bounds_accept_their_limit():
+    """Each bound of the group-term grammar admits its limit and refuses
+    one more; the translation refuses what would exceed MAX_TERM_NODES."""
+    names = ["a", "b"]
+    m = MAX_TERM_DEPTH
+    at_limit = [
+        "(" * m + "x1" + ")" * m,
+        f"x1^{m}",
+        f"x1^-{m - 1}",
+        " ".join(["x1"] * m),
+        "x1" + "'" * (m - 1),
+        "x1^0001",
+    ]
+    past_limit = [
+        "(" * (m + 1) + "x1" + ")" * (m + 1),
+        f"x1^{m + 1}",
+        f"x1^-{m}",
+        " ".join(["x1"] * (m + 1)),
+        "x1" + "'" * m,
+        "x1" + "^2" * 13,
+        "x1234567890",
+    ]
+    for text in at_limit:
+        parse_group_term(text, names)
+    for text in past_limit:
+        with pytest.raises(ParseError):
+            parse_group_term(text, names)
+    assert parse_group_term("x1^0001", names) == GVar(0)
+    # 2^12 leaves and 2^12 - 1 products parse; one more doubling does not
+    parse_group_term("x1" + "^2" * 12, names)
+    assert 2 ** 13 - 1 <= MAX_TERM_NODES < 2 ** 14 - 1
+    # an inverse repeats its argument n - 2 times in the translation
+    deep = parse_group_term("x1" + "'" * 12, names)
+    group_to_polyadic_equation(deep, GOne(), 0, 3)
+    with pytest.raises(SizeCapExceeded):
+        group_to_polyadic_equation(deep, GOne(), 0, 6)
 
 
 def test_group_term_eval():
