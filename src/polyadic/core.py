@@ -30,7 +30,6 @@ from .groups import (
     identity_automorphism,
     psi_u,
     subgroups,
-    twisted_group,
     validate_group,
 )
 
@@ -72,11 +71,7 @@ class DerivedPolyadicGroup(PolyadicGroup):
         self.b = b
         self.n = n
         self.order = base.order
-        pows = [tuple(base.elements())]
-        for _ in range(n - 1):
-            prev = pows[-1]
-            pows.append(tuple(theta(x) for x in prev))
-        self.theta_pows = pows
+        self.theta_pows = theta.powers(n)  # theta_pows[k][x] = theta^k(x)
 
     def f(self, args):
         self._check_arity(args)
@@ -494,19 +489,21 @@ def polyadic_subgroups(p):
     In the twist of the base by u the operation satisfies
     f(x_1,...,x_n) = x_1 * psi_u(x_2) * ... * psi_u^(n-1)(x_n) * f(u,...,u),
     so a subset H is a polyadic subgroup exactly when, for some u, it is a
-    psi_u-invariant subgroup of the twist containing f(u,...,u). Returns
-    sorted tuples of element indices.
+    psi_u-invariant subgroup of the twist containing f(u,...,u). The twist's
+    subgroups are the translates K . u of the base's subgroups K, as
+    x -> x . u is an isomorphism. Returns sorted tuples of element indices.
     """
     d = as_derived(p)
     base, theta = d.base, d.theta
+    lattice = subgroups(base)
     found = set()
     for u in base.elements():
         fu = d.f([u] * d.n)
-        tw = twisted_group(base, u)
         psi = psi_u(base, theta, u)
-        for sub in subgroups(tw):
-            if fu in sub and all(psi(x) in sub for x in sub):
-                found.add(tuple(sorted(sub)))
+        for sub in lattice:
+            coset = {base.mul(x, u) for x in sub}
+            if fu in coset and all(psi(x) in coset for x in coset):
+                found.add(tuple(sorted(coset)))
     return tuple(sorted(found, key=lambda s: (len(s), s)))
 
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .groups import (
     are_isomorphic,
+    hom_from_generator_images,
     subgroup_closure,
     subgroup_table,
     validate_group,
@@ -145,10 +146,10 @@ def extend_hom_to_cover(cover, beta, target):
 
     beta maps the n-ary group's carrier into target (a sequence of
     target indices) and must satisfy beta(f(x_1..x_n)) = product of the
-    beta(x_i) in target; the extension is built by propagating along
-    products with embedded generators. A propagation clash would mean
-    beta was not a valid starting map, so Inconsistent is unreachable
-    for inputs passing the precheck.
+    beta(x_i) in target; the extension is `hom_from_generator_images`
+    with the embedded elements as generators. A clash would mean beta
+    was not a valid starting map, so Inconsistent is unreachable for
+    inputs passing the precheck.
     """
     p = cover.polyadic
     n = cover.n
@@ -160,29 +161,14 @@ def extend_hom_to_cover(cover, beta, target):
             raise NotPolyadicHom(args, beta[p.f(list(args))], acc)
 
     g = cover.group
-    images = [None] * g.order
-    frontier = []
-    for x in range(p.order):
-        c = cover.embed_index(x)
-        images[c] = beta[x]
-        frontier.append(c)
-    while frontier:
-        new = []
-        for u in frontier:
-            for x in range(p.order):
-                w = g.mul(u, cover.embed_index(x))
-                val = target.mul(images[u], beta[x])
-                if images[w] is None:
-                    images[w] = val
-                    new.append(w)
-                elif images[w] != val:
-                    raise Inconsistent(w, images[w], val)
-        frontier = new
-    if any(v is None for v in images):
-        raise PolyadicError("embedded coset failed to generate the cover")
-    from .groups import Hom
-
-    return Hom(g, target, tuple(images))
+    gens = [cover.embed_index(x) for x in range(p.order)]
+    hom, reason = hom_from_generator_images(g, target, gens, beta)
+    if reason is None:
+        return hom
+    if reason[0] == "clash":
+        _, x, gen = reason
+        raise Inconsistent(g.mul(x, gen), x, gen)
+    raise PolyadicError("embedded coset failed to generate the cover")
 
 
 # ---------------------------------------------------------------------------

@@ -147,12 +147,12 @@ class NotPolyadicHom(PolyadicError):
 
 
 class Inconsistent(PolyadicError):
-    def __init__(self, element, first, second):
+    def __init__(self, element, parent, generator):
         self.element = element
-        self.first = first
-        self.second = second
+        self.parent = parent
+        self.generator = generator
         super().__init__(
-            f"propagation assigns both {first} and {second} to element {element}"
+            f"propagation gives {element} = {parent} . {generator} two images"
         )
 
 

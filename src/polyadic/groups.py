@@ -9,7 +9,9 @@ powers usable far beyond the full-table size cap.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations, product
+from operator import eq
 
 from . import caps as _caps
 from .errors import (
@@ -330,12 +332,7 @@ class Hom:
         return self.images[x]
 
     def is_valid(self):
-        s, t = self.source, self.target
-        return all(
-            self.images[s.mul(a, b)] == t.mul(self.images[a], self.images[b])
-            for a in s.elements()
-            for b in s.elements()
-        )
+        return _multiplicative(self.source, self.target, self.images)
 
     def is_surjective(self):
         return len(set(self.images)) == self.target.order
@@ -368,14 +365,8 @@ class GroupAutomorphism:
         return hash(self.images)
 
     def is_valid(self):
-        g = self.group
-        if sorted(self.images) != list(g.elements()):
-            return False
-        return all(
-            self.images[g.mul(a, b)] == g.mul(self.images[a], self.images[b])
-            for a in g.elements()
-            for b in g.elements()
-        )
+        g, images = self.group, self.images
+        return sorted(images) == list(g.elements()) and _multiplicative(g, g, images)
 
     def compose(self, other):
         """self after other."""
@@ -395,6 +386,13 @@ class GroupAutomorphism:
         for _ in range(k):
             acc = self.compose(acc)
         return acc
+
+    def powers(self, count):
+        """theta^0, ..., theta^(count-1) as image tuples."""
+        pows = [tuple(self.group.elements())]
+        for _ in range(count - 1):
+            pows.append(tuple(map(self, pows[-1])))
+        return pows
 
     def __repr__(self):
         return f"GroupAutomorphism({list(self.images)})"
@@ -430,14 +428,35 @@ def psi_u(base, theta, u):
     return GroupAutomorphism(tw, images)
 
 
+class InducedAutomorphism(GroupAutomorphism):
+    """theta applied coordinatewise on a direct power of its group, per
+    element: nothing is built over the |G|^k encodings unless `images` is
+    read. Its powers are lookups of the same kind."""
+
+    def __init__(self, theta, power_group):
+        self.theta = theta
+        self.group = power_group
+
+    @cached_property
+    def images(self):
+        return tuple(map(self, self.group.elements()))
+
+    def __call__(self, x):
+        g = self.group
+        return g.encode(tuple(map(self.theta, g.decode(x))))
+
+    __getitem__ = __call__
+
+    def iterate(self, k):
+        return InducedAutomorphism(self.theta.iterate(k), self.group)
+
+    def powers(self, count):
+        return [self.iterate(k) for k in range(count)]
+
+
 def induced_automorphism(theta, power_group):
     """Apply theta coordinatewise on a direct power of its group."""
-    base = power_group.base
-    images = [0]
-    for _ in range(power_group.k):
-        # mixed radix, first coordinate most significant
-        images = [hi * base.order + theta(c) for hi in images for c in base.elements()]
-    return GroupAutomorphism(power_group, images)
+    return InducedAutomorphism(theta, power_group)
 
 
 def constant_tuple(power_group, b):
@@ -449,30 +468,21 @@ def constant_tuple(power_group, b):
 
 
 def subgroup_closure(g, seed):
-    """Smallest subgroup containing seed (set of indices)."""
-    closed = set(seed)
-    closed.add(g.identity)
-    frontier = sorted(closed)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in sorted(closed):
-                for z in (g.mul(x, y), g.mul(y, x)):
-                    if z not in closed:
-                        closed.add(z)
-                        new.append(z)
-        frontier = new
-    return frozenset(closed)
+    """Smallest subgroup containing seed (set of indices): the elements a
+    breadth-first search from the identity reaches by right multiplication
+    with the seed. A finite monoid is a group, so that is the subgroup."""
+    return frozenset(bfs_words(g, list(seed))[0])
 
 
 def generating_set(g):
-    """Greedy small generating set, deterministic (lowest missing index)."""
+    """Greedy small generating set, deterministic: one pass in index order
+    keeps each element outside the subgroup the earlier ones generate."""
     gens = []
     closed = {g.identity}
-    while len(closed) < g.order:
-        x = min(i for i in g.elements() if i not in closed)
-        gens.append(x)
-        closed = set(subgroup_closure(g, gens))
+    for x in g.elements():
+        if x not in closed:
+            gens.append(x)
+            closed = subgroup_closure(g, gens)
     return gens
 
 
@@ -497,7 +507,8 @@ def bfs_words(g, gens):
 
 
 def _propagate(g, h, gens, gen_images, order, defs):
-    """Extend generator images along BFS definitions; None on clash."""
+    """Images along the BFS definitions, img[x] = img[parent] . the image
+    of x's generator; `_first_bad_edge` decides whether they multiply."""
     img = {g.identity: h.identity}
     for x in order[1:]:
         parent, pos = defs[x]
@@ -505,119 +516,111 @@ def _propagate(g, h, gens, gen_images, order, defs):
     return img
 
 
-def _is_hom(g, h, img):
-    for a in g.elements():
-        ia = img[a]
-        for b in g.elements():
-            if img[g.mul(a, b)] != h.mul(ia, img[b]):
-                return False
-    return True
+def _first_bad_edge(g, h, gens, gen_images, order, img):
+    """The first Cayley-graph edge (x, gen), x in `order` and gen in turn,
+    with img(x . gen) != img(x) . img(gen); None if every edge holds. If
+    none fails, gens generate g and img sends identity to identity, img is
+    a homomorphism, by induction on word length: |G| * |gens| products, not
+    |G|^2.
+    """
+    for x in order:
+        ix = img[x]
+        for gen, gi in zip(gens, gen_images):
+            if img[g.mul(x, gen)] != h.mul(ix, gi):
+                return x, gen
+    return None
+
+
+def _multiplicative(g, h, images):
+    """Whether the image array is a homomorphism g -> h: identity to
+    identity, then the Cayley-graph edges of g's generating set."""
+    if images[g.identity] != h.identity:
+        return False
+    gens = generating_set(g)
+    gen_images = [images[x] for x in gens]
+    return _first_bad_edge(g, h, gens, gen_images, g.elements(), images) is None
+
+
+def _homs_on_generators(g, h, gens, fits):
+    """Image arrays of the homomorphisms g -> h, one per tuple of generator
+    images, in tuple order, where each generator's image y passes
+    fits(generator's order, y's order). Each tuple is extended along the
+    BFS definitions and kept when every Cayley-graph edge holds."""
+    order, defs = bfs_words(g, gens)
+    candidates = [
+        [y for y in h.elements() if fits(g.element_order(x), h.element_order(y))]
+        for x in gens
+    ]
+    for choice in product(*candidates):
+        img = _propagate(g, h, gens, choice, order, defs)
+        if _first_bad_edge(g, h, gens, choice, order, img) is None:
+            yield tuple(img[x] for x in g.elements())
 
 
 def enumerate_homs(g, h, caps=_caps.DEFAULT):
-    """All homomorphisms g -> h as Hom records, sorted by image array.
-
-    Backtracks over generator images (pruned by element-order divisibility),
-    extends by BFS, then verifies multiplicativity on all pairs.
-    """
+    """All homomorphisms g -> h as Hom records, sorted by image array;
+    generator images are pruned by element-order divisibility."""
     gens = generating_set(g)
-    order, defs = bfs_words(g, gens)
-    if not gens:
-        return [Hom(g, h, tuple([h.identity] * g.order))]
     _caps.check(
         caps, "hom search space", h.order ** len(gens), caps.max_power_order
     )
-    gen_orders = [g.element_order(x) for x in gens]
-    candidates = [
-        [y for y in h.elements() if gen_orders[pos] % h.element_order(y) == 0]
-        for pos in range(len(gens))
-    ]
-    found = []
-    for choice in product(*candidates):
-        img = _propagate(g, h, gens, choice, order, defs)
-        if _is_hom(g, h, img):
-            found.append(Hom(g, h, tuple(img[x] for x in g.elements())))
-    found.sort(key=lambda hm: hm.images)
-    return found
+    homs = _homs_on_generators(g, h, gens, lambda a, b: a % b == 0)
+    return [Hom(g, h, images) for images in sorted(homs)]
 
 
 def hom_from_generator_images(g, h, gens, images):
     """The hom determined by gens -> images, or None (with witness).
 
-    Returns (Hom, None) on success. Returns (None, reason) when the given
-    generators do not generate g or the induced map is not multiplicative;
-    reason is ('not-generating', element) or ('clash', a, b).
+    Returns (Hom, None) on success. Returns (None, reason) when the induced
+    map is not multiplicative, with reason ('clash', x, gen) for the first
+    Cayley-graph edge in BFS order that fails, or else when the given
+    generators do not generate g, with reason ('not-generating', x) for
+    the least element they miss.
     """
-    img = {g.identity: h.identity}
-    frontier = [g.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for gen, gi in zip(gens, images):
-                y = g.mul(x, gen)
-                v = h.mul(img[x], gi)
-                if y in img:
-                    if img[y] != v:
-                        return None, ("clash", x, gen)
-                else:
-                    img[y] = v
-                    new.append(y)
-        frontier = new
-    if len(img) != g.order:
+    order, defs = bfs_words(g, gens)
+    img = _propagate(g, h, gens, images, order, defs)
+    edge = _first_bad_edge(g, h, gens, images, order, img)
+    if edge is not None:
+        return None, ("clash",) + edge
+    if len(order) != g.order:
         missing = min(x for x in g.elements() if x not in img)
         return None, ("not-generating", missing)
-    if not _is_hom(g, h, img):
-        for a in g.elements():
-            for b in g.elements():
-                if img[g.mul(a, b)] != h.mul(img[a], img[b]):
-                    return None, ("clash", a, b)
     return Hom(g, h, tuple(img[x] for x in g.elements())), None
 
 
 def are_isomorphic(g, h):
-    """(bool, witness Hom or None); backtracking over generator images."""
-    if g.order != h.order:
+    """(bool, witness Hom or None): the first bijective homomorphism sending
+    the generators to elements of the same orders."""
+    if g.order != h.order or g.order_profile() != h.order_profile():
         return False, None
-    if g.order_profile() != h.order_profile():
-        return False, None
-    gens = generating_set(g)
-    order, defs = bfs_words(g, gens)
-    gen_orders = [g.element_order(x) for x in gens]
-    candidates = [
-        [y for y in h.elements() if h.element_order(y) == gen_orders[pos]]
-        for pos in range(len(gens))
-    ]
-    for choice in product(*candidates):
-        img = _propagate(g, h, gens, choice, order, defs)
-        vals = tuple(img[x] for x in g.elements())
-        if len(set(vals)) != g.order:
-            continue
-        if _is_hom(g, h, img):
-            return True, Hom(g, h, vals)
+    for images in _homs_on_generators(g, h, generating_set(g), eq):
+        if len(set(images)) == g.order:
+            return True, Hom(g, h, images)
     return False, None
 
 
 def subgroups(g):
     """All subgroups, as a sorted tuple of frozensets.
 
-    Lattice completion: closures of singletons, then repeatedly extend each
-    known subgroup by one outside element.
+    Cyclic extension (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005): each subgroup H, kept with the generators that
+    reached it, is extended by each outside element x, skipping the rest of
+    the coset H.x since <H, x> = <H, h.x>.
     """
-    found = {frozenset([g.identity])}
-    for x in g.elements():
-        found.add(subgroup_closure(g, [x]))
-    changed = True
-    while changed:
-        changed = False
-        for sub in sorted(found, key=lambda s: (len(s), sorted(s))):
-            if len(sub) == g.order:
+    trivial = frozenset([g.identity])
+    found = {trivial: []}
+    queue = [trivial]
+    for sub in queue:
+        gens = found[sub]
+        tried = set(sub)
+        for x in g.elements():
+            if x in tried:
                 continue
-            for x in g.elements():
-                if x not in sub:
-                    bigger = subgroup_closure(g, list(sub) + [x])
-                    if bigger not in found:
-                        found.add(bigger)
-                        changed = True
+            tried.update(g.mul(y, x) for y in sub)
+            bigger = subgroup_closure(g, gens + [x])
+            if bigger not in found:
+                found[bigger] = gens + [x]
+                queue.append(bigger)
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 

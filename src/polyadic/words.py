@@ -260,8 +260,9 @@ _WORD_TOKEN = re.compile(r"\s*([A-Za-z0-9_]+|\^-?[0-9]+|'|\*|~)")
 
 def parse_word(text):
     """Free-group word syntax: identifiers, postfix ' for inverse, ^k for
-    integer powers, * or juxtaposition for concatenation, 1 for the empty
-    word ("1" is therefore not usable as a generator name)."""
+    integer powers of at most 9 digits, * or juxtaposition for
+    concatenation, 1 for the empty word ("1" is therefore not usable as a
+    generator name)."""
     runs = []
     pos = 0
     while pos < len(text):
@@ -280,13 +281,21 @@ def parse_word(text):
             if not runs:
                 raise ParseError("power with no base", column=pos)
             g, e = runs.pop()
-            k = -1 if tok == "'" else int(tok[1:])
+            k = -1 if tok == "'" else _exponent(tok, pos)
             runs.append((g, e * k))
             continue
         if tok == "1":
             continue
         runs.append((tok, 1))
     return FreeWord(tuple(runs))
+
+
+def _exponent(tok, col):
+    """k of a ^k token; more than 9 digits is refused before int() runs."""
+    digits = tok.lstrip("^-").lstrip("0") or "0"
+    if len(digits) > 9:
+        raise ParseError("exponent has more than 9 digits", column=col)
+    return -int(digits) if tok[1] == "-" else int(digits)
 
 
 def parse_mp_word(text, n):

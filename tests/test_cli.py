@@ -249,6 +249,9 @@ def test_freereduce(capsys):
     assert doc == {"word": "x^2", "height": 2, "length": 2}
     code, doc = run(capsys, "freereduce", "x^4", "--n", "4")
     assert code == 0 and doc["f_pol_member"] is True
+    # nine digits are still an exponent; more exit 2 (test_long_exponent_exit2)
+    code, doc = run(capsys, "freereduce", "x^-" + "9" * 9)
+    assert code == 0 and doc["height"] == -999999999
 
 
 def test_translate_directions(tmp_path, capsys):
@@ -324,16 +327,19 @@ def test_malformed_document_exit2(tmp_path, capsys, verb, flag, doc, rest):
 
 SYSTEM = {"polyadic": "p2.json", "vars": 2, "equations": ["f(x1,x2,1) = ~x2"],
           "points": [["0", "1"], ["2", "2"]]}
+NPRES = {"generators": ["x", "y"], "relations": [["~x", "y"], ["f(x,y,x)", "x"]]}
+# (verb, flag, document or free word, trailing arguments)
 FUZZ_CASES = [
-    ("validate", "--polyadic", P2),
-    ("derive", "--polyadic", P2),
-    ("validate", "--group", Z3),
-    ("solve", "--system", SYSTEM),
-    ("coordgroup", "--system", SYSTEM),
-    ("closure", "--system", SYSTEM),
-    ("present2group", "--presentation",
-     {"generators": ["x", "y"], "relations": [["~x", "y"], ["f(x,y,x)", "x"]]}),
-    ("cosets", "--presentation", {"generators": ["a", "b"], "relators": ["a^3", "b^2", "abab"]}),
+    ("validate", "--polyadic", P2, []),
+    ("derive", "--polyadic", P2, []),
+    ("validate", "--group", Z3, []),
+    ("solve", "--system", SYSTEM, []),
+    ("coordgroup", "--system", SYSTEM, []),
+    ("closure", "--system", SYSTEM, []),
+    ("present2group", "--presentation", NPRES, ["--n", "3"]),
+    ("cosets", "--presentation", NPRES, ["--n", "3"]),
+    ("cosets", "--presentation", {"generators": ["a", "b"], "relators": ["a^3", "b^2", "abab"]}, []),
+    ("freereduce", None, "x*y^-2*x'*y^3*x^12", []),
 ]
 JUNK = [None, 0, -1, 2.5, True, "", "zz", [], ["0"], [["0"]], {}, {"a": 1}, "f(", "~" * 120 + "x1"]
 
@@ -364,18 +370,53 @@ def _mutate(rng, doc):
     return doc
 
 
+WORD_JUNK = ["^", "^-", "^0", "'", "*", "~", "1", "x", "(", " ", "\u00e9", "9" * 5000]
+
+
+def _mutate_word(rng, word):
+    """word with one to three junk insertions or character deletions."""
+    chars = list(word)
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(chars) + 1)
+        if i < len(chars) and rng.random() < 0.4:
+            del chars[i]
+        else:
+            chars.insert(i, rng.choice(WORD_JUNK))
+    return "".join(chars)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_mutated_documents_exit_cleanly(tmp_path, capsys, seed):
     rng = random.Random(seed)
     write(tmp_path, "p2.json", P2)
     for _ in range(300):
-        verb, flag, doc = rng.choice(FUZZ_CASES)
-        path = write(tmp_path, "doc.json", _mutate(rng, doc))
-        argv = [verb, flag, path] + (["--n", "3"] if verb == "present2group" else [])
-        code = main(argv)
+        verb, flag, doc, rest = rng.choice(FUZZ_CASES)
+        if flag is None:
+            argv = [verb, _mutate_word(rng, doc)]
+        else:
+            argv = [verb, flag, write(tmp_path, "doc.json", _mutate(rng, doc))]
+        code = main(argv + rest)
         out = capsys.readouterr().out
         assert code in (0, 1, 2)
         assert isinstance(json.loads(out), dict)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["freereduce", "x^" + "9" * 5000],
+        ["freereduce", "x*y^-" + "0" * 3 + "1" * 10],
+        ["cosets", "--presentation", {"generators": ["a"], "relators": ["a^" + "9" * 5000]}],
+    ],
+    ids=["word", "negative-word", "relator"],
+)
+def test_long_exponent_exit2(tmp_path, capsys, argv):
+    argv = [write(tmp_path, "pres.json", a) if isinstance(a, dict) else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["type"] == "ParseError"
+    assert captured.err == ""
 
 
 def test_homs_two_files(tmp_path, capsys):

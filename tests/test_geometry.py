@@ -1,11 +1,12 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from polyadic import geometry
 from polyadic.caps import Caps
-from polyadic.core import as_derived, derive, tabulate
+from polyadic.core import DerivedPolyadicGroup, as_derived, derive, tabulate
 from polyadic.errors import PolyadicError, SizeCapExceeded
 from polyadic.geometry import (
     AlgebraicSet,
@@ -20,7 +21,12 @@ from polyadic.geometry import (
     structural_check,
     theorem63_check,
 )
-from polyadic.groups import direct_power, induced_automorphism
+from polyadic.groups import (
+    GroupAutomorphism,
+    cyclic_group,
+    direct_power,
+    induced_automorphism,
+)
 from polyadic.terms import (
     Apply,
     Constant,
@@ -421,3 +427,47 @@ def test_coordinate_group_matches_saturation(seed, small_bases, random_derived):
                 for args in itertools.product(cg.elements, repeat=cg.power.n)
             ]
             assert list(cg.as_polyadic().flat) == flat
+
+
+def eager_induced(theta, pg):
+    """theta applied coordinatewise as a full image array over all |G|^k
+    encodings of the power, the way it was built before it became lazy."""
+    images = [0]
+    for _ in range(pg.k):
+        images = [hi * pg.base.order + theta(c) for hi in images for c in pg.base.elements()]
+    return GroupAutomorphism(pg, images)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_coordinate_group_many_points(seed, random_derived):
+    """10-12 points over Z2 (m = 4) and 10 over Z3 (m = 3, no constants),
+    where the term-function group stays small enough for the saturation
+    oracle; the power's lazy theta, f and skew must agree with the ones
+    built over every encoding."""
+    rng = random.Random(seed)
+    for base, m, k, with_constants in (
+        (cyclic_group(2), 4, rng.randrange(10, 13), rng.random() < 0.5),
+        (cyclic_group(3), 3, 10, False),
+    ):
+        p = random_derived(rng, base, (3,))
+        grid = list(itertools.product(range(base.order), repeat=m))
+        pts = tuple(sorted(rng.sample(grid, k)))
+        cg = coordinate_group(p, AlgebraicSet(m, pts), with_constants)
+        gens = list(dict.fromkeys(cg.projections + cg.constants))
+        assert cg.elements == naive_power_closure(cg.power, gens)
+        pos = {x: i for i, x in enumerate(cg.elements)}
+        flat = [
+            pos[cg.power.f(list(args))]
+            for args in itertools.product(cg.elements, repeat=cg.power.n)
+        ]
+        assert list(cg.as_polyadic().flat) == flat
+
+        pg = cg.power.base
+        eager_theta = eager_induced(p.theta, pg)
+        assert [cg.power.theta(x) for x in pg.elements()] == list(eager_theta.images)
+        eager = DerivedPolyadicGroup(pg, eager_theta, cg.power.b, cg.power.n)
+        for _ in range(200):
+            args = [rng.randrange(pg.order) for _ in range(cg.power.n)]
+            assert cg.power.f(args) == eager.f(args)
+            assert cg.power.skew(args[0]) == eager.skew(args[0])
+        assert structural_check(cg) == structural_check(replace(cg, power=eager))
