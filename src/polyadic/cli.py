@@ -10,6 +10,7 @@ errors, resource caps).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -88,7 +89,9 @@ VERBS = (
 )
 
 
+@functools.cache
 def _parser():
+    """The parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="polyadic",
         description="compute with finite polyadic (n-ary) groups",
@@ -108,6 +111,9 @@ def _parser():
     ap.add_argument("--anchor", metavar="ELEM")
     ap.add_argument("--cap", type=int)
     ap.add_argument("--format", choices=("json", "table"), default="json")
+    # parse_intermixed_args formats this same usage line on every call
+    # when none is set
+    ap.usage = ap.format_usage()[len("usage: "):]
     return ap
 
 

@@ -8,11 +8,14 @@ theta and a constant b with
     f(x_1,...,x_n) = x_1 . theta(x_2) . theta^2(x_3) ... theta^(n-1)(x_n) . b,
 
 subject to theta(b) = b and theta^(n-1)(x) = b . x . b^(-1); and a direct
-n-dimensional table over named elements. Every operation here works on both.
+n-dimensional table over named elements. Every operation here works on both:
+the ones that read the whole operation read it as one flat row-major table,
+which the derived form builds on first use.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 from typing import Optional
 
 from . import caps as _caps
@@ -35,11 +38,29 @@ from .groups import (
 
 
 class PolyadicGroup:
+    """Both forms expose `flat`: f on every n-tuple of element indices, as
+    one row-major tuple of order**n values."""
+
     n: int
     order: int
+    flat: tuple
 
     def f(self, args):
-        raise NotImplementedError
+        self._check_arity(args)
+        idx = 0
+        for a in args:
+            idx = idx * self.order + a
+        return self.flat[idx]
+
+    def line(self, args, pos):
+        """f(args) with args[pos] running over the carrier, in order: one
+        strided slice of flat, a row when pos is the last position."""
+        g = self.order
+        step = g ** (self.n - 1 - pos)
+        start = 0
+        for k, x in enumerate(args):
+            start = start * g + (0 if k == pos else x)
+        return self.flat[start:start + g * step:step]
 
     def skew(self, x):
         """The unique y with f(x,...,x,y) = x."""
@@ -63,15 +84,34 @@ class PolyadicGroup:
 
 
 class DerivedPolyadicGroup(PolyadicGroup):
-    """Carrier and names are those of the base group."""
+    """Carrier and names are those of the base group; f is computed from
+    them, and `flat` is built on first use, under caps.max_tabulate."""
 
-    def __init__(self, base, theta, b, n):
+    def __init__(self, base, theta, b, n, caps=_caps.DEFAULT):
         self.base = base
         self.theta = theta
         self.b = b
         self.n = n
         self.order = base.order
+        self.caps = caps
         self.theta_pows = theta.powers(n)  # theta_pows[k][x] = theta^k(x)
+
+    @cached_property
+    def flat(self):
+        """Prefix products over the base group: level k extends each prefix
+        value v by the row x -> v . theta^k(x), with b folded into the last
+        level, so the work is order**(n-1) row extensions."""
+        caps = self.caps
+        _caps.check(caps, "n-ary table", self.order ** self.n, caps.max_tabulate)
+        base, els = self.base, self.base.elements()
+        level = tuple(els)
+        for k in range(1, self.n):
+            tk = self.theta_pows[k]
+            rows = [tuple(base.mul(v, tk[x]) for x in els) for v in els]
+            if k == self.n - 1:
+                rows = [tuple(base.mul(v, self.b) for v in row) for row in rows]
+            level = tuple(chain.from_iterable(map(rows.__getitem__, level)))
+        return level
 
     def f(self, args):
         self._check_arity(args)
@@ -80,6 +120,18 @@ class DerivedPolyadicGroup(PolyadicGroup):
         for k in range(1, self.n):
             acc = base.mul(acc, self.theta_pows[k][args[k]])
         return base.mul(acc, self.b)
+
+    def line(self, args, pos):
+        """L . theta^pos(x) . R over x, where L and R are the products of
+        the factors before and after position pos: n + order base
+        multiplications, without the flat table."""
+        base, tp = self.base, self.theta_pows
+        left, right = base.identity, self.b
+        for k in range(pos):
+            left = base.mul(left, tp[k][args[k]])
+        for k in range(self.n - 1, pos, -1):
+            right = base.mul(tp[k][args[k]], right)
+        return tuple(base.mul(base.mul(left, tp[pos][x]), right) for x in base.elements())
 
     def skew(self, x):
         # b^-1 . (theta(x) . theta^2(x) ... theta^(n-2)(x))^-1
@@ -110,18 +162,9 @@ class TablePolyadicGroup(PolyadicGroup):
         if len(flat_table) != self.order ** n:
             raise PolyadicError("table size does not match order**n")
         self.flat = tuple(flat_table)
-        self._skew_cache = None
-
-    def f(self, args):
-        self._check_arity(args)
-        idx = 0
-        for a in args:
-            idx = idx * self.order + a
-        return self.flat[idx]
+        self._skew_cache = {}
 
     def skew(self, x):
-        if self._skew_cache is None:
-            self._skew_cache = {}
         if x not in self._skew_cache:
             self._skew_cache[x] = skew_search(self, x)
         return self._skew_cache[x]
@@ -148,7 +191,7 @@ def derive(base, theta, b, n, caps=_caps.DEFAULT):
         rhs = base.mul(base.mul(b, x), base.inv(b))
         if pow_n1(x) != rhs:
             raise ConditionTwoFails(x, pow_n1(x), rhs)
-    return DerivedPolyadicGroup(base, theta, b, n)
+    return DerivedPolyadicGroup(base, theta, b, n, caps=caps)
 
 
 def derive_from_constant(base, b, n, caps=_caps.DEFAULT):
@@ -164,23 +207,29 @@ def polyadic_from_table(element_names, n, flat_table, caps=_caps.DEFAULT):
     if n < 3:
         raise PolyadicError("arity must be at least 3")
     _caps.check(caps, "arity", n, caps.max_arity)
-    _caps.check(
-        caps, "n-ary table", len(element_names) ** n, caps.max_tabulate
-    )
+    _caps.check(caps, "n-ary table", len(element_names) ** n, caps.max_tabulate)
     return TablePolyadicGroup(element_names, n, flat_table)
 
 
 def tabulate(p, caps=_caps.DEFAULT):
     """Materialize any polyadic group into table form."""
     _caps.check(caps, "n-ary table", p.order ** p.n, caps.max_tabulate)
-    flat = [p.f(args) for args in product(p.elements(), repeat=p.n)]
-    return TablePolyadicGroup(p.names(), p.n, flat)
+    return TablePolyadicGroup(p.names(), p.n, p.flat)
+
+
+def _decode(g, n, i):
+    """The n-tuple at index i of a row-major table over g elements."""
+    return tuple(i // g ** (n - 1 - k) % g for k in range(n))
+
+
+def _first_difference(got, want):
+    return next(i for i, (u, v) in enumerate(zip(got, want)) if u != v)
 
 
 def skew_search(p, x):
     """Brute-force skew: scan for the unique y with f(x^(n-1), y) = x."""
-    prefix = [x] * (p.n - 1)
-    sols = [y for y in p.elements() if p.f(prefix + [y]) == x]
+    row = p.line([x] * p.n, p.n - 1)
+    sols = [y for y, v in enumerate(row) if v == x]
     if len(sols) != 1:
         raise NoSolution(
             f"skew of {x}: {len(sols)} solutions, operation is not a polyadic group"
@@ -217,82 +266,56 @@ def verify_axioms(p, caps=_caps.DEFAULT):
     associative and uniquely solvable. When that proof fails, the exhaustive
     |G|^(2n-1) scans decide, so witnesses are the lexicographically least
     violations. The max_axiom_tuples cap bounds each path's own work:
-    |G|^n tuples before the reconstruction, |G|^(2n-1) before the scans.
+    |G|^n tuples before the reconstruction, |G|^(2n-1) before the scans;
+    max_tabulate bounds the two |G|^n tables the reconstruction compares.
     The report never raises on mathematical failure.
     """
     n, g = p.n, p.order
     _caps.check(caps, "reconstruction tuples", g ** n, caps.max_axiom_tuples)
     try:
-        hosszu_gloskin(p, 0)
+        hosszu_gloskin(p, 0, caps=caps)
     except PolyadicError:
         _caps.check(
             caps, "associativity tuples", g ** (2 * n - 1), caps.max_axiom_tuples
         )
         return _verify_axioms_exhaustive(p)
-    return AxiomReport(
-        ok=True,
-        associative=True,
-        associativity_witness=None,
-        solvable=True,
-        solvability_witness=None,
-        unique=True,
-        uniqueness_witness=None,
-    )
+    return _report(None, None)
 
 
 def _verify_axioms_exhaustive(p):
-    """Scan every (2n-1)-tuple for associativity and every position for
-    unique solvability; the oracle behind `verify_axioms`."""
+    """Scan every (2n-1)-tuple for associativity and every line of f (one
+    position running over the carrier, the rest fixed) for a repeated
+    value; the oracle behind `verify_axioms`. A line misses a value exactly
+    when it repeats one, so solvability never fails on its own."""
     n, g = p.n, p.order
-    flat, strides = _flat_op(p)
-    assoc_witness = _assoc_scan_flat(n, g, flat, strides)
+    strides = [g ** (n - 1 - k) for k in range(n)]
+    return _report(_assoc_scan_flat(n, g, p.flat, strides), _first_repeat(p))
 
-    solv_witness = None
-    uniq_witness = None
-    for pos in range(n):
-        if solv_witness or uniq_witness:
-            break
-        for rest in product(range(g), repeat=n - 1):
-            seen = {}
-            args = list(rest[:pos]) + [0] + list(rest[pos:])
-            for x in range(g):
-                args[pos] = x
-                v = p.f(args)
-                if v in seen:
-                    uniq_witness = (pos, rest, v, seen[v], x)
-                    break
-                seen[v] = x
-            if uniq_witness:
-                break
-            if len(seen) != g:
-                missing = min(set(range(g)) - set(seen))
-                solv_witness = (pos, rest, missing)
-                break
 
-    associative = assoc_witness is None
-    solvable = solv_witness is None
-    unique = uniq_witness is None
+def _report(assoc_witness, uniq_witness):
     return AxiomReport(
-        ok=associative and solvable and unique,
-        associative=associative,
+        ok=assoc_witness is None and uniq_witness is None,
+        associative=assoc_witness is None,
         associativity_witness=assoc_witness,
-        solvable=solvable,
-        solvability_witness=solv_witness,
-        unique=unique,
+        solvable=True,
+        solvability_witness=None,
+        unique=uniq_witness is None,
         uniqueness_witness=uniq_witness,
     )
 
 
-def _flat_op(p):
-    """Row-major flat table of f plus index strides, materializing if needed."""
-    g, n = p.order, p.n
-    strides = [g ** (n - 1 - k) for k in range(n)]
-    if isinstance(p, TablePolyadicGroup):
-        return p.flat, strides
-    flat = [0] * (g ** n)
-    for idx, args in enumerate(product(range(g), repeat=n)):
-        flat[idx] = p.f(list(args))
-    return tuple(flat), strides
+def _first_repeat(p):
+    """(position, rest, value, first x, second x) for the first line of
+    p.flat, in position-major order, where two x give the same value;
+    else None."""
+    g = p.order
+    for pos in range(p.n):
+        for rest in product(range(g), repeat=p.n - 1):
+            line = PolyadicGroup.line(p, rest[:pos] + (None,) + rest[pos:], pos)
+            if len(set(line)) < g:
+                x = next(x for x in range(g) if line[x] in line[:x])
+                return (pos, rest, line[x], line.index(line[x]), x)
+    return None
 
 
 def _assoc_scan_flat(n, g, flat, strides):
@@ -311,76 +334,49 @@ def _assoc_scan_flat(n, g, flat, strides):
     - i = n-1: the inner values are the row of t_(n-1), mapped through the
       g-entry row after the prefix with `bytes.translate`.
 
-    The blocks are compared with `==`, and only a head whose blocks differ is
-    scanned tuple by tuple, for the least witness. Orders above 256 do not
-    fit in a byte; there every head is scanned tuple by tuple.
+    The blocks are compared with `==`. In the first head whose blocks
+    differ, the least suffix where a block leaves the first one, and the
+    first block to leave it there, give the witness (1, j, tuple, value_1,
+    value_j). Orders above 256 do not fit in a byte; there the blocks are
+    tuples.
     """
     span = strides[0]  # g**(n-1) suffixes per head
     if g > 256:
-        for head in product(range(g), repeat=n):
-            witness = _assoc_scan_head(n, g, flat, strides, head)
-            if witness is not None:
-                return witness
-        return None
-    table = bytes(flat)
-    pad = bytes(256 - g)
+        table, pad = tuple(flat), ()
+
+        def join(parts):
+            return tuple(chain.from_iterable(parts))
+
+        def translate(block, row):
+            return tuple(map(row.__getitem__, block))
+    else:
+        table, pad = bytes(flat), bytes(256 - g)
+        join, translate = b"".join, bytes.translate
+
     middles = []  # (window cut, chunk width, inner count, chunks) per 0<i<n-1
     for i in range(1, n - 1):
         width = strides[i]
         chunks = [table[k:k + width] for k in range(0, g * span, width)]
         middles.append((strides[i - 1], width, g ** i, chunks))
+
     for h in range(g * span):
         w = table[h]
-        first = table[w * span:(w + 1) * span]
+        found = [table[w * span:(w + 1) * span]]
         for cut, width, count, chunks in middles:
             tail = h % cut
             at = (h - tail) // width
             lo = tail * count
-            pick = chunks[at:at + g].__getitem__
-            if b"".join(map(pick, table[lo:lo + count])) != first:
-                break
-        else:
-            last = h % g
-            row = table[h - last:h - last + g] + pad
-            if table[last * span:(last + 1) * span].translate(row) == first:
-                continue
-        head = tuple(h // s % g for s in strides)
-        return _assoc_scan_head(n, g, flat, strides, head)
-    return None
-
-
-def _assoc_scan_head(n, g, flat, strides, head):
-    """The least tuple starting with `head` where the n insertion positions
-    disagree, as (1, j, tuple, value_1, value_j), else None.
-
-    Scans the head's suffixes in lexicographic order; for each tuple,
-    evaluates f(prefix, f(window), suffix) at every insertion position with
-    incremental window and prefix indices.
-    """
-    for rest in product(range(g), repeat=n - 1):
-        t = head + rest
-        # window index for positions [i, i+n)
-        w = 0
-        for k in range(n):
-            w = w * g + t[k]
-        # suffix digit values for outer index: suffix of length n-1-i uses
-        # t[i+n .. 2n-2]; precompute powers on the fly
-        first = None
-        prefix = 0  # index value of t[0..i-1] left-aligned in n digits
-        for i in range(n):
-            inner = flat[w]
-            # outer args: t[0..i-1], inner, t[i+n..2n-2]
-            o = prefix + inner * strides[i]
-            for k, pos in enumerate(range(i + n, 2 * n - 1)):
-                o += t[pos] * strides[i + 1 + k]
-            v = flat[o]
-            if first is None:
-                first = (i, v)
-            elif v != first[1]:
-                return (first[0] + 1, i + 1, t, first[1], v)
-            if i < n - 1:
-                prefix += t[i] * strides[i]
-                w = (w - t[i] * strides[0]) * g + t[i + n]
+            found.append(join(map(chunks[at:at + g].__getitem__, table[lo:lo + count])))
+        last = h % g
+        row = table[h - last:h - last + g] + pad
+        found.append(translate(table[last * span:(last + 1) * span], row))
+        first = found[0]
+        if found.count(first) == n:
+            continue
+        s = min(_first_difference(b, first) for b in found if b != first)
+        j = next(j for j, b in enumerate(found) if b[s] != first[s])
+        t = _decode(g, n, h) + _decode(g, n - 1, s)
+        return (1, j + 1, t, first[s], found[j][s])
     return None
 
 
@@ -398,11 +394,13 @@ def dornte_check(p):
         except NoSolution:
             return False, ("no-skew", x)
         for i in range(2, n + 1):
-            left_block = [x] * (i - 2) + [sx] + [x] * (n - i)
+            block = [x] * (i - 2) + [sx] + [x] * (n - i)
+            left = p.line(block + [None], n - 1)
+            right = p.line([None] + block[::-1], 0)
             for y in p.elements():
-                if p.f(left_block + [y]) != y:
-                    return False, ("left", i, x, y, p.f(left_block + [y]))
-                if p.f([y] + [x] * (n - i) + [sx] + [x] * (i - 2)) != y:
+                if left[y] != y:
+                    return False, ("left", i, x, y, left[y])
+                if right[y] != y:
                     return False, ("right", i, x, y)
     return True, None
 
@@ -419,9 +417,7 @@ def retract(p, a):
     """
     mid = [a] * (p.n - 2)
     names = p.names()
-    table = [
-        [p.f([x] + mid + [y]) for y in p.elements()] for x in p.elements()
-    ]
+    table = [p.line([x] + mid + [None], p.n - 1) for x in p.elements()]
     g = validate_group(names, table, name=f"ret_{p.name(a)}")
     sa = p.skew(a)
     if g.identity != sa:
@@ -435,40 +431,32 @@ def retract(p, a):
 
 def nary_identity(p):
     """Lowest element a with f(a^(i-1), x, a^(n-i)) = x everywhere, or None."""
-    n = p.n
+    ident = tuple(p.elements())
     for a in p.elements():
-        good = True
-        for i in range(1, n + 1):
-            pre = [a] * (i - 1)
-            post = [a] * (n - i)
-            if any(p.f(pre + [x] + post) != x for x in p.elements()):
-                good = False
-                break
-        if good:
+        if all(p.line([a] * p.n, i) == ident for i in range(p.n)):
             return a
     return None
 
 
-def hosszu_gloskin(p, a):
+def hosszu_gloskin(p, a, caps=_caps.DEFAULT):
     """Recover (retract group, twisting automorphism, constant) at anchor a.
 
     theta_a(x) = f(skew a, x, a^(n-2)) and b_a = f(skew a, ..., skew a).
-    The recovered data is checked to rebuild f exactly on every tuple and is
-    returned as a derived polyadic group over the retract.
+    The recovered data is checked to rebuild f exactly, as the derived
+    group's flat table against p's, and is returned as a derived polyadic
+    group over the retract; a mismatch names the least differing tuple.
     """
     g = retract(p, a)
     sa = p.skew(a)
-    tail = [a] * (p.n - 2)
-    theta_images = tuple(p.f([sa, x] + tail) for x in p.elements())
+    theta_images = p.line([sa, None] + [a] * (p.n - 2), 1)
     theta = GroupAutomorphism(g, theta_images)
     if not theta.is_valid():
         raise ReconstructionMismatch(("theta", a), "automorphism", theta_images)
     b = p.f([sa] * p.n)
-    out = derive(g, theta, b, p.n)
-    for args in product(p.elements(), repeat=p.n):
-        args = list(args)
-        if out.f(args) != p.f(args):
-            raise ReconstructionMismatch(tuple(args), p.f(args), out.f(args))
+    out = derive(g, theta, b, p.n, caps=caps)
+    if out.flat != p.flat:
+        i = _first_difference(out.flat, p.flat)
+        raise ReconstructionMismatch(_decode(p.order, p.n, i), p.flat[i], out.flat[i])
     return out
 
 

@@ -11,9 +11,10 @@ bounded coset enumeration can then try to realize as a finite table.
 
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from . import caps as _caps
-from .core import as_derived, retract
+from .core import _decode, _first_difference, as_derived, retract
 from .errors import (
     CapExceeded,
     EmptyGeneratorSet,
@@ -31,8 +32,6 @@ from .groups import (
 )
 from .terms import term_to_free_word
 from .words import FreeWord
-
-from itertools import product
 
 
 class PostCover:
@@ -93,21 +92,18 @@ def build_post_cover(p, caps=_caps.DEFAULT):
     table = []
     for i in range(m):
         for g in range(q):
-            row = []
-            for j in range(m):
-                bump = d.b if i + j >= m else base.identity
-                grade = (i + j) % m
-                for h in range(q):
-                    x = base.mul(base.mul(g, d.theta_pows[i][h]), bump)
-                    row.append(grade * q + x)
-            table.append(row)
+            # g . theta^i(h) over h, times b where the grades carry
+            plain = [base.mul(g, d.theta_pows[i][h]) for h in range(q)]
+            carry = [base.mul(x, d.b) for x in plain]
+            table.append([(i + j) % m * q + x for j in range(m)
+                          for x in (carry if i + j >= m else plain)])
     group = validate_group(names, table, name="cover", caps=caps)
 
     # property 1: embedding is the coset R(e,1)
     e1 = q + base.identity
     coset = {group.mul(r, e1) for r in range(q)}
     image = {q + g for g in range(q)}
-    if coset != image or len(image) != q:
+    if coset != image:
         raise PropertyFailure(1, f"embedded coset mismatch: {sorted(coset)}")
 
     # property 2: R is the retract
@@ -116,29 +112,41 @@ def build_post_cover(p, caps=_caps.DEFAULT):
     if not ok:
         raise PropertyFailure(2, "grade-0 subgroup is not the retract")
 
-    # property 3: grade map is a homomorphism onto Z_(n-1) with kernel R
-    for u in range(m * q):
-        for v in range(m * q):
-            if group.mul(u, v) // q != (u // q + v // q) % m:
-                raise PropertyFailure(3, f"grade map not multiplicative at {u},{v}")
-    if {c // q for c in range(m * q)} != set(range(m)):
-        raise PropertyFailure(3, "grade map not onto")
-    if [c for c in range(m * q) if c // q == 0] != list(range(q)):
-        raise PropertyFailure(3, "grade kernel differs from R")
+    # property 3: grade map is a homomorphism; it is onto Z_(n-1) with
+    # kernel R by the numbering of the pairs
+    for u, row in enumerate(group.table):
+        bad = [v for v, c in enumerate(row) if c // q != (u // q + v // q) % m]
+        if bad:
+            raise PropertyFailure(3, f"grade map not multiplicative at {u},{bad[0]}")
 
     # property 4: the n-ary operation is the n-fold product of embeddings
-    for args in product(range(q), repeat=n):
-        acc = q + args[0]
-        for x in args[1:]:
-            acc = group.mul(acc, q + x)
-        if acc != q + d.f(list(args)):
-            raise PropertyFailure(4, f"product mismatch at {args}")
+    bad = _product_mismatch(d, range(q, 2 * q), lambda c: group.table[c][q:2 * q])
+    if bad:
+        raise PropertyFailure(4, f"product mismatch at {bad[0]}")
 
     # property 5: the embedded coset generates
     if len(subgroup_closure(group, image)) != m * q:
         raise PropertyFailure(5, "embedded coset does not generate")
 
     return PostCover(d, group, iso)
+
+
+def _product_mismatch(p, images, row_of):
+    """The least tuple where images[x_1] ... images[x_n] differs from
+    images[f(x_1, ..., x_n)], as (tuple, expected, got), else None.
+
+    The products come by prefix products in lexicographic order: each level
+    extends a prefix value c by row_of(c), the products c . images[x] over x.
+    """
+    level = tuple(images)
+    for _ in range(p.n - 1):
+        rows = {c: row_of(c) for c in set(level)}
+        level = tuple(chain.from_iterable(map(rows.__getitem__, level)))
+    want = tuple(images[v] for v in p.flat)
+    if level == want:
+        return None
+    i = _first_difference(level, want)
+    return _decode(p.order, p.n, i), want[i], level[i]
 
 
 def extend_hom_to_cover(cover, beta, target):
@@ -152,13 +160,9 @@ def extend_hom_to_cover(cover, beta, target):
     inputs passing the precheck.
     """
     p = cover.polyadic
-    n = cover.n
-    for args in product(range(p.order), repeat=n):
-        acc = beta[args[0]]
-        for x in args[1:]:
-            acc = target.mul(acc, beta[x])
-        if acc != beta[p.f(list(args))]:
-            raise NotPolyadicHom(args, beta[p.f(list(args))], acc)
+    bad = _product_mismatch(p, beta, lambda c: tuple(target.mul(c, y) for y in beta))
+    if bad:
+        raise NotPolyadicHom(*bad)
 
     g = cover.group
     gens = [cover.embed_index(x) for x in range(p.order)]
@@ -220,6 +224,37 @@ def presentation_to_group(pres, n):
 # coset enumeration
 
 
+def _conjugates(pres, caps):
+    """The distinct cyclic conjugates of the relators and their inverses,
+    as tuples of columns (2i for generator i, 2i+1 for its inverse) listed
+    by first column. A relator of period p has p distinct rotations, and
+    its inverse p others: no nontrivial element of a free group is
+    conjugate to its inverse. Their letters are capped before they are
+    built."""
+    gen_pos = {g: i for i, g in enumerate(pres.generators)}
+    conjugates = [[] for _ in range(2 * len(pres.generators))]
+    size = 0
+    for w in pres.relators:
+        for g, _ in w.runs:
+            if g not in gen_pos:
+                raise PolyadicError(f"relator uses unknown generator {g!r}")
+        _caps.check(caps, "relator conjugates", size + 2 * len(w), caps.max_tabulate)
+        rel, inv = (
+            "".join(chr(2 * gen_pos[g] + (e < 0)) * abs(e) for g, e in r.runs)
+            for r in (w, w.inv())
+        )
+        if not rel:
+            continue
+        period = (rel + rel).find(rel, 1)
+        size += 2 * period * len(rel)
+        _caps.check(caps, "relator conjugates", size, caps.max_tabulate)
+        for r in (rel, inv):
+            for i in range(period):
+                rot = tuple(map(ord, r[i:] + r[:i]))
+                conjugates[rot[0]].append(rot)
+    return conjugates
+
+
 def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
     """Enumerate cosets of the trivial subgroup for a finite presentation.
 
@@ -244,25 +279,8 @@ def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
     cap = caps.default_coset_cap if cap is None else cap
     if cap < 1:
         raise PolyadicError("cap must be at least 1")
-    k = len(pres.generators)
-    ncols = 2 * k
-    gen_pos = {g: i for i, g in enumerate(pres.generators)}
-    rels = []
-    for w in pres.relators:
-        cols = []
-        for g, s in w.letters():
-            if g not in gen_pos:
-                raise PolyadicError(f"relator uses unknown generator {g!r}")
-            cols.append(2 * gen_pos[g] + (0 if s > 0 else 1))
-        if cols:
-            rels.append(tuple(cols))
-
-    # cyclic conjugates of every relator and its inverse, by first column
-    conjugates = [[] for _ in range(ncols)]
-    for rel in rels:
-        inv = tuple(c ^ 1 for c in reversed(rel))
-        for w in dict.fromkeys(r[i:] + r[:i] for r in (rel, inv) for i in range(len(r))):
-            conjugates[w[0]].append(w)
+    ncols = 2 * len(pres.generators)
+    conjugates = _conjugates(pres, caps)
     singles = [w for ws in conjugates for w in ws if len(w) == 1]
 
     table = [[None] * ncols]

@@ -37,7 +37,7 @@ from .core import (
 )
 from .cover import GroupPresentation, PolyadicPresentation
 from .errors import ParseError, PolyadicError
-from .groups import automorphism, validate_group
+from .groups import TableGroup, automorphism, validate_group
 from .terms import parse_equation
 from .words import parse_word
 
@@ -116,10 +116,14 @@ def group_from_doc(doc, caps=_caps.DEFAULT):
 
 def group_to_doc(g):
     names = list(g.names())
+    if isinstance(g, TableGroup):
+        rows = g.table
+    else:
+        rows = [[g.mul(a, b) for b in g.elements()] for a in g.elements()]
     return {
         "name": getattr(g, "group_name", "G"),
         "elements": names,
-        "table": [[names[g.mul(a, b)] for b in g.elements()] for a in g.elements()],
+        "table": [list(map(names.__getitem__, row)) for row in rows],
     }
 
 

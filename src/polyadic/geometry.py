@@ -19,8 +19,8 @@ from . import caps as _caps
 from .core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived
 from .errors import PolyadicError
 from .groups import (
+    DirectPowerGroup,
     constant_tuple,
-    direct_power,
     hom_from_generator_images,
     induced_automorphism,
     validate_group,
@@ -211,24 +211,24 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
             elements=(0,),
         )
     k = len(pts)
-    _caps.check(caps, "direct power order", d.order ** k, caps.max_power_order)
-    pg = direct_power(d.base, k, caps=caps)
+    # H holds |H| tuples of k coordinates: the closure cap is scaled so that
+    # they hold at most max_tabulate entries, like a flat table; with
+    # constants, H holds the |G| distinct constant tuples
+    limit = min(caps.max_closure_algebra, caps.max_tabulate // k)
+    _caps.check(caps, "closure", d.order if with_constants else 1, limit)
+    columns = [tuple(pt[j] for pt in pts) for j in range(m)]
+    diagonals = [(g,) * k for g in range(d.order)] if with_constants else []
+    gens = list(dict.fromkeys(columns + diagonals))
+    if not gens:
+        raise PolyadicError("no generators: zero variables and no constants")
+    closed = _term_closure(d, gens, replace(caps, max_closure_algebra=limit), "closure")
+    pg = DirectPowerGroup(d.base, k)
     theta_hat = induced_automorphism(d.theta, pg)
     b_hat = constant_tuple(pg, d.b)
     # d meets both derivation conditions, so they hold coordinatewise
     power = DerivedPolyadicGroup(pg, theta_hat, b_hat, d.n)
-    projections = tuple(
-        pg.encode(tuple(pt[j] for pt in pts)) for j in range(m)
-    )
-    constants = (
-        tuple(pg.encode((g,) * k) for g in range(d.order))
-        if with_constants
-        else ()
-    )
-    gens = list(dict.fromkeys(projections + constants))
-    if not gens:
-        raise PolyadicError("no generators: zero variables and no constants")
-    closed = _term_closure(d, [pg.decode(x) for x in gens], caps, "closure")
+    projections = tuple(map(pg.encode, columns))
+    constants = tuple(map(pg.encode, diagonals))
     elements = tuple(pg.encode(x) for x in sorted(closed))
     return CoordinateGroup(
         source=d, points=pts, m=m, power=power,
@@ -261,6 +261,7 @@ def _generated(base, identity, gens, caps, what, psi=None):
             if y not in seen:
                 seen.add(y)
                 found.append(y)
+    _caps.check(caps, what, len(found), caps.max_closure_algebra)
     cols = _columns(base)
     shift = [base.inv(c) for c in identity]
     steps = [
@@ -291,12 +292,16 @@ def _term_closure(d, gens, caps, what):
     skews = [d.skew(x) for x in base.elements()]
     u = tuple(skews[c] for c in gens[0])
     fu = tuple(d.f([c] * d.n) for c in u)
-    tail = [d.theta(base.inv(c)) for c in u]
+    # psi is x -> u_i . theta(x) . theta(u_i^-1) on coordinate i: one row
+    # per distinct u_i
+    rows = {
+        c: tuple(base.mul(base.mul(c, d.theta(x)), d.theta(base.inv(c))) for x in base.elements())
+        for c in set(u)
+    }
+    maps = [rows[c] for c in u]
 
     def psi(x):
-        return tuple(
-            base.mul(base.mul(ui, d.theta(c)), ti) for ui, c, ti in zip(u, x, tail)
-        )
+        return tuple(map(getitem, maps, x))
 
     return _generated(base, u, list(gens) + [fu], caps, what, psi)
 

@@ -267,15 +267,15 @@ class DirectPowerGroup(FiniteGroup):
     """k-fold componentwise power of a base group, computed lazily.
 
     Elements are mixed-radix encodings of coordinate tuples, first coordinate
-    most significant; the identity is the encoding of (e,...,e).
+    most significant; the identity is the encoding of (e,...,e). Nothing is
+    built over the encodings, so the order is not capped here: `direct_power`
+    caps it for callers that enumerate the power.
     """
 
-    def __init__(self, base, k, caps=_caps.DEFAULT):
-        order = base.order ** k
-        _caps.check(caps, "direct power order", order, caps.max_power_order)
+    def __init__(self, base, k):
         self.base = base
         self.k = k
-        self.order = order
+        self.order = base.order ** k
         self.identity = self.encode((base.identity,) * k)
 
     def encode(self, coords):
@@ -313,7 +313,8 @@ class DirectPowerGroup(FiniteGroup):
 def direct_power(g, k, caps=_caps.DEFAULT):
     if k < 1:
         raise PolyadicError("power exponent must be >= 1")
-    return DirectPowerGroup(g, k, caps=caps)
+    _caps.check(caps, "direct power order", g.order ** k, caps.max_power_order)
+    return DirectPowerGroup(g, k)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from polyadic import cli
 from polyadic.cli import main
 from polyadic.core import tabulate
 from polyadic.fileio import (
@@ -200,6 +202,21 @@ def test_coordgroup_emits_polyadic_file(tmp_path, capsys):
     assert doc["order"] == 3
     emitted = polyadic_from_doc(doc["polyadic"])
     assert emitted.order == 3
+
+
+def test_coordgroup_on_many_points_exits_2_fast(tmp_path, capsys):
+    """Z2 in 16 free variables has 65536 points: the closure holds tuples
+    of 65536 entries, and max_tabulate allows 30 of them."""
+    z2 = {"name": "Z2", "elements": ["0", "1"], "table": [["0", "1"], ["1", "0"]]}
+    write(tmp_path, "z2.json", {"group": z2, "theta": {"map": {"0": "0", "1": "1"}},
+                                "b": "0", "n": 3})
+    sysdoc = {"polyadic": "z2.json", "vars": 16, "equations": ["x1 = x1"]}
+    start = time.perf_counter()
+    code, doc = run(capsys, "coordgroup", "--system", write(tmp_path, "s.json", sysdoc))
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert doc["error"]["what"] == "closure"
+    assert doc["error"]["cap"] == 2 * 10 ** 6 // 2 ** 16
 
 
 def test_thm63_exit_codes(tmp_path, capsys):
@@ -417,6 +434,99 @@ def test_long_exponent_exit2(tmp_path, capsys, argv):
     assert code == 2
     assert json.loads(captured.out)["error"]["type"] == "ParseError"
     assert captured.err == ""
+
+
+def test_long_relator_exit2_fast(tmp_path, capsys):
+    """A relator of period 1 has one distinct rotation, so a^2000000 costs
+    2 * 2000000 letters of conjugates, which the cap refuses before they
+    are built."""
+    path = write(tmp_path, "a.json", {"generators": ["a"], "relators": ["a^2000000"]})
+    start = time.perf_counter()
+    code, doc = run(capsys, "cosets", "--presentation", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["what"] == "relator conjugates"
+    assert doc["error"]["size"] == 4000000
+    # a long relator whose rotations fit still enumerates up to the coset cap
+    path = write(tmp_path, "b.json", {"generators": ["a"], "relators": ["a^4000"]})
+    start = time.perf_counter()
+    code, doc = run(capsys, "cosets", "--presentation", path, "--cap", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and doc["error"]["type"] == "CapExceeded"
+
+
+def _z12n6(tmp_path):
+    """Z12 with theta = id, b = 0 and n = 6: 12^6 = 2985984 tuples, more
+    than max_tabulate."""
+    z12 = {
+        "name": "Z12",
+        "elements": [str(i) for i in range(12)],
+        "table": [[str((i + j) % 12) for j in range(12)] for i in range(12)],
+    }
+    ident = {"map": {str(i): str(i) for i in range(12)}}
+    return write(tmp_path, "z12n6.json", {"group": z12, "theta": ident, "b": "0", "n": 6})
+
+
+@pytest.mark.parametrize(
+    "argv", [["hg", "--anchor", "0"], ["postcover"]], ids=lambda argv: argv[0]
+)
+def test_whole_operation_verbs_capped_by_max_tabulate(tmp_path, capsys, argv):
+    """The Hosszú–Gluskin check and the cover's product check compare flat
+    tables, which max_tabulate bounds: these exit 2 on Z12 at n = 6, where
+    they ran the 12^6 tuples one by one before."""
+    code, doc = run(capsys, argv[0], "--polyadic", _z12n6(tmp_path), *argv[1:])
+    assert code == 2
+    assert doc["error"]["type"] == "SizeCapExceeded"
+    assert doc["error"]["what"] == "n-ary table"
+    assert doc["error"]["size"] == 12 ** 6
+
+
+def test_validate_falls_back_to_the_capped_scan(tmp_path, capsys):
+    """When the reconstruction cannot build its table, `validate` takes the
+    exhaustive scan, whose 12^11 tuples exceed max_axiom_tuples."""
+    code, doc = run(capsys, "validate", "--polyadic", _z12n6(tmp_path))
+    assert code == 2
+    assert doc["error"]["what"] == "associativity tuples"
+    assert doc["error"]["size"] == 12 ** 11
+
+
+def test_element_verbs_need_no_flat_table(tmp_path, capsys):
+    """Rows, lines and single values of a derived group come from its base
+    group, so these answer on Z12 at n = 6."""
+    path = _z12n6(tmp_path)
+    for argv in (["skew"], ["subgroups"], ["derive"], ["retract", "--anchor", "0"], ["identity"]):
+        code, doc = run(capsys, argv[0], "--polyadic", path, *argv[1:])
+        assert code == 0, argv
+
+
+def test_aperiodic_long_relator_capped(tmp_path, capsys):
+    """An aperiodic relator of length L holds 2L rotations of L letters
+    each: a^1000 b^1001 needs 8008002, more than max_tabulate, and now
+    exits 2 where it enumerated the trivial group before."""
+    doc = {"generators": ["a", "b"], "relators": ["a", "b^2", "a^1000 b^1001"]}
+    code, out = run(capsys, "cosets", "--presentation", write(tmp_path, "p.json", doc))
+    assert code == 2
+    assert out["error"]["what"] == "relator conjugates"
+    assert out["error"]["size"] == 2 + 4 + 8008002
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], [], ["frobnicate"], ["solve", "--n", "x"], ["skew", "--format", "xml"]],
+)
+def test_cached_parser_prints_what_a_fresh_one_does(capsys, argv):
+    """The parser is built once per process and keeps its usage line; help
+    and usage errors must read as those of a parser built for the call."""
+    fresh = cli._parser.__wrapped__()
+    fresh.usage = None
+    outputs = []
+    for parse in (fresh.parse_intermixed_args, main):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        captured = capsys.readouterr()
+        outputs.append((info.value.code, captured.out, captured.err))
+    assert outputs[0] == outputs[1]
+    assert cli._parser() is cli._parser()
 
 
 def test_homs_two_files(tmp_path, capsys):

@@ -1,0 +1,452 @@
+"""Seeded differential tests: the flat table against per-tuple f.
+
+A derived group's `flat` is built by prefix products over the base group,
+and every reader of the whole operation reads it: `tabulate`, the
+Hosszú–Gluskin check, `retract`, `skew_search`, `nary_identity`,
+`dornte_check`, the exhaustive solvability scan, and the cover's product
+checks. Each must give what the per-tuple code it replaced gave, frozen
+here, down to the witnesses and messages on corrupted operations.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from polyadic.caps import Caps
+from polyadic.core import (
+    DerivedPolyadicGroup,
+    TablePolyadicGroup,
+    derive,
+    dornte_check,
+    hosszu_gloskin,
+    nary_identity,
+    retract,
+    skew_search,
+    tabulate,
+    verify_axioms,
+)
+from polyadic.cover import (
+    GroupPresentation,
+    _conjugates,
+    build_post_cover,
+    extend_hom_to_cover,
+)
+from polyadic.errors import (
+    NoSolution,
+    NotPolyadicHom,
+    PolyadicError,
+    PropertyFailure,
+    ReconstructionMismatch,
+    SizeCapExceeded,
+)
+from polyadic.geometry import (
+    AlgebraicSet,
+    EquationSystem,
+    coordinate_group,
+    solve,
+    structural_check,
+)
+from polyadic.groups import (
+    GroupAutomorphism,
+    cyclic_group,
+    direct_power,
+    identity_automorphism,
+    induced_automorphism,
+    validate_group,
+)
+from polyadic.terms import Apply, Constant, Equation, Skew, Variable
+from polyadic.words import parse_word
+
+
+# ---------------------------------------------------------------------------
+# the replaced code, frozen
+
+
+def old_tabulate_flat(p):
+    return tuple(p.f(list(args)) for args in product(p.elements(), repeat=p.n))
+
+
+def old_skew_search(p, x):
+    prefix = [x] * (p.n - 1)
+    sols = [y for y in p.elements() if p.f(prefix + [y]) == x]
+    if len(sols) != 1:
+        raise NoSolution(
+            f"skew of {x}: {len(sols)} solutions, operation is not a polyadic group"
+        )
+    return sols[0]
+
+
+def old_skew(p):
+    """p's skew as the code before read it: the derived formula, or the
+    per-tuple search for a table."""
+    if isinstance(p, DerivedPolyadicGroup):
+        return p.skew
+    return lambda x: old_skew_search(p, x)
+
+
+def old_retract(p, a):
+    skew = old_skew(p)
+    mid = [a] * (p.n - 2)
+    table = [[p.f([x] + mid + [y]) for y in p.elements()] for x in p.elements()]
+    g = validate_group(p.names(), table, name=f"ret_{p.name(a)}")
+    sa = skew(a)
+    if g.identity != sa:
+        raise ReconstructionMismatch(("identity", a), sa, g.identity)
+    for x in p.elements():
+        formula = p.f([sa] + [x] * (p.n - 3) + [skew(x), sa])
+        if formula != g.inv(x):
+            raise ReconstructionMismatch(("inverse", x), g.inv(x), formula)
+    return g
+
+
+def old_hosszu_gloskin(p, a):
+    g = old_retract(p, a)
+    sa = old_skew(p)(a)
+    tail = [a] * (p.n - 2)
+    theta_images = tuple(p.f([sa, x] + tail) for x in p.elements())
+    theta = GroupAutomorphism(g, theta_images)
+    if not theta.is_valid():
+        raise ReconstructionMismatch(("theta", a), "automorphism", theta_images)
+    b = p.f([sa] * p.n)
+    out = derive(g, theta, b, p.n)
+    for args in product(p.elements(), repeat=p.n):
+        args = list(args)
+        if out.f(args) != p.f(args):
+            raise ReconstructionMismatch(tuple(args), p.f(args), out.f(args))
+    return out
+
+
+def old_nary_identity(p):
+    n = p.n
+    for a in p.elements():
+        good = True
+        for i in range(1, n + 1):
+            pre = [a] * (i - 1)
+            post = [a] * (n - i)
+            if any(p.f(pre + [x] + post) != x for x in p.elements()):
+                good = False
+                break
+        if good:
+            return a
+    return None
+
+
+def old_dornte_check(p):
+    n = p.n
+    skew = old_skew(p)
+    for x in p.elements():
+        try:
+            sx = skew(x)
+        except NoSolution:
+            return False, ("no-skew", x)
+        for i in range(2, n + 1):
+            left_block = [x] * (i - 2) + [sx] + [x] * (n - i)
+            for y in p.elements():
+                if p.f(left_block + [y]) != y:
+                    return False, ("left", i, x, y, p.f(left_block + [y]))
+                if p.f([y] + [x] * (n - i) + [sx] + [x] * (i - 2)) != y:
+                    return False, ("right", i, x, y)
+    return True, None
+
+
+def old_solvability_scan(p):
+    """(solvability witness, uniqueness witness) of the old exhaustive scan."""
+    n, g = p.n, p.order
+    for pos in range(n):
+        for rest in product(range(g), repeat=n - 1):
+            seen = {}
+            args = list(rest[:pos]) + [0] + list(rest[pos:])
+            for x in range(g):
+                args[pos] = x
+                v = p.f(args)
+                if v in seen:
+                    return None, (pos, rest, v, seen[v], x)
+                seen[v] = x
+            if len(seen) != g:
+                return (pos, rest, min(set(range(g)) - set(seen))), None
+    return None, None
+
+
+def old_property4(group, d):
+    q, n = d.order, d.n
+    for args in product(range(q), repeat=n):
+        acc = q + args[0]
+        for x in args[1:]:
+            acc = group.mul(acc, q + x)
+        if acc != q + d.f(list(args)):
+            return f"product mismatch at {args}"
+    return None
+
+
+def old_hom_precheck(cover, beta, target):
+    p = cover.polyadic
+    for args in product(range(p.order), repeat=cover.n):
+        acc = beta[args[0]]
+        for x in args[1:]:
+            acc = target.mul(acc, beta[x])
+        if acc != beta[p.f(list(args))]:
+            return args, beta[p.f(list(args))], acc
+    return None
+
+
+def old_conjugates(relators, generators):
+    gen_pos = {g: i for i, g in enumerate(generators)}
+    conjugates = [[] for _ in range(2 * len(generators))]
+    for w in relators:
+        rel = tuple(2 * gen_pos[g] + (0 if s > 0 else 1) for g, s in w.letters())
+        if not rel:
+            continue
+        inv = tuple(c ^ 1 for c in reversed(rel))
+        for r in dict.fromkeys(r[i:] + r[:i] for r in (rel, inv) for i in range(len(r))):
+            conjugates[r[0]].append(r)
+    return conjugates
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def outcome(fn, *args):
+    """What fn returned, or the type, message and fields of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except PolyadicError as e:
+        return type(e).__name__, str(e), vars(e)
+
+
+def recovered(result):
+    """A recovery outcome with the derived group replaced by its data."""
+    if result[0] != "ok":
+        return result
+    out = result[1]
+    return "ok", out.base.table, out.theta.images, out.b, out.n
+
+
+def corruptions(rng, flat, g, count, allowed=None):
+    """`count` copies of flat, alternately with one entry changed and with
+    two entries of different values swapped, at indices `allowed` admits."""
+    idx = [i for i in range(len(flat)) if allowed is None or allowed(i)]
+    out = []
+    for k in range(count):
+        bad = list(flat)
+        i = rng.choice(idx)
+        if k % 2 == 0:
+            bad[i] = rng.choice([v for v in range(g) if v != bad[i]])
+        else:
+            j = rng.choice([j for j in idx if bad[j] != bad[i]])
+            bad[i], bad[j] = bad[j], bad[i]
+        out.append(bad)
+    return out
+
+
+def decode(g, n, i):
+    return tuple(i // g ** (n - 1 - k) % g for k in range(n))
+
+
+# ---------------------------------------------------------------------------
+# flat, tabulate and the line readers on valid groups
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flat_matches_per_tuple_f(seed, small_bases, random_derived):
+    rng = random.Random(seed)
+    for base in small_bases:
+        p = random_derived(rng, base, (3, 4, 5))
+        assert p.flat == old_tabulate_flat(p), (base, p.n)
+        t = tabulate(p)
+        assert t.flat == old_tabulate_flat(p)
+        assert tabulate(t).flat == t.flat
+        for q in (p, t):
+            a = rng.randrange(q.order)
+            assert recovered(outcome(hosszu_gloskin, q, a)) == recovered(
+                outcome(old_hosszu_gloskin, q, a)
+            )
+            assert retract(q, a).table == old_retract(q, a).table
+            assert nary_identity(q) == old_nary_identity(q)
+            assert dornte_check(q) == old_dornte_check(q)
+        assert [skew_search(t, x) for x in t.elements()] == [
+            old_skew_search(t, x) for x in t.elements()
+        ]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_derived_lines_need_no_flat(seed, small_bases, random_derived):
+    """A derived group's lines come from its base group: they are the
+    slices of its flat table, and the row readers never build that table."""
+    rng = random.Random(seed)
+    for base in small_bases:
+        p = random_derived(rng, base, (3, 4, 5))
+        q = derive(p.base, p.theta, p.b, p.n)
+        a = rng.randrange(q.order)
+        assert retract(q, a).table == old_retract(q, a).table
+        assert nary_identity(q) == old_nary_identity(q)
+        assert dornte_check(q) == old_dornte_check(q)
+        assert [skew_search(q, x) for x in q.elements()] == [q.skew(x) for x in q.elements()]
+        assert "flat" not in vars(q), base
+        t = tabulate(p)
+        for pos in range(p.n):
+            args = [rng.randrange(p.order) for _ in range(p.n)]
+            assert q.line(args, pos) == t.line(args, pos), (base, pos)
+
+
+@pytest.mark.parametrize("base", [cyclic_group(2), cyclic_group(3), cyclic_group(4)])
+def test_flat_of_lazy_power_matches_per_tuple_f(base, random_derived):
+    """Over a direct power with a coordinatewise theta, whose powers are
+    per-element lookups rather than image tuples."""
+    p = random_derived(random.Random(base.order), base, (3,))
+    pg = direct_power(base, 2)
+    lazy = derive(pg, induced_automorphism(p.theta, pg), pg.encode((p.b, p.b)), 3)
+    assert lazy.flat == old_tabulate_flat(lazy)
+
+
+def test_flat_is_capped_before_it_is_built():
+    z2 = cyclic_group(2)
+    pg = direct_power(z2, 8)  # order 256: 256^3 entries exceed max_tabulate
+    big = DerivedPolyadicGroup(pg, induced_automorphism(identity_automorphism(z2), pg), 0, 3)
+    with pytest.raises(SizeCapExceeded) as e:
+        big.flat
+    assert (e.value.what, e.value.size) == ("n-ary table", 256 ** 3)
+    assert "flat" not in vars(big)
+    # the derived group keeps the caps it was derived under
+    z5 = cyclic_group(5)
+    small = derive(z5, identity_automorphism(z5), 0, 3, caps=Caps(max_tabulate=124))
+    with pytest.raises(SizeCapExceeded):
+        small.flat
+    assert len(derive(z5, identity_automorphism(z5), 0, 3).flat) == 125
+
+
+def test_power_never_builds_flat(small_bases, random_derived):
+    """Coordinate groups and `solve` on a direct power read the power's f,
+    theta and skew element by element, never its whole table."""
+    rng = random.Random(5)
+    for base in small_bases:
+        p = random_derived(rng, base)
+        grid = list(product(range(p.order), repeat=2))
+        cg = coordinate_group(p, AlgebraicSet(2, tuple(sorted(rng.sample(grid, 2)))))
+        power = cg.power
+        structural_check(cg)
+        cg.as_polyadic()
+        c = cg.elements[-1]
+        eq = Equation(Apply((Variable(0),) * power.n), Skew(Constant(c)))
+        sols = solve(power, EquationSystem(power, 1, (eq,)))
+        want = [x for x in power.elements() if power.f([x] * power.n) == power.skew(c)]
+        assert [s[0] for s in sols] == want
+        assert "flat" not in vars(power), base
+
+
+# ---------------------------------------------------------------------------
+# witnesses on corrupted operations
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corrupted_tables_give_the_old_witnesses(seed, small_bases, random_derived):
+    """Reconstruction mismatches, Dornte witnesses and the exhaustive
+    uniqueness witness on one-entry and swap corruptions."""
+    rng = random.Random(seed)
+    kinds = set()
+    for base in small_bases:
+        p = random_derived(rng, base, (3, 4))
+        for flat in corruptions(rng, p.flat, p.order, 4):
+            bad = TablePolyadicGroup(p.names(), p.n, flat)
+            a = rng.randrange(p.order)
+            got = outcome(hosszu_gloskin, bad, a)
+            assert got == outcome(old_hosszu_gloskin, bad, a), (base, a)
+            kinds.add(got[0] if got[0] != "ReconstructionMismatch" else got[1][:24])
+            assert dornte_check(bad) == old_dornte_check(bad)
+            rep = verify_axioms(bad)
+            solv, uniq = old_solvability_scan(bad)
+            assert (rep.solvability_witness, rep.uniqueness_witness) == (solv, uniq)
+            assert rep.solvable == (solv is None) and rep.unique == (uniq is None)
+    # the flat comparison, not only the retract, must have named tuples
+    assert "reconstruction differs a" in kinds
+
+
+@pytest.mark.parametrize("name", ["p1", "p5"])
+def test_identity_broken_at_each_position(catalog, name):
+    """One entry of the n-ary identity's line at each position changed:
+    `nary_identity` must see every position, as the per-tuple loop did."""
+    t = tabulate(catalog[name])
+    e = nary_identity(t)
+    assert e is not None
+    for pos in range(t.n):
+        args = [e] * t.n
+        args[pos] = (e + 1) % t.order
+        i = sum(x * t.order ** (t.n - 1 - k) for k, x in enumerate(args))
+        flat = list(t.flat)
+        flat[i] = e
+        bad = TablePolyadicGroup(t.names(), t.n, flat)
+        assert nary_identity(bad) == old_nary_identity(bad) != e, pos
+
+
+def test_corrupted_derived_group_fails_property_4_as_before(small_bases, random_derived):
+    """A derived group whose f and flat are both corrupted away from the
+    entries the anchor-0 retract reads: the cover's property 4 must fail
+    with the message of the per-tuple loop."""
+    rng = random.Random(7)
+    failures = 0
+    for base in small_bases:
+        for n in (3, 4):
+            d = random_derived(rng, base, (n,))
+            clean = build_post_cover(d)
+            assert old_property4(clean.group, d) is None
+            q = d.order
+            sa = d.skew(0)
+
+            def off_retract(i):
+                args = decode(q, n, i)
+                return any(args[1:n - 1]) and not (args[0] == sa == args[-1])
+
+            for flat in corruptions(rng, d.flat, q, 2, off_retract):
+                bad = derive(d.base, d.theta, d.b, n)
+                bad.flat = tuple(flat)
+                bad.f = lambda args, flat=flat: flat[
+                    sum(x * q ** (n - 1 - k) for k, x in enumerate(args))
+                ]
+                want = old_property4(clean.group, bad)
+                with pytest.raises(PropertyFailure) as e:
+                    build_post_cover(bad)
+                assert e.value.index == 4 and e.value.detail == want
+                failures += 1
+    assert failures == 2 * 2 * len(small_bases)
+
+
+def test_extend_hom_precheck_matches_per_tuple_loop(catalog):
+    rng = random.Random(3)
+    checked = 0
+    for p in catalog.values():
+        cover = build_post_cover(p)
+        target = cover.group
+        for _ in range(4):
+            beta = tuple(rng.choice(list(cover.embedded())) for _ in p.elements())
+            want = old_hom_precheck(cover, beta, target)
+            if want is None:
+                extend_hom_to_cover(cover, beta, target)
+                continue
+            with pytest.raises(NotPolyadicHom) as e:
+                extend_hom_to_cover(cover, beta, target)
+            assert str(e.value) == str(NotPolyadicHom(*want))
+            assert (e.value.expected, e.value.got) == want[1:]
+            checked += 1
+    assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# relator conjugates
+
+
+@pytest.mark.parametrize(
+    "relators",
+    [
+        ["a^5", "b^2", "a b a b"],
+        ["a*b*a^-1*b^-1", "a^3", "b^3"],
+        ["a b a b", "a b' a b' a b'", "a b a' b'"],
+        ["a^2 b^2", "a b a b a b", "b a b' a'", "1"],
+        ["a a'", "b^-4", "a^2 b a^2 b a^2 b", "a b a b^2"],
+    ],
+)
+def test_conjugates_match_every_rotation(relators):
+    """Only distinct rotations, in the order the full rotation list gave."""
+    words = tuple(parse_word(w) for w in relators)
+    pres = GroupPresentation(("a", "b"), words)
+    assert _conjugates(pres, Caps()) == old_conjugates(words, ("a", "b"))

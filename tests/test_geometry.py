@@ -429,6 +429,31 @@ def test_coordinate_group_matches_saturation(seed, small_bases, random_derived):
             assert list(cg.as_polyadic().flat) == flat
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_coordinate_group_cap_keyed_on_the_closure(seed, random_derived):
+    """12 points over Z4: the power has 4^12 encodings, more than
+    max_power_order, but only the closure is enumerated, so the
+    coordinate group is built and agrees with the saturation oracle, while
+    max_closure_algebra bounds the closure, and max_tabulate its entries."""
+    rng = random.Random(seed)
+    z4 = cyclic_group(4)
+    assert z4.order ** 12 > Caps().max_power_order
+    p = random_derived(rng, z4, (3,))
+    grid = list(itertools.product(range(4), repeat=2))
+    y = AlgebraicSet(2, tuple(sorted(rng.sample(grid, 12))))
+    cg = coordinate_group(p, y, with_constants=False)
+    gens = list(dict.fromkeys(cg.projections + cg.constants))
+    assert cg.elements == naive_power_closure(cg.power, gens)
+    assert set(cg.elements) <= set(coordinate_group(p, y).elements)
+    with pytest.raises(SizeCapExceeded) as e:
+        coordinate_group(p, y, caps=Caps(max_closure_algebra=cg.order - 1))
+    assert e.value.what == "closure"
+    coordinate_group(p, y, with_constants=False, caps=Caps(max_tabulate=12 * cg.order))
+    with pytest.raises(SizeCapExceeded) as e:
+        coordinate_group(p, y, with_constants=False, caps=Caps(max_tabulate=12 * cg.order - 1))
+    assert (e.value.what, e.value.cap) == ("closure", cg.order - 1)
+
+
 def eager_induced(theta, pg):
     """theta applied coordinatewise as a full image array over all |G|^k
     encodings of the power, the way it was built before it became lazy."""
