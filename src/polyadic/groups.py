@@ -475,12 +475,13 @@ def subgroup_closure(g, seed):
     return frozenset(bfs_words(g, list(seed))[0])
 
 
-def generating_set(g):
+def generating_set(g, key=None):
     """Greedy small generating set, deterministic: one pass in index order
-    keeps each element outside the subgroup the earlier ones generate."""
+    (stably sorted by key, if given) keeps each element outside the
+    subgroup the earlier ones generate."""
     gens = []
     closed = {g.identity}
-    for x in g.elements():
+    for x in sorted(g.elements(), key=key) if key else g.elements():
         if x not in closed:
             gens.append(x)
             closed = subgroup_closure(g, gens)
@@ -560,8 +561,17 @@ def _homs_on_generators(g, h, gens, fits):
 
 def enumerate_homs(g, h, caps=_caps.DEFAULT):
     """All homomorphisms g -> h as Hom records, sorted by image array;
-    generator images are pruned by element-order divisibility."""
-    gens = generating_set(g)
+    generator images are pruned by element-order divisibility.
+
+    The search runs over every tuple of generator images, so its size is
+    the product over generators of the images their orders admit. The
+    generators are picked by decreasing order, so that their number and
+    orders, and the search's size, follow the group rather than the
+    numbering of its elements: index order gives S4 three involutions
+    (1000 tuples) under one numbering and a 3-cycle and an involution (90)
+    under another, decreasing order two 4-cycles (256) under every one.
+    """
+    gens = generating_set(g, key=lambda x: -g.element_order(x))
     _caps.check(
         caps, "hom search space", h.order ** len(gens), caps.max_power_order
     )

@@ -157,6 +157,56 @@ def test_enumerate_homs_z6_z3():
     assert all(h.is_valid() for h in hs)
 
 
+def _relabelled(g, perm):
+    """g with element x renumbered perm[x]."""
+    names, table = [None] * g.order, [[None] * g.order for _ in g.elements()]
+    for x in g.elements():
+        names[perm[x]] = g.name(x)
+        for y in g.elements():
+            table[perm[x]][perm[y]] = perm[g.mul(x, y)]
+    return validate_group(names, table)
+
+
+def test_enumerate_homs_search_size_ignores_numbering(monkeypatch):
+    """Under six random numberings each of S4 and of S3 x Z2 the hom
+    search tries the same number of generator-image tuples and finds the
+    same homs."""
+    import polyadic.groups as groups
+
+    tried = []
+    propagate = groups._propagate
+
+    def counting(*args):
+        tried[-1] += 1
+        return propagate(*args)
+
+    monkeypatch.setattr(groups, "_propagate", counting)
+    rng = random.Random(11)
+    for g in (symmetric_group(4), direct_product(symmetric_group(3), cyclic_group(2))):
+        sizes, homs = set(), set()
+        for _ in range(6):
+            perm = list(g.elements())
+            rng.shuffle(perm)
+            r = _relabelled(g, perm)
+            tried.append(0)
+            found = enumerate_homs(r, r)
+            sizes.add(tried[-1])
+            homs.add(frozenset(
+                tuple(r.name(h.images[r.index(g.name(x))]) for x in g.elements())
+                for h in found))
+        assert len(sizes) == 1 and len(homs) == 1, (g.order, sizes)
+    assert tried[0] == 16 * 16  # S4: two 4-cycles
+
+
+def test_enumerate_homs_s4xz2_within_cap():
+    """Index order gives S4 x Z2 four generators, and the search space
+    48^4 passes max_power_order; by decreasing order it takes three."""
+    g = direct_product(symmetric_group(4), cyclic_group(2))
+    hs = enumerate_homs(g, g)
+    assert len(hs) == 400
+    assert all(h.is_valid() for h in hs)
+
+
 def test_hom_from_generator_images():
     z6 = cyclic_group(6)
     z3 = cyclic_group(3)
