@@ -66,29 +66,6 @@ from .terms import (
 )
 from .words import parse_word
 
-VERBS = (
-    "validate",
-    "derive",
-    "skew",
-    "retract",
-    "hg",
-    "identity",
-    "subgroups",
-    "homs",
-    "postcover",
-    "present2group",
-    "cosets",
-    "freereduce",
-    "translate",
-    "solve",
-    "coordgroup",
-    "closure",
-    "irreducible",
-    "minsys",
-    "thm63",
-)
-
-
 @functools.cache
 def _parser():
     """The parser, built once per process."""
@@ -96,7 +73,7 @@ def _parser():
         prog="polyadic",
         description="compute with finite polyadic (n-ary) groups",
     )
-    ap.add_argument("verb", choices=VERBS)
+    ap.add_argument("verb", choices=_HANDLERS)
     ap.add_argument(
         "rest",
         nargs="*",

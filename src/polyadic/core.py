@@ -8,9 +8,11 @@ theta and a constant b with
     f(x_1,...,x_n) = x_1 . theta(x_2) . theta^2(x_3) ... theta^(n-1)(x_n) . b,
 
 subject to theta(b) = b and theta^(n-1)(x) = b . x . b^(-1); and a direct
-n-dimensional table over named elements. Every operation here works on both:
-the ones that read the whole operation read it as one flat row-major table,
-which the derived form builds on first use.
+n-dimensional table over named elements. Every operation here works on both.
+Both forms factor f into n-1 step tables, one lookup per argument
+(`steps`). The operations that read the whole operation read it as one flat
+row-major table, which the derived form builds from its steps with
+`prefix_products`.
 """
 
 from dataclasses import dataclass
@@ -39,11 +41,14 @@ from .groups import (
 
 class PolyadicGroup:
     """Both forms expose `flat`: f on every n-tuple of element indices, as
-    one row-major tuple of order**n values."""
+    one row-major tuple of order**n values; and `steps`: n-1 tables with
+    f(x_1, ..., x_n) = steps[n-2][...steps[0][x_1][x_2]...][x_n], built on
+    first use."""
 
     n: int
     order: int
     flat: tuple
+    steps: tuple
 
     def f(self, args):
         self._check_arity(args)
@@ -97,21 +102,23 @@ class DerivedPolyadicGroup(PolyadicGroup):
         self.theta_pows = theta.powers(n)  # theta_pows[k][x] = theta^k(x)
 
     @cached_property
+    def steps(self):
+        """Level k-1 holds the rows x -> v . theta^k(x) over v, with b folded
+        into the last level: (n-1) order**2 base multiplications."""
+        base, b, els = self.base, self.b, self.base.elements()
+        steps = [
+            tuple(tuple(base.mul(v, tk[x]) for x in els) for v in els)
+            for tk in self.theta_pows[1:]
+        ]
+        steps[-1] = tuple(tuple(base.mul(v, b) for v in row) for row in steps[-1])
+        return tuple(steps)
+
+    @cached_property
     def flat(self):
-        """Prefix products over the base group: level k extends each prefix
-        value v by the row x -> v . theta^k(x), with b folded into the last
-        level, so the work is order**(n-1) row extensions."""
+        """Prefix products over `steps`: order**(n-1) row extensions."""
         caps = self.caps
         _caps.check(caps, "n-ary table", self.order ** self.n, caps.max_tabulate)
-        base, els = self.base, self.base.elements()
-        level = tuple(els)
-        for k in range(1, self.n):
-            tk = self.theta_pows[k]
-            rows = [tuple(base.mul(v, tk[x]) for x in els) for v in els]
-            if k == self.n - 1:
-                rows = [tuple(base.mul(v, self.b) for v in row) for row in rows]
-            level = tuple(chain.from_iterable(map(rows.__getitem__, level)))
-        return level
+        return prefix_products(self.elements(), [rows.__getitem__ for rows in self.steps])
 
     def f(self, args):
         self._check_arity(args)
@@ -164,6 +171,21 @@ class TablePolyadicGroup(PolyadicGroup):
         self.flat = tuple(flat_table)
         self._skew_cache = {}
 
+    @cached_property
+    def steps(self):
+        """Prefix indices, then the rows of flat: level k < n-2 sends the
+        index v of a (k+1)-prefix to its extensions v*g .. v*g+g-1, and the
+        last level sends the index of an (n-1)-prefix to its row of flat,
+        as bytes when the values fit."""
+        g, n = self.order, self.n
+        steps = [
+            tuple(range(v * g, v * g + g) for v in range(g ** (k + 1)))
+            for k in range(n - 2)
+        ]
+        flat = bytes(self.flat) if g <= 256 else self.flat
+        steps.append(tuple(flat[i:i + g] for i in range(0, g ** n, g)))
+        return tuple(steps)
+
     def skew(self, x):
         if x not in self._skew_cache:
             self._skew_cache[x] = skew_search(self, x)
@@ -215,6 +237,20 @@ def tabulate(p, caps=_caps.DEFAULT):
     """Materialize any polyadic group into table form."""
     _caps.check(caps, "n-ary table", p.order ** p.n, caps.max_tabulate)
     return TablePolyadicGroup(p.names(), p.n, p.flat)
+
+
+def prefix_products(level, extend):
+    """Extend every value of level by each of extend in turn: extend[k](v)
+    is the row of products v . x over the next argument x, in order, and
+    the next level joins the rows of the values, so the result lists the
+    products in lexicographic order of the arguments. Each row is computed
+    once per distinct value of its level."""
+    for row_of in extend:
+        rows = {v: row_of(v) for v in set(level)}
+        # a list: tuple() of an iterator grows by repeated resizes, which
+        # raised the peak memory of `coordgroup`
+        level = list(chain.from_iterable(map(rows.__getitem__, level)))
+    return tuple(level)
 
 
 def _decode(g, n, i):

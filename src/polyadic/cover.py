@@ -11,10 +11,9 @@ bounded coset enumeration can then try to realize as a finite table.
 
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain
 
 from . import caps as _caps
-from .core import _decode, _first_difference, as_derived, retract
+from .core import _decode, _first_difference, as_derived, prefix_products, retract
 from .errors import (
     CapExceeded,
     EmptyGeneratorSet,
@@ -135,13 +134,10 @@ def _product_mismatch(p, images, row_of):
     """The least tuple where images[x_1] ... images[x_n] differs from
     images[f(x_1, ..., x_n)], as (tuple, expected, got), else None.
 
-    The products come by prefix products in lexicographic order: each level
-    extends a prefix value c by row_of(c), the products c . images[x] over x.
+    The products are the prefix products of images, where row_of(c) is
+    the row of products c . images[x] over x.
     """
-    level = tuple(images)
-    for _ in range(p.n - 1):
-        rows = {c: row_of(c) for c in set(level)}
-        level = tuple(chain.from_iterable(map(rows.__getitem__, level)))
+    level = prefix_products(images, [row_of] * (p.n - 1))
     want = tuple(images[v] for v in p.flat)
     if level == want:
         return None

@@ -5,6 +5,8 @@ first (lexicographically least) witness, so callers and the CLI can report
 exactly where an input went wrong.
 """
 
+import sys
+
 
 class PolyadicError(Exception):
     """Base class for all errors raised by this package."""
@@ -39,7 +41,14 @@ class NotLatinSquare(GroupValidationError):
 
 
 class SizeCapExceeded(PolyadicError):
+    """A size above its cap. A size with more decimal digits than Python
+    converts to text is kept as the lower bound ">= 2^k", k its bit length
+    less one, so the error can always be printed."""
+
     def __init__(self, what, size, cap):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+        if limit and size >= 10 ** limit:
+            size = f">= 2^{size.bit_length() - 1}"
         self.what = what
         self.size = size
         self.cap = cap

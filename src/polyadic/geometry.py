@@ -16,7 +16,7 @@ from operator import getitem
 from typing import Optional
 
 from . import caps as _caps
-from .core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived
+from .core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived, prefix_products
 from .errors import PolyadicError
 from .groups import (
     DirectPowerGroup,
@@ -26,8 +26,10 @@ from .groups import (
     validate_group,
 )
 from .terms import (
+    eval_group_term,
     eval_term,
     is_coefficient_free,
+    polyadic_to_group,
     term_compiler,
     term_variables,
     validate_term,
@@ -166,31 +168,31 @@ class CoordinateGroup:
     def as_polyadic(self, caps=_caps.DEFAULT):
         """The carrier as a standalone polyadic group in table form.
 
-        Rows of the table are built by prefix products on coordinate
-        tuples: f(x1,...,xn) = x1 . theta(x2) ... theta^(n-1)(xn) . b, each
-        factor one column lookup per coordinate, and every prefix shared by
-        all the tuples that extend it."""
+        The table is the prefix products of the coordinate tuples: level k
+        extends a prefix by an element x through column x_i of the source's
+        step table k at each coordinate i, and the last level reads off the
+        product's position in the carrier."""
         if self.power is None:
             return TablePolyadicGroup(("1",), self.source.n, (0,))
-        d = self.source
-        n = d.n
+        n = self.source.n
         _caps.check(caps, "n-ary table", self.order ** n, caps.max_tabulate)
         pg = self.power.base
         tuples = [pg.decode(x) for x in self.elements]
         pos = {x: i for i, x in enumerate(tuples)}
-        names = [pg.name(x) for x in self.elements]
-        cols = _columns(d.base)
-        prefixes = tuples
-        for k in range(1, n - 1):
-            # steps[j][i]: right multiplication by theta^k of coordinate i of
-            # element j
-            steps = [[cols[d.theta_pows[k][c]] for c in x] for x in tuples]
-            prefixes = [tuple(map(getitem, s, pre)) for pre in prefixes for s in steps]
-        bcol = cols[d.b]
-        last = [tuple(bcol[v] for v in cols[t]) for t in d.theta_pows[n - 1]]
-        steps = [[last[c] for c in x] for x in tuples]
-        flat = [pos[tuple(map(getitem, s, pre))] for pre in prefixes for s in steps]
-        return TablePolyadicGroup(names, n, flat)
+        pack = bytes if len(tuples) <= 256 else tuple
+
+        def extend(rows, last):
+            cols = tuple(zip(*rows))  # cols[x][v] = rows[v][x]
+            by = [[cols[c] for c in x] for x in tuples]
+            if last:
+                return lambda pre: pack(pos[tuple(map(getitem, s, pre))] for s in by)
+            return lambda pre: [tuple(map(getitem, s, pre)) for s in by]
+
+        steps = self.source.steps
+        flat = prefix_products(
+            tuples, [extend(rows, k == n - 2) for k, rows in enumerate(steps)]
+        )
+        return TablePolyadicGroup([pg.name(x) for x in self.elements], n, flat)
 
     def local_index(self, power_index):
         return self.elements.index(power_index)
@@ -236,12 +238,6 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     )
 
 
-def _columns(base):
-    """cols[g][a] = a . g over the base group: right multiplication by g."""
-    els = base.elements()
-    return [tuple(base.mul(a, g) for a in els) for g in els]
-
-
 def _generated(base, identity, gens, caps, what, psi=None):
     """Subgroup generated by gens in the coordinatewise power of base,
     twisted so that `identity` is its identity (x * y = x . identity^-1 . y)
@@ -262,7 +258,9 @@ def _generated(base, identity, gens, caps, what, psi=None):
                 seen.add(y)
                 found.append(y)
     _caps.check(caps, what, len(found), caps.max_closure_algebra)
-    cols = _columns(base)
+    # cols[g][a] = a . g: right multiplication by g
+    els = base.elements()
+    cols = [tuple(base.mul(a, g) for a in els) for g in els]
     shift = [base.inv(c) for c in identity]
     steps = [
         [cols[base.mul(shift[i], c)] for i, c in enumerate(t)] for t in found
@@ -461,24 +459,6 @@ def minimal_subsystem(p, system, caps=_caps.DEFAULT):
 # comparison with the cover
 
 
-def eval_term_in_group(t, assignment, grp, n):
-    """Evaluate a coefficient-free term in an ordinary group, reading the
-    n-ary operation as the n-fold product and skew as the (2-n)-th power."""
-    from .terms import Apply, Skew, Variable
-
-    if isinstance(t, Variable):
-        return assignment[t.index]
-    if isinstance(t, Skew):
-        return grp.power(eval_term_in_group(t.child, assignment, grp, n), 2 - n)
-    if isinstance(t, Apply):
-        acc = None
-        for c in t.children:
-            v = eval_term_in_group(c, assignment, grp, n)
-            acc = v if acc is None else grp.mul(acc, v)
-        return acc
-    raise PolyadicError("coefficient-free term required")
-
-
 @dataclass(frozen=True)
 class Theorem63Report:
     """Outcome of the cover-comparison check for a coefficient-free
@@ -512,15 +492,17 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
 
     cover_p = build_post_cover(p, caps=caps)
     cg = cover_p.group
-    n = p.n
     _caps.check(caps, "cover solution grid", cg.order ** m, caps.max_points)
+    sides = [
+        (polyadic_to_group(eq.left, cover_p), polyadic_to_group(eq.right, cover_p))
+        for eq in system.equations
+    ]
     vstar = [
         pt
         for pt in product(range(cg.order), repeat=m)
         if all(
-            eval_term_in_group(eq.left, pt, cg, n)
-            == eval_term_in_group(eq.right, pt, cg, n)
-            for eq in system.equations
+            eval_group_term(left, pt, cg) == eval_group_term(right, pt, cg)
+            for left, right in sides
         )
     ]
     coords = len(vstar)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import DerivedPolyadicGroup, TablePolyadicGroup
+from .core import TablePolyadicGroup
 from .errors import (
     ArityMismatch,
     ParseError,
@@ -117,32 +117,15 @@ def term_compiler(p):
 
     A compiled term is a closure that takes an assignment (a sequence of
     element indices, one per variable, each bound) and returns the value
-    `eval_term` gives. It reads p's own tables: for the derived form the
-    base group's table with theta's powers and b folded into one |G|^2
-    table per argument position, for the table form the flat table,
-    otherwise p.f. Subterms without variables are evaluated once, at
-    compile time, and skew values are tabulated on first use.
+    `eval_term` gives. The table form and derived groups over a table group
+    are compiled to lookups in p's step tables, one per argument; any other
+    group, such as a derived group over a lazy direct power, is compiled to
+    calls of p.f. Subterms without variables are evaluated once, at compile
+    time, and skew values are tabulated on first use.
     """
     n = p.n
-    if isinstance(p, TablePolyadicGroup):
-        flat, order = p.flat, p.order
-
-        def apply(kids):
-            if all(isinstance(k, int) for k in kids):
-                return p.f(kids)
-            idx = _callable(kids[0])
-            for kid in kids[1:]:
-                idx = _shift_add(idx, _callable(kid), order)
-            return lambda a: flat[idx(a)]
-
-    elif isinstance(p, DerivedPolyadicGroup) and isinstance(p.base, TableGroup):
-        # steps[k-1][acc][x] = acc . theta^k(x), times b at the last position
-        tab = p.base.table
-        steps = [
-            tuple(tuple(row[t] for t in p.theta_pows[k]) for row in tab)
-            for k in range(1, n)
-        ]
-        steps[-1] = tuple(tuple(tab[v][p.b] for v in row) for row in steps[-1])
+    if isinstance(p, TablePolyadicGroup) or isinstance(getattr(p, "base", None), TableGroup):
+        steps = p.steps
 
         def apply(kids):
             acc = kids[0]
@@ -186,10 +169,6 @@ def _callable(node):
     if isinstance(node, int):
         return lambda a: node
     return node
-
-
-def _shift_add(high, low, order):
-    return lambda a: high(a) * order + low(a)
 
 
 def _lookup(rows, left, right):
@@ -386,20 +365,31 @@ class GOne:
 
 
 def eval_group_term(t, assignment, g):
-    if isinstance(t, GVar):
-        if t.index >= len(assignment) or assignment[t.index] is None:
-            raise UnboundVariable(t.index)
-        return assignment[t.index]
-    if isinstance(t, GConst):
-        return t.element
-    if isinstance(t, GOne):
-        return g.identity
-    if isinstance(t, GInv):
-        return g.inv(eval_group_term(t.child, assignment, g))
-    return g.mul(
-        eval_group_term(t.left, assignment, g),
-        eval_group_term(t.right, assignment, g),
-    )
+    """Evaluate a binary group term. A subterm that occurs more than once
+    as the same object, as `polyadic_to_group` repeats the child of a skew,
+    is evaluated once."""
+    done = {}
+
+    def rec(t):
+        key = id(t)
+        if key in done:
+            return done[key]
+        if isinstance(t, GVar):
+            if t.index >= len(assignment) or assignment[t.index] is None:
+                raise UnboundVariable(t.index)
+            v = assignment[t.index]
+        elif isinstance(t, GConst):
+            v = t.element
+        elif isinstance(t, GOne):
+            v = g.identity
+        elif isinstance(t, GInv):
+            v = g.inv(rec(t.child))
+        else:
+            v = g.mul(rec(t.left), rec(t.right))
+        done[key] = v
+        return v
+
+    return rec(t)
 
 
 def group_to_polyadic(t, a, n):

@@ -510,6 +510,21 @@ def test_aperiodic_long_relator_capped(tmp_path, capsys):
     assert out["error"]["size"] == 2 + 4 + 8008002
 
 
+def test_size_past_decimal_limit_exits_2(tmp_path, capsys):
+    """Z2 in 20000 variables: the grid's 2^20000 points have more than the
+    4300 digits Python prints, so the size is reported as a bound."""
+    z2 = {"name": "Z2", "elements": ["0", "1"], "table": [["0", "1"], ["1", "0"]]}
+    write(tmp_path, "z2.json", {"group": z2, "theta": {"map": {"0": "0", "1": "1"}},
+                                "b": "0", "n": 3})
+    sysdoc = {"polyadic": "z2.json", "vars": 20000, "equations": ["x1 = x1"]}
+    code, doc = run(capsys, "solve", "--system", write(tmp_path, "s.json", sysdoc))
+    assert code == 2
+    err = doc["error"]
+    assert (err["type"], err["what"], err["cap"]) == ("SizeCapExceeded", "solution grid", 10 ** 6)
+    assert err["size"] == ">= 2^20000"
+    assert err["message"] == "solution grid: size >= 2^20000 exceeds cap 1000000"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--help"], [], ["frobnicate"], ["solve", "--n", "x"], ["skew", "--format", "xml"]],
@@ -557,6 +572,42 @@ def test_unknown_verb_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_stdout_does_not_depend_on_hash_seed(tmp_path, catalog):
+    """Output is byte-identical across runs: no verb may let the order of a
+    set or dict of strings, which PYTHONHASHSEED varies, reach stdout."""
+    p6 = catalog["p6"]  # S3, n = 4, inner twist
+    derived = write(tmp_path, "p6.json", polyadic_to_doc(p6))
+    table = write(tmp_path, "p6t.json", polyadic_to_doc(tabulate(p6)))
+    names = p6.names()
+    equations = {"polyadic": "p6.json", "vars": 2,
+                 "equations": [f"f(x1,x2,x1,{names[3]}) = f(x2,x1,x2,{names[3]})"]}
+    points = {"polyadic": "p6t.json", "vars": 2,
+              "points": [[names[1], names[4]], [names[5], names[2]]]}
+    argvs = [
+        ["solve", "--system", write(tmp_path, "eqs.json", equations)],
+        ["coordgroup", "--system", write(tmp_path, "pts.json", points)],
+        ["hg", "--polyadic", table, "--anchor", names[2]],
+        ["postcover", "--polyadic", table],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        outputs[seed] = [
+            subprocess.run(
+                [sys.executable, "-m", "polyadic.cli", *argv],
+                capture_output=True, env=env, timeout=120,
+            )
+            for argv in argvs
+        ]
+    for argv, zero, one in zip(argvs, outputs["0"], outputs["1"]):
+        assert zero.returncode == one.returncode == 0, (argv, zero.stderr)
+        assert zero.stdout == one.stdout, argv
+        assert zero.stdout.startswith(b"{")
 
 
 def test_closed_stdout_is_quiet(tmp_path):

@@ -1,15 +1,17 @@
-"""Seeded differential tests: the flat table against per-tuple f.
+"""Seeded differential tests: the step and flat tables against per-tuple f.
 
-A derived group's `flat` is built by prefix products over the base group,
-and every reader of the whole operation reads it: `tabulate`, the
-Hosszú–Gluskin check, `retract`, `skew_search`, `nary_identity`,
-`dornte_check`, the exhaustive solvability scan, and the cover's product
-checks. Each must give what the per-tuple code it replaced gave, frozen
-here, down to the witnesses and messages on corrupted operations.
+Both forms factor f into step tables, one lookup per argument. A derived
+group's `flat` is their prefix products, and every reader of the whole
+operation reads it: `tabulate`, the Hosszú–Gluskin check, `retract`,
+`skew_search`, `nary_identity`, `dornte_check`, the exhaustive solvability
+scan, and the cover's product checks. Compiled terms and coordinate groups
+read the steps. Each must give what the per-tuple code it replaced gave,
+frozen here, down to the witnesses and messages on corrupted operations.
 """
 
 import random
 from itertools import product
+from operator import getitem
 
 import pytest
 
@@ -55,7 +57,7 @@ from polyadic.groups import (
     induced_automorphism,
     validate_group,
 )
-from polyadic.terms import Apply, Constant, Equation, Skew, Variable
+from polyadic.terms import Apply, Constant, Equation, Skew, Variable, eval_term
 from polyadic.words import parse_word
 
 
@@ -190,6 +192,26 @@ def old_hom_precheck(cover, beta, target):
     return None
 
 
+def old_as_polyadic(cg):
+    """The coordinate group's table by per-prefix tuple products over the
+    base group's columns, theta's powers and b."""
+    d, n = cg.source, cg.source.n
+    pg = cg.power.base
+    tuples = [pg.decode(x) for x in cg.elements]
+    pos = {x: i for i, x in enumerate(tuples)}
+    els = d.base.elements()
+    cols = [tuple(d.base.mul(a, g) for a in els) for g in els]
+    prefixes = tuples
+    for k in range(1, n - 1):
+        steps = [[cols[d.theta_pows[k][c]] for c in x] for x in tuples]
+        prefixes = [tuple(map(getitem, s, pre)) for pre in prefixes for s in steps]
+    bcol = cols[d.b]
+    last = [tuple(bcol[v] for v in cols[t]) for t in d.theta_pows[n - 1]]
+    steps = [[last[c] for c in x] for x in tuples]
+    flat = [pos[tuple(map(getitem, s, pre))] for pre in prefixes for s in steps]
+    return [pg.name(x) for x in cg.elements], n, tuple(flat)
+
+
 def old_conjugates(relators, generators):
     gen_pos = {g: i for i, g in enumerate(generators)}
     conjugates = [[] for _ in range(2 * len(generators))]
@@ -242,6 +264,28 @@ def corruptions(rng, flat, g, count, allowed=None):
 
 def decode(g, n, i):
     return tuple(i // g ** (n - 1 - k) % g for k in range(n))
+
+
+def through_steps(steps, args):
+    acc = args[0]
+    for rows, x in zip(steps, args[1:]):
+        acc = rows[acc][x]
+    return acc
+
+
+def random_table(rng, g, n):
+    """A table-form operation with random entries: almost never a group."""
+    names = [f"e{i}" for i in range(g)]
+    return TablePolyadicGroup(names, n, [rng.randrange(g) for _ in range(g ** n)])
+
+
+def random_term(rng, n, m, g, depth):
+    """A term without skews over m variables and constants below g."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.7:
+            return Variable(rng.randrange(m))
+        return Constant(rng.randrange(g))
+    return Apply(tuple(random_term(rng, n, m, g, depth - 1) for _ in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +344,60 @@ def test_flat_of_lazy_power_matches_per_tuple_f(base, random_derived):
     assert lazy.flat == old_tabulate_flat(lazy)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_steps_match_per_tuple_f(seed, small_bases, random_derived):
+    """Both forms' steps give f on every tuple: derived groups, their
+    tables, and random tables that are not groups."""
+    rng = random.Random(seed)
+    forms = []
+    for base in small_bases:
+        p = random_derived(rng, base, (3, 4, 5))
+        forms += [p, tabulate(p)]
+    forms += [random_table(rng, g, n) for g in (1, 2, 3, 4) for n in (3, 4, 5)]
+    for q in forms:
+        assert len(q.steps) == q.n - 1
+        for args in product(q.elements(), repeat=q.n):
+            assert through_steps(q.steps, args) == q.f(list(args)), (q, args)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("with_constants", [True, False])
+def test_as_polyadic_matches_per_prefix_products(n, with_constants, small_bases, random_derived):
+    rng = random.Random(10 * n + with_constants)
+    checked = 0
+    for base in small_bases:
+        p = random_derived(rng, base, (n,))
+        grid = list(product(range(p.order), repeat=2))
+        for k in (1, 2, 3):
+            pts = tuple(sorted(rng.sample(grid, k)))
+            cg = coordinate_group(p, AlgebraicSet(2, pts), with_constants=with_constants)
+            if cg.order ** n > 2 * 10 ** 5:
+                continue
+            t = cg.as_polyadic()
+            assert (t.names(), t.n, t.flat) == old_as_polyadic(cg), (base, pts)
+            checked += 1
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_on_tables_that_are_not_groups(seed):
+    """Compiled terms over a table-form operation without group laws
+    against `eval_term` at every point."""
+    rng = random.Random(seed)
+    for g, n, m in ((2, 3, 3), (3, 3, 2), (3, 4, 2), (4, 3, 2), (2, 5, 3)):
+        p = random_table(rng, g, n)
+        eqs = tuple(
+            Equation(random_term(rng, n, m, g, 3), random_term(rng, n, m, g, 3))
+            for _ in range(rng.randrange(1, 3))
+        )
+        got = solve(p, EquationSystem(p, m, eqs)).points
+        want = tuple(
+            pt for pt in product(range(g), repeat=m)
+            if all(eval_term(eq.left, pt, p) == eval_term(eq.right, pt, p) for eq in eqs)
+        )
+        assert got == want, (g, n, eqs)
+
+
 def test_flat_is_capped_before_it_is_built():
     z2 = cyclic_group(2)
     pg = direct_power(z2, 8)  # order 256: 256^3 entries exceed max_tabulate
@@ -318,7 +416,8 @@ def test_flat_is_capped_before_it_is_built():
 
 def test_power_never_builds_flat(small_bases, random_derived):
     """Coordinate groups and `solve` on a direct power read the power's f,
-    theta and skew element by element, never its whole table."""
+    theta and skew element by element, never its whole table or its step
+    tables."""
     rng = random.Random(5)
     for base in small_bases:
         p = random_derived(rng, base)
@@ -332,7 +431,7 @@ def test_power_never_builds_flat(small_bases, random_derived):
         sols = solve(power, EquationSystem(power, 1, (eq,)))
         want = [x for x in power.elements() if power.f([x] * power.n) == power.skew(c)]
         assert [s[0] for s in sols] == want
-        assert "flat" not in vars(power), base
+        assert "flat" not in vars(power) and "steps" not in vars(power), base
 
 
 # ---------------------------------------------------------------------------

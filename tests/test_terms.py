@@ -236,6 +236,31 @@ def test_polyadic_to_group_matches_cover(p2):
         assert want == got, asg
 
 
+def test_nested_skews_evaluate_in_linear_time():
+    """`polyadic_to_group` repeats a skew's child n-2 times as one object;
+    evaluating it once keeps nested skews linear in their depth."""
+
+    class CountingGroup:
+        def __init__(self, g):
+            self.g, self.identity, self.muls = g, g.identity, 0
+
+        def mul(self, a, b):
+            self.muls += 1
+            return self.g.mul(a, b)
+
+        def inv(self, a):
+            return self.g.inv(a)
+
+    z3 = cyclic_group(3)
+    p = derive(z3, identity_automorphism(z3), 0, 6)
+    cover = build_post_cover(p)
+    t = parse_term("~" * 8 + "x1", element_names=NAMES)
+    counting = CountingGroup(cover.group)
+    got = eval_group_term(polyadic_to_group(t, cover), [cover.embed_index(1)], counting)
+    assert got == cover.embed_index(eval_term(t, [1], p))
+    assert counting.muls == 8 * 3
+
+
 def test_group_to_polyadic_identity_and_inverse_forms(p2):
     n = p2.n
     anchor = Constant(1)
