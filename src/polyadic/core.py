@@ -31,6 +31,7 @@ from .errors import (
 )
 from .groups import (
     GroupAutomorphism,
+    TableGroup,
     enumerate_homs,
     identity_automorphism,
     psi_u,
@@ -43,12 +44,15 @@ class PolyadicGroup:
     """Both forms expose `flat`: f on every n-tuple of element indices, as
     one row-major tuple of order**n values; and `steps`: n-1 tables with
     f(x_1, ..., x_n) = steps[n-2][...steps[0][x_1][x_2]...][x_n], built on
-    first use."""
+    first use. `cheap_steps` tells whether steps are small enough to build:
+    false for a derived group over a lazy power, whose steps would hold
+    (n-1) order**2 products."""
 
     n: int
     order: int
     flat: tuple
     steps: tuple
+    cheap_steps = True
 
     def f(self, args):
         self._check_arity(args)
@@ -100,6 +104,7 @@ class DerivedPolyadicGroup(PolyadicGroup):
         self.order = base.order
         self.caps = caps
         self.theta_pows = theta.powers(n)  # theta_pows[k][x] = theta^k(x)
+        self.cheap_steps = isinstance(base, TableGroup)
 
     @cached_property
     def steps(self):
@@ -175,14 +180,12 @@ class TablePolyadicGroup(PolyadicGroup):
     def steps(self):
         """Prefix indices, then the rows of flat: level k < n-2 sends the
         index v of a (k+1)-prefix to its extensions v*g .. v*g+g-1, and the
-        last level sends the index of an (n-1)-prefix to its row of flat,
-        as bytes when the values fit."""
-        g, n = self.order, self.n
+        last level sends the index of an (n-1)-prefix to its row of flat."""
+        g, n, flat = self.order, self.n, self.flat
         steps = [
             tuple(range(v * g, v * g + g) for v in range(g ** (k + 1)))
             for k in range(n - 2)
         ]
-        flat = bytes(self.flat) if g <= 256 else self.flat
         steps.append(tuple(flat[i:i + g] for i in range(0, g ** n, g)))
         return tuple(steps)
 
@@ -245,11 +248,13 @@ def prefix_products(level, extend):
     the next level joins the rows of the values, so the result lists the
     products in lexicographic order of the arguments. Each row is computed
     once per distinct value of its level."""
-    for row_of in extend:
+    for depth, row_of in enumerate(extend, 1):
         rows = {v: row_of(v) for v in set(level)}
-        # a list: tuple() of an iterator grows by repeated resizes, which
-        # raised the peak memory of `coordgroup`
-        level = list(chain.from_iterable(map(rows.__getitem__, level)))
+        joined = chain.from_iterable(map(rows.__getitem__, level))
+        # inner levels are lists: tuple() of an iterator grows by repeated
+        # resizes, which raised the peak memory of `coordgroup`; the last
+        # is built as the tuple itself, so no list copy of it is alive
+        level = list(joined) if depth < len(extend) else tuple(joined)
     return tuple(level)
 
 

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import TablePolyadicGroup
 from .errors import (
     ArityMismatch,
     ParseError,
@@ -21,7 +20,6 @@ from .errors import (
     SizeCapExceeded,
     UnboundVariable,
 )
-from .groups import TableGroup
 from .words import FreeWord, generator
 
 # Deepest nesting of f(...) and ~ that the term parser accepts. Every walker
@@ -117,14 +115,14 @@ def term_compiler(p):
 
     A compiled term is a closure that takes an assignment (a sequence of
     element indices, one per variable, each bound) and returns the value
-    `eval_term` gives. The table form and derived groups over a table group
-    are compiled to lookups in p's step tables, one per argument; any other
-    group, such as a derived group over a lazy direct power, is compiled to
-    calls of p.f. Subterms without variables are evaluated once, at compile
-    time, and skew values are tabulated on first use.
+    `eval_term` gives. A group with `cheap_steps` is compiled to lookups in
+    its step tables, one per argument; any other, such as a derived group
+    over a lazy direct power, is compiled to calls of p.f. Subterms
+    without variables are evaluated once, at compile time, and skew values
+    are tabulated on first use.
     """
     n = p.n
-    if isinstance(p, TablePolyadicGroup) or isinstance(getattr(p, "base", None), TableGroup):
+    if p.cheap_steps:
         steps = p.steps
 
         def apply(kids):
