@@ -61,7 +61,7 @@ from .terms import (
     group_to_polyadic_equation,
     parse_equation,
     parse_group_equation,
-    polyadic_to_group,
+    polyadic_to_group_equation,
     term_to_string,
 )
 from .words import parse_word
@@ -346,8 +346,7 @@ def _cmd_translate(args):
         return {"direction": "g2p", "anchor": p.name(a), "equation": rendered}, 0
     cover = build_post_cover(p)
     eq = parse_equation(text, element_names=list(p.names()))
-    gl = polyadic_to_group(eq.left, cover)
-    gr = polyadic_to_group(eq.right, cover)
+    gl, gr = polyadic_to_group_equation(eq.left, eq.right, cover)
     rendered = (
         f"{group_term_to_string(gl, cover.group)}"
         f" = {group_term_to_string(gr, cover.group)}"

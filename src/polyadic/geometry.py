@@ -12,28 +12,16 @@ enumeration at small scale.
 
 from dataclasses import dataclass, replace
 from itertools import product
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Optional
 
 from . import caps as _caps
 from .core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived, prefix_products
+from .core import derive_from_constant
 from .errors import PolyadicError
-from .groups import (
-    DirectPowerGroup,
-    constant_tuple,
-    hom_from_generator_images,
-    induced_automorphism,
-    validate_group,
-)
-from .terms import (
-    eval_group_term,
-    eval_term,
-    is_coefficient_free,
-    polyadic_to_group,
-    term_compiler,
-    term_variables,
-    validate_term,
-)
+from .groups import DirectPowerGroup, constant_tuple, induced_automorphism, psi_u
+from .terms import eval_term, is_coefficient_free, term_compiler, term_variables
+from .terms import validate_term
 
 
 @dataclass(frozen=True)
@@ -194,9 +182,6 @@ class CoordinateGroup:
         )
         return TablePolyadicGroup([pg.name(x) for x in self.elements], n, flat)
 
-    def local_index(self, power_index):
-        return self.elements.index(power_index)
-
 
 def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     """Closure of the projections (plus diagonal constants by default)
@@ -223,7 +208,7 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     gens = list(dict.fromkeys(columns + diagonals))
     if not gens:
         raise PolyadicError("no generators: zero variables and no constants")
-    closed = _term_closure(d, gens, replace(caps, max_closure_algebra=limit), "closure")
+    _, closed = _term_closure(d, gens, replace(caps, max_closure_algebra=limit), "closure")
     pg = DirectPowerGroup(d.base, k)
     theta_hat = induced_automorphism(d.theta, pg)
     b_hat = constant_tuple(pg, d.b)
@@ -284,24 +269,20 @@ def _term_closure(d, gens, caps, what):
     It is the subgroup of the twist by u = skew(gens[0]) generated by gens
     and f(u,...,u) and stable under x -> u . theta(x) . theta(u^-1): the
     subgroup criterion used for polyadic subgroups, cross-checked against
-    direct f/skew saturation in the test suite.
+    direct f/skew saturation in the test suite. Returns (u, the closure).
     """
     base = d.base
     skews = [d.skew(x) for x in base.elements()]
     u = tuple(skews[c] for c in gens[0])
     fu = tuple(d.f([c] * d.n) for c in u)
-    # psi is x -> u_i . theta(x) . theta(u_i^-1) on coordinate i: one row
-    # per distinct u_i
-    rows = {
-        c: tuple(base.mul(base.mul(c, d.theta(x)), d.theta(base.inv(c))) for x in base.elements())
-        for c in set(u)
-    }
+    # psi_u on coordinate i: one row per distinct u_i
+    rows = {c: psi_u(base, d.theta, c).images for c in set(u)}
     maps = [rows[c] for c in u]
 
     def psi(x):
         return tuple(map(getitem, maps, x))
 
-    return _generated(base, u, list(gens) + [fu], caps, what, psi)
+    return u, _generated(base, u, list(gens) + [fu], caps, what, psi)
 
 
 def structural_check(cg):
@@ -342,50 +323,52 @@ class TermFunctions:
     of G^m. Shared by the closure operator and the irreducibility test.
 
     The saturation is `_term_closure` of the projections and diagonal
-    constants: a generated subgroup of a twist of the pointwise power.
+    constants: the subgroup of the pointwise power twisted by `identity`
+    that they generate. The grid is capped by max_points before it is
+    built, and the functions, |G|^m entries each, by
+    min(max_closure_algebra, max_tabulate // |G|^m).
     """
 
     def __init__(self, p, m, caps=_caps.DEFAULT):
         d = as_derived(p)
         self.p = d
         self.m = m
+        coords = d.order ** m
+        _caps.check(caps, "term function grid", coords, caps.max_points)
         self.points = list(product(range(d.order), repeat=m))
         self.index = {pt: i for i, pt in enumerate(self.points)}
-        coords = len(self.points)
         projections = [tuple(pt[j] for pt in self.points) for j in range(m)]
         diagonals = [(g,) * coords for g in range(d.order)]
         gens = list(dict.fromkeys(projections + diagonals))
-        self.functions = sorted(_term_closure(d, gens, caps, "term algebra"))
+        limit = min(caps.max_closure_algebra, caps.max_tabulate // coords)
+        capped = replace(caps, max_closure_algebra=limit)
+        self.identity, closed = _term_closure(d, gens, capped, "term algebra")
+        self.functions = sorted(closed)
 
     def closure(self, z, caps=_caps.DEFAULT):
         """Smallest algebraic superset: the points where every pair of
-        term functions that agree on z still agree."""
-        zpts = []
-        for pt in z:
-            pt = tuple(pt)
+        term functions that agree on z still agree.
+
+        Two functions agree on a point set exactly when their quotient in
+        the twist equals the twist identity u there. So the closure is the
+        set of points where every member of the kernel K of restriction to
+        z, the functions equal to u on z, equals u."""
+        zidx = set()
+        for pt in map(tuple, z):
             if pt not in self.index:
                 raise PolyadicError(f"point {pt} outside the ambient grid")
-            if pt not in zpts:
-                zpts.append(pt)
-        zidx = sorted(self.index[pt] for pt in zpts)
-        buckets = {}
-        for fn in self.functions:
-            buckets.setdefault(tuple(fn[i] for i in zidx), []).append(fn)
-        good = set(range(len(self.points)))
-        for members in buckets.values():
-            if len(members) < 2:
-                continue
-            first = members[0]
-            good = {
-                i
-                for i in good
-                if all(fn[i] == first[i] for fn in members[1:])
-            }
-            if not good:
-                break
-        return AlgebraicSet(
-            m=self.m, points=tuple(sorted(self.points[i] for i in good))
-        )
+            zidx.add(self.index[pt])
+        u = self.identity
+        kernel = self.functions
+        if zidx:
+            pick = itemgetter(*zidx)
+            want = pick(u)
+            kernel = [fn for fn in kernel if pick(fn) == want]
+        good = [
+            i for i, (col, c) in enumerate(zip(zip(*kernel), u))
+            if col.count(c) == len(kernel)
+        ]
+        return AlgebraicSet(m=self.m, points=tuple(self.points[i] for i in good))
 
     def is_algebraic(self, z):
         zset = {tuple(pt) for pt in z}
@@ -410,11 +393,7 @@ class TermFunctions:
             cl = frozenset(self.closure(sub).points)
             if cl != yset and cl <= yset:
                 candidates.add(cl)
-        maximal = [
-            c
-            for c in candidates
-            if not any(c < other for other in candidates)
-        ]
+        maximal = [c for c in candidates if not any(c < other for other in candidates)]
         maximal.sort(key=lambda c: sorted(c))
         for i, z1 in enumerate(maximal):
             for z2 in maximal[i:]:
@@ -463,7 +442,12 @@ def minimal_subsystem(p, system, caps=_caps.DEFAULT):
 class Theorem63Report:
     """Outcome of the cover-comparison check for a coefficient-free
     system: does the cover of the coordinate group over G map onto the
-    group of word functions on the cover's solution set?"""
+    group W of word functions on the cover's solution set V*?
+
+    With the cover's and W's elements realized as sorted coordinate
+    tuples, `epi_images[i]` is the index in W of the image of the i-th
+    element of the cover. When no homomorphism exists it is None, and
+    `reason` says why."""
 
     ok: bool
     v_g: AlgebraicSet
@@ -476,69 +460,55 @@ class Theorem63Report:
 
 
 def theorem63_check(p, system, caps=_caps.DEFAULT):
+    """Whether the cover of Γ(V_G) maps onto W, each embedded projection
+    going to the projection on V*, the solutions in Post's cover C with f
+    read as C's n-fold product (so skew is the (2-n)-th power).
+
+    The cover of Γ(V_G) is the span of the embedded projections in
+    C^|V_G|, beside a coordinate c of order n-1 that counts their grade
+    (and keeps Z_(n-1), the cover of the one-element Γ of an empty V_G).
+    So one span decides it, of the tuples (embedded projection, c,
+    projection on V*): the map exists exactly when the span is the graph
+    of a map, and then it is onto, as the projections on V* generate W."""
     from .cover import build_post_cover
 
     for eq in system.equations:
         if not (is_coefficient_free(eq.left) and is_coefficient_free(eq.right)):
             raise PolyadicError("the comparison requires a coefficient-free system")
-    m = system.m
+    m, n = system.m, p.n
     if m < 1:
         raise PolyadicError("at least one variable is required")
 
     v_g = solve(p, system, caps=caps)
     gamma = coordinate_group(p, v_g, with_constants=False, caps=caps)
-    gamma_tab = gamma.as_polyadic(caps=caps)
-    cov = build_post_cover(gamma_tab, caps=caps)
-
-    cover_p = build_post_cover(p, caps=caps)
-    cg = cover_p.group
-    _caps.check(caps, "cover solution grid", cg.order ** m, caps.max_points)
-    sides = [
-        (polyadic_to_group(eq.left, cover_p), polyadic_to_group(eq.right, cover_p))
-        for eq in system.equations
+    cover = build_post_cover(p, caps=caps)
+    cg = cover.group
+    v_star = solve(derive_from_constant(cg, cg.identity, n, caps=caps), system, caps=caps)
+    powers = [cg.identity, cover.embed_index(0)]  # x^0, x^1, ..., x^ord(x)
+    while powers[-1] != cg.identity:
+        powers.append(cg.mul(powers[-1], powers[1]))
+    c = powers[(len(powers) - 1) // (n - 1)]
+    gens = [
+        tuple(cover.embed_index(pt[j]) for pt in v_g.points) + (c,)
+        + tuple(pt[j] for pt in v_star.points)
+        for j in range(m)
     ]
-    vstar = [
-        pt
-        for pt in product(range(cg.order), repeat=m)
-        if all(
-            eval_group_term(left, pt, cg) == eval_group_term(right, pt, cg)
-            for left, right in sides
-        )
-    ]
-    coords = len(vstar)
-    star_projections = [
-        tuple(pt[j] for pt in vstar) for j in range(m)
-    ]
-    identity = (cg.identity,) * coords
-    star_elements = sorted(
-        _generated(cg, identity, star_projections, caps, "word functions")
-    )
-    pos = {x: i for i, x in enumerate(star_elements)}
-    names = [f"w{i}" for i in range(len(star_elements))]
-    table = [
-        [pos[tuple(cg.mul(a, b) for a, b in zip(x, y))] for y in star_elements]
-        for x in star_elements
-    ]
-    relaxed = replace(caps, max_table_order=max(caps.max_table_order, len(table)))
-    star_group = validate_group(names, table, name="word functions", caps=relaxed)
-
-    gen_local = [gamma.local_index(x) for x in gamma.projections]
-    gens = [cov.embed_index(i) for i in gen_local]
-    images = [pos[proj] for proj in star_projections]
-    hom, reason = hom_from_generator_images(cov.group, star_group, gens, images)
-    ok = hom is not None and hom.is_surjective()
-    why = None
-    if hom is None:
-        why = f"no homomorphism: {reason}"
-    elif not hom.is_surjective():
-        why = "homomorphism exists but is not onto"
+    coords = len(gens[0])
+    limit = min(caps.max_closure_algebra, caps.max_tabulate // coords)
+    capped = replace(caps, max_closure_algebra=limit)
+    span = sorted(_generated(cg, (cg.identity,) * coords, gens, capped, "word functions"))
+    head = len(v_g) + 1
+    cover_order = len({x[:head] for x in span})
+    star = sorted({x[head:] for x in span})
+    ok = cover_order == len(span)
+    images = why = None
+    if ok:
+        pos = {w: i for i, w in enumerate(star)}
+        images = tuple(pos[x[head:]] for x in span)
+    else:
+        one = (cg.identity,) * head
+        over = sum(x[:head] == one for x in span)
+        why = f"no homomorphism: {over} word functions lie over the cover's identity"
     return Theorem63Report(
-        ok=ok,
-        v_g=v_g,
-        gamma_g_order=gamma.order,
-        cover_order=cov.order,
-        v_star_count=coords,
-        gamma_star_order=len(star_elements),
-        epi_images=hom.images if ok else None,
-        reason=why,
+        ok, v_g, gamma.order, cover_order, len(v_star), len(star), images, why
     )

@@ -459,6 +459,30 @@ def polyadic_to_group(t, cover):
     return _gproduct([polyadic_to_group(c, cover) for c in t.children])
 
 
+def polyadic_to_group_equation(left, right, cover):
+    """Both sides through `polyadic_to_group`; SizeCapExceeded when the
+    result would have more than MAX_TERM_NODES nodes."""
+    memo = {}
+    size = _group_nodes(left, cover.n, memo) + _group_nodes(right, cover.n, memo)
+    if size > MAX_TERM_NODES:
+        raise SizeCapExceeded("translated term nodes", size, MAX_TERM_NODES)
+    return polyadic_to_group(left, cover), polyadic_to_group(right, cover)
+
+
+def _group_nodes(t, n, memo):
+    """Nodes of polyadic_to_group(t, cover) at arity n, every copy of a
+    subterm counted; memo holds the count of each subterm, by identity."""
+    key = id(t)
+    if key not in memo:
+        if isinstance(t, (Variable, Constant)):
+            memo[key] = 1
+        elif isinstance(t, Skew):
+            memo[key] = (n - 2) * (1 + _group_nodes(t.child, n, memo))
+        else:
+            memo[key] = n - 1 + sum(_group_nodes(c, n, memo) for c in t.children)
+    return memo[key]
+
+
 def _gproduct(factors):
     out = factors[-1]
     for u in reversed(factors[:-1]):

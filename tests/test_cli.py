@@ -219,6 +219,27 @@ def test_coordgroup_on_many_points_exits_2_fast(tmp_path, capsys):
     assert doc["error"]["cap"] == 2 * 10 ** 6 // 2 ** 16
 
 
+@pytest.mark.parametrize("verb", ["closure", "irreducible"])
+def test_term_functions_on_many_points_exit_2_fast(tmp_path, capsys, verb):
+    """Z3 in 7 variables has 2187 points: the 6561 term functions hold
+    2187 entries each, and max_tabulate allows 914 of them. In 20
+    variables the grid of 3^20 points exceeds max_points, and is never
+    built."""
+    write(tmp_path, "p1.json", P1)
+    for m, what, size, cap in (
+        (7, "term algebra", None, 2 * 10 ** 6 // 3 ** 7),
+        (20, "term function grid", 3 ** 20, 10 ** 6),
+    ):
+        sysdoc = {"polyadic": "p1.json", "vars": m, "points": [["0"] * m]}
+        start = time.perf_counter()
+        code, doc = run(capsys, verb, "--system", write(tmp_path, "s.json", sysdoc))
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert doc["error"]["what"] == what
+        assert doc["error"]["cap"] == cap
+        assert size is None or doc["error"]["size"] == size
+
+
 def test_thm63_exit_codes(tmp_path, capsys):
     write(tmp_path, "p2.json", P2)
     good = write(
@@ -281,6 +302,28 @@ def test_translate_directions(tmp_path, capsys):
     code, doc = run(capsys, "translate", "p2g", "--polyadic", p2, "f(x1,x2,c2) = x1")
     assert code == 0
     assert doc["equation"] == "x1*x2*2_1 = x1"
+
+
+def test_translate_p2g_wide_translation_exits_2_fast(tmp_path, capsys):
+    """At n = 5 each skew prints its child three times: 20 nested skews
+    would print 3^20 copies of x1, and exit 2 instead; shallow terms print
+    as before."""
+    path = write(tmp_path, "p1n5.json", dict(P1, n=5))
+    start = time.perf_counter()
+    code = main(["translate", "p2g", "--polyadic", path, "~" * 20 + "x1 = x1"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(captured.out)["error"]["what"] == "translated term nodes"
+    assert captured.err == ""
+    inner = "x1*1_1*x2*(x1*x1*x1)^-1*x2"
+    for text, want in (
+        ("~x1 = x1", "(x1*x1*x1)^-1 = x1"),
+        ("~~f(x1,c1,x2,~x1,x2) = ~x2",
+         "(" + "*".join([f"({'*'.join([inner] * 3)})^-1"] * 3) + ")^-1 = (x2*x2*x2)^-1"),
+    ):
+        code, doc = run(capsys, "translate", "p2g", "--polyadic", path, text)
+        assert (code, doc["equation"]) == (0, want)
 
 
 def test_missing_file_exit2(capsys):

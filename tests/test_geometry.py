@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from polyadic import geometry
 from polyadic.caps import Caps
 from polyadic.core import DerivedPolyadicGroup, as_derived, derive, tabulate
+from polyadic.cover import build_post_cover
 from polyadic.errors import PolyadicError, SizeCapExceeded
 from polyadic.geometry import (
     AlgebraicSet,
@@ -25,7 +27,9 @@ from polyadic.groups import (
     GroupAutomorphism,
     cyclic_group,
     direct_power,
+    hom_from_generator_images,
     induced_automorphism,
+    validate_group,
 )
 from polyadic.terms import (
     Apply,
@@ -34,8 +38,10 @@ from polyadic.terms import (
     Skew,
     Variable,
     eval_equation,
+    eval_group_term,
     parse_equation,
     parse_term,
+    polyadic_to_group,
 )
 
 Z3NAMES = ["0", "1", "2"]
@@ -189,6 +195,40 @@ def test_closure_laws_exhaustive_m1(p1, p2):
                         assert set(tf.closure(sub2).points) <= set(c.points)
 
 
+def bucket_closure(tf, z):
+    """TermFunctions.closure as it was before it became a kernel: bucket
+    the functions by their values on z, and keep the points where each
+    bucket's members all agree."""
+    zidx = sorted({tf.index[tuple(pt)] for pt in z})
+    buckets = {}
+    for fn in tf.functions:
+        buckets.setdefault(tuple(fn[i] for i in zidx), []).append(fn)
+    good = set(range(len(tf.points)))
+    for members in buckets.values():
+        first = members[0]
+        good = {i for i in good if all(fn[i] == first[i] for fn in members[1:])}
+    return tuple(sorted(tf.points[i] for i in good))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closure_matches_buckets(seed, catalog, small_bases, random_derived):
+    rng = random.Random(seed)
+    groups = list(catalog.values()) + [random_derived(rng, b) for b in small_bases]
+    cases = 0
+    for p in groups:
+        for m in (1, 2):
+            # an abelian base gives the |G|^(m+1) affine functions; S3 gives
+            # 324 in one variable and more than max_closure_algebra in two
+            if p.order ** (m + 1) > 400 or m == 2 and not as_derived(p).base.is_abelian():
+                continue
+            tf = TermFunctions(p, m)
+            for _ in range(15):
+                z = rng.sample(tf.points, rng.randrange(len(tf.points) + 1))
+                assert tf.closure(z).points == bucket_closure(tf, z), (p, m, z)
+                cases += 1
+    assert cases >= 300
+
+
 def test_closure_of_solution_sets_is_fixed(p2):
     tf = TermFunctions(p2, 2)
     for texts in (["x1 = x2"], ["f(x1,x1,x1) = c2"], ["x1 = c0", "x2 = c1"]):
@@ -309,25 +349,144 @@ def test_theorem63_rejects_coefficients(p2):
         theorem63_check(p2, EquationSystem(p2, 1, eqs(p2, ["x1 = c2"])))
 
 
-def test_theorem63_keeps_caller_caps(p2, monkeypatch):
+def test_theorem63_keeps_caller_caps(p2):
     system = EquationSystem(p2, 1, eqs(p2, ["x1 = x1"]))
     # the word-function group over the cover's six solutions has order 6
     with pytest.raises(SizeCapExceeded) as info:
         theorem63_check(p2, system, caps=Caps(max_closure_algebra=5))
     assert info.value.what == "word functions"
-    # the word-function group is validated under the caller's caps (only
-    # the table-order cap would be raised, to the group's order)
-    seen = []
+    # the caller's max_points reaches the cover's solve: G^1 has 3 points,
+    # the cover's grid 6
+    with pytest.raises(SizeCapExceeded) as info:
+        theorem63_check(p2, system, caps=Caps(max_points=5))
+    assert (info.value.what, info.value.size) == ("solution grid", 6)
 
-    def spy(*args, caps, **kwargs):
-        seen.append(caps)
-        return validate_group(*args, caps=caps, **kwargs)
 
-    validate_group = geometry.validate_group
-    monkeypatch.setattr(geometry, "validate_group", spy)
-    tight = Caps(max_table_order=6, max_points=50, max_closure_algebra=40)
-    theorem63_check(p2, system, caps=tight)
-    assert seen == [tight]
+def old_theorem63_check(p, system, caps=Caps()):
+    """theorem63_check as it was before it became one generated subgroup:
+    the coordinate group flattened to a table and given its own Post
+    cover, V* found on the cover's grid through translated group terms,
+    the word functions validated as a table group, and a homomorphism
+    searched from the cover's generators."""
+    m = system.m
+    v_g = solve(p, system, caps=caps)
+    gamma = coordinate_group(p, v_g, with_constants=False, caps=caps)
+    cov = build_post_cover(gamma.as_polyadic(caps=caps), caps=caps)
+    cover_p = build_post_cover(p, caps=caps)
+    cg = cover_p.group
+    sides = [
+        (polyadic_to_group(eq.left, cover_p), polyadic_to_group(eq.right, cover_p))
+        for eq in system.equations
+    ]
+    vstar = [
+        pt
+        for pt in itertools.product(range(cg.order), repeat=m)
+        if all(
+            eval_group_term(left, pt, cg) == eval_group_term(right, pt, cg)
+            for left, right in sides
+        )
+    ]
+    star_projections = [tuple(pt[j] for pt in vstar) for j in range(m)]
+    identity = (cg.identity,) * len(vstar)
+    star_elements = sorted(
+        geometry._generated(cg, identity, star_projections, caps, "word functions")
+    )
+    pos = {x: i for i, x in enumerate(star_elements)}
+    table = [
+        [pos[tuple(cg.mul(a, b) for a, b in zip(x, y))] for y in star_elements]
+        for x in star_elements
+    ]
+    relaxed = replace(caps, max_table_order=max(caps.max_table_order, len(table)))
+    names = [f"w{i}" for i in range(len(star_elements))]
+    star_group = validate_group(names, table, name="word functions", caps=relaxed)
+    gens = [cov.embed_index(gamma.elements.index(x)) for x in gamma.projections]
+    images = [pos[proj] for proj in star_projections]
+    hom, _ = hom_from_generator_images(cov.group, star_group, gens, images)
+    ok = hom is not None and hom.is_surjective()
+    return (ok, len(v_g), gamma.order, cov.order, len(vstar), len(star_elements))
+
+
+def report_counts(rep):
+    return (
+        rep.ok, len(rep.v_g), rep.gamma_g_order, rep.cover_order,
+        rep.v_star_count, rep.gamma_star_order,
+    )
+
+
+def free_term(rng, m, depth, n):
+    """A random coefficient-free term."""
+    r = rng.random()
+    if depth <= 0 or r < 0.35:
+        return Variable(rng.randrange(m))
+    if r < 0.55:
+        return Skew(free_term(rng, m, depth - 1, n))
+    return Apply(tuple(free_term(rng, m, depth - 1, n) for _ in range(n)))
+
+
+def check_against_old(p, system):
+    """The new report against the frozen one wherever the frozen one
+    answers, and the epimorphism's images; whether it answered."""
+    rep = theorem63_check(p, system)
+    assert (rep.reason is None) == rep.ok
+    if rep.ok:
+        assert len(rep.epi_images) == rep.cover_order
+        assert set(rep.epi_images) == set(range(rep.gamma_star_order))
+    else:
+        assert rep.epi_images is None
+    assert rep.cover_order == (p.n - 1) * rep.gamma_g_order
+    try:
+        want = old_theorem63_check(p, system)
+    except SizeCapExceeded:
+        return False
+    assert report_counts(rep) == want, system
+    return True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_theorem63_matches_old(seed, catalog, small_bases, random_derived):
+    rng = random.Random(seed)
+    groups = list(catalog.values()) + [random_derived(rng, b) for b in small_bases]
+    answered = negative = 0
+    for p in groups:
+        for m in (1, 2):
+            for _ in range(2):
+                equations = tuple(
+                    Equation(free_term(rng, m, 2, p.n), free_term(rng, m, 2, p.n))
+                    for _ in range(rng.randrange(1, 3))
+                )
+                system = EquationSystem(p, m, equations)
+                if check_against_old(p, system):
+                    answered += 1
+                    negative += not theorem63_check(p, system).ok
+    assert answered >= 30
+    assert negative >= 1
+
+
+def test_theorem63_empty_solution_set(p4):
+    # f(x,x,x) = x + 2 in p4 has no fixed point: Gamma has one element and
+    # its cover is Z_2
+    system = EquationSystem(p4, 1, eqs(p4, ["f(x1,x1,x1) = x1"]))
+    rep = theorem63_check(p4, system)
+    assert report_counts(rep) == (True, 0, 1, 2, 2, 2)
+    assert rep.epi_images == (0, 1)
+    assert check_against_old(p4, system)
+
+
+def test_theorem63_identity_system_in_two_variables(p2, p7):
+    system = EquationSystem(p2, 2, eqs(p2, ["x1 = x1"]))
+    start = time.perf_counter()
+    rep = theorem63_check(p2, system)
+    assert time.perf_counter() - start < 1.0
+    assert report_counts(rep)[:1] + report_counts(rep)[2:] == (False, 3, 6, 36, 972)
+    assert rep.reason == "no homomorphism: 162 word functions lie over the cover's identity"
+    # the coordinate group of p7's plane has 486 elements: its n-ary table
+    # was past max_tabulate, and its cover past max_table_order
+    system = EquationSystem(p7, 2, eqs(p7, ["x1 = x1"]))
+    with pytest.raises(SizeCapExceeded):
+        old_theorem63_check(p7, system)
+    rep = theorem63_check(p7, system)
+    assert report_counts(rep) == (True, 36, 486, 972, 144, 972)
+    assert sorted(rep.epi_images) == list(range(972))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from polyadic.terms import (
     parse_group_term,
     parse_term,
     polyadic_to_group,
+    polyadic_to_group_equation,
     term_to_free_word,
     term_compiler,
     term_to_string,
@@ -259,6 +260,36 @@ def test_nested_skews_evaluate_in_linear_time():
     got = eval_group_term(polyadic_to_group(t, cover), [cover.embed_index(1)], counting)
     assert got == cover.embed_index(eval_term(t, [1], p))
     assert counting.muls == 8 * 3
+
+
+def group_nodes(t):
+    """Nodes of a binary group term, every copy of a shared subterm
+    counted, as its printed form shows them."""
+    if isinstance(t, GMul):
+        return 1 + group_nodes(t.left) + group_nodes(t.right)
+    if isinstance(t, GInv):
+        return 1 + group_nodes(t.child)
+    return 1
+
+
+def test_polyadic_to_group_equation_counts_printed_nodes():
+    """At n = 5 a skew becomes the inverse of a product of three copies of
+    its child: 7 nested skews stay under MAX_TERM_NODES, 8 do not, and the
+    cap error gives the size of the tree it would have built."""
+    z3 = cyclic_group(3)
+    cover = build_post_cover(derive(z3, identity_automorphism(z3), 0, 5))
+    right = parse_term("f(x1,c1,x2,~x1,x2)", element_names=NAMES)
+    for depth in (0, 1, 2, 7, 8):
+        left = parse_term("~" * depth + "x1", element_names=NAMES)
+        want = [polyadic_to_group(left, cover), polyadic_to_group(right, cover)]
+        size = sum(map(group_nodes, want))
+        if size <= MAX_TERM_NODES:
+            assert list(polyadic_to_group_equation(left, right, cover)) == want
+            continue
+        assert depth == 8
+        with pytest.raises(SizeCapExceeded) as e:
+            polyadic_to_group_equation(left, right, cover)
+        assert (e.value.what, e.value.size) == ("translated term nodes", size)
 
 
 def test_group_to_polyadic_identity_and_inverse_forms(p2):
