@@ -18,7 +18,7 @@ class Caps:
     max_tabulate: int = 2 * 10 ** 6  # flat n-ary tables (|G|^n), relator rotations,
                                      # coordinate-group entries (|H| * points)
     max_axiom_tuples: int = 10 ** 7  # exhaustive associativity (|G|^(2n-1))
-    max_points: int = 10 ** 6        # solution-set enumeration (|G|^m)
+    max_points: int = 10 ** 6        # space solve searches, term-function grids (|G|^m)
     max_closure_algebra: int = 50_000  # generated term-function algebras
     max_irreducible_points: int = 15   # subsets of Y enumerated, 2^|Y|
     default_coset_cap: int = 10_000    # coset enumeration budget

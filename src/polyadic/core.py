@@ -71,6 +71,11 @@ class PolyadicGroup:
             start = start * g + (0 if k == pos else x)
         return self.flat[start:start + g * step:step]
 
+    def solve_at(self, args, pos, c):
+        """The unique x with f(args[:pos], x, args[pos+1:]) = c, which
+        unique solvability guarantees; args[pos] is ignored."""
+        return self.line(args, pos).index(c)
+
     def skew(self, x):
         """The unique y with f(x,...,x,y) = x."""
         raise NotImplementedError
@@ -133,17 +138,32 @@ class DerivedPolyadicGroup(PolyadicGroup):
             acc = base.mul(acc, self.theta_pows[k][args[k]])
         return base.mul(acc, self.b)
 
-    def line(self, args, pos):
-        """L . theta^pos(x) . R over x, where L and R are the products of
-        the factors before and after position pos: n + order base
-        multiplications, without the flat table."""
+    def _sides(self, args, pos):
+        """L and R with f(args) = L . theta^pos(args[pos]) . R: the products
+        of the factors before and after position pos, b included in R."""
         base, tp = self.base, self.theta_pows
         left, right = base.identity, self.b
         for k in range(pos):
             left = base.mul(left, tp[k][args[k]])
         for k in range(self.n - 1, pos, -1):
             right = base.mul(tp[k][args[k]], right)
+        return left, right
+
+    def line(self, args, pos):
+        """L . theta^pos(x) . R over x: n + order base multiplications,
+        without the flat table."""
+        base, tp = self.base, self.theta_pows
+        left, right = self._sides(args, pos)
         return tuple(base.mul(base.mul(left, tp[pos][x]), right) for x in base.elements())
+
+    def solve_at(self, args, pos, c):
+        """x = theta^-pos(L^-1 . c . R^-1), in n + 6 base operations and no
+        table. As theta^(n-1) is conjugation by b, theta^-pos(y) is
+        theta^(n-1-pos)(b^-1 . y . b), so no inverse of theta is needed."""
+        base, b = self.base, self.b
+        left, right = self._sides(args, pos)
+        y = base.mul(base.mul(base.inv(left), c), base.inv(right))
+        return self.theta_pows[self.n - 1 - pos][base.mul(base.mul(base.inv(b), y), b)]
 
     def skew(self, x):
         # b^-1 . (theta(x) . theta^2(x) ... theta^(n-2)(x))^-1

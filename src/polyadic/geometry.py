@@ -20,8 +20,8 @@ from .core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived, prefix_p
 from .core import derive_from_constant
 from .errors import PolyadicError
 from .groups import DirectPowerGroup, constant_tuple, induced_automorphism, psi_u
-from .terms import eval_term, is_coefficient_free, term_compiler, term_variables
-from .terms import validate_term
+from .terms import Apply, Skew, Variable, eval_term, is_coefficient_free, term_compiler
+from .terms import term_variables, validate_term
 
 
 @dataclass(frozen=True)
@@ -65,42 +65,107 @@ def solve(p, system, caps=_caps.DEFAULT):
     """Exact solution set of the system: all points of G^m where every
     equation's two sides evaluate equal, in lexicographic order.
 
-    A depth-first search binds x1, x2, ... in turn, trying values in
-    increasing order, and checks each equation, compiled once, as soon as
-    its highest-index variable is bound; a failed check prunes every point
-    below that prefix."""
+    A variable that occurs once in the whole system is a pivot: its
+    equation is uniquely solvable for it, so it is computed from the
+    others, not searched. A depth-first search binds the other, free,
+    variables in index order, trying values in increasing order. It checks
+    each equation without a pivot, compiled once, as soon as its last free
+    variable is bound, and computes each pivot's values at the same point
+    of its own equation; a failed check or a pivot without a value prunes
+    every point below that prefix. The points are sorted at the end.
+
+    max_points caps the space searched: |G| to the number of free
+    variables, times each pivot's fan-out (`TermCompiler.fanout`)."""
+    points = sorted(_points(p, system, caps))
+    return AlgebraicSet(m=system.m, points=tuple(points), system=system)
+
+
+def _points(p, system, caps):
+    """The solutions of the system, in search order, one at a time."""
     m = system.m
-    _caps.check(caps, "solution grid", p.order ** m, caps.max_points)
-    compile_term = term_compiler(p)
-    # at_depth[d]: the equations decided once x1..xd are bound
-    at_depth = [[] for _ in range(m + 1)]
+    counts = [0] * m
     for eq in system.equations:
-        used = term_variables(eq.left) | term_variables(eq.right)
-        at_depth[max(used) + 1 if used else 0].append(
+        _count_variables(eq.left, counts)
+        _count_variables(eq.right, counts)
+    compile_term = term_compiler(p)
+    # at most one pivot per equation: its highest once-occurring variable,
+    # which leaves the lowest last free variable
+    pivots, checks = [], []
+    for eq in system.equations:
+        left, right = term_variables(eq.left), term_variables(eq.right)
+        once = [x for x in left | right if counts[x] == 1]
+        if once:
+            x = max(once)
+            side, other = (eq.left, eq.right) if x in left else (eq.right, eq.left)
+            pivots.append((x, side, other, (left | right) - {x}))
+        else:
+            checks.append((eq, left | right))
+    fixed = {x for x, _, _, _ in pivots}
+    free = [x for x in range(m) if x not in fixed]
+    space = p.order ** len(free)
+    for x, side, _, _ in pivots:
+        space *= compile_term.fanout(side, x)
+    _caps.check(caps, "solution grid", space, caps.max_points)
+
+    # slot k: what is decided once the first k free variables are bound
+    slot = {x: k for k, x in enumerate(free, 1)}
+    at_slot = [[] for _ in range(len(free) + 1)]
+    for eq, used in checks:
+        at_slot[max(map(slot.get, used), default=0)].append(
             (compile_term(eq.left), compile_term(eq.right))
         )
-    tests = [_conjunction(pairs) for pairs in at_depth]
+    solved = [[] for _ in range(len(free) + 1)]
+    for x, side, other, rest in pivots:
+        values = compile_term.solver(side, x, other)
+        solved[max(map(slot.get, rest), default=0)].append((x, values, None))
+    grid = range(p.order)
+    levels = solved[0]
+    for k, x in enumerate(free, 1):
+        levels.append((x, lambda a: grid, _conjunction(at_slot[k])))
+        levels.extend(solved[k])
     a = [0] * m
-    sols = []
-    if tests[0] is None or tests[0](a):
-        if m == 0:
-            sols.append(())
-        last, top = m - 1, p.order - 1
-        d = 0
-        while 0 <= d < m:
-            test = tests[d + 1]
-            if test is None or test(a):
-                if d == last:
-                    sols.append(tuple(a))
-                else:
-                    d += 1
-                    a[d] = 0
-                    continue
-            while d >= 0 and a[d] == top:
-                d -= 1
-            if d >= 0:
-                a[d] += 1
-    return AlgebraicSet(m=m, points=tuple(sols), system=system)
+    first = _conjunction(at_slot[0])
+    if first is not None and not first(a):
+        return
+    if not levels:
+        yield ()
+        return
+    yield from _search(levels, a)
+
+
+def _search(levels, a):
+    """Depth-first search over levels (variable, domain, test): bind the
+    variable to each value of domain(a) in turn, keep it when test(a)
+    holds or test is None, and yield the assignment at the last level."""
+    var, domain, test = zip(*levels)
+    last = len(levels) - 1
+    its = [None] * len(levels)
+    its[0] = iter(domain[0](a))
+    d = 0
+    while d >= 0:
+        for v in its[d]:
+            a[var[d]] = v
+            if test[d] is None or test[d](a):
+                break
+        else:
+            d -= 1
+            continue
+        if d == last:
+            yield tuple(a)
+        else:
+            d += 1
+            its[d] = iter(domain[d](a))
+
+
+def _count_variables(t, counts):
+    """Add each occurrence of a variable in t to counts."""
+    if isinstance(t, Variable):
+        counts[t.index] += 1
+    elif isinstance(t, Skew):
+        _count_variables(t.child, counts)
+    elif isinstance(t, Apply):
+        for c in t.children:
+            _count_variables(c, counts)
 
 
 def _conjunction(pairs):
@@ -421,13 +486,15 @@ def minimal_subsystem(p, system, caps=_caps.DEFAULT):
     """Greedy removal pass: drop equations whose removal keeps the
     solution set; no single equation of the result is removable. One
     pass suffices because removing equations can only grow the set."""
-    target = solve(p, system, caps=caps).points
+    target = set(solve(p, system, caps=caps).points)
     keep = list(system.equations)
     i = 0
     while i < len(keep):
         trial = keep[:i] + keep[i + 1 :]
         rest = EquationSystem(p, system.m, tuple(trial))
-        if solve(p, rest, caps=caps).points == target:
+        # the trial's solutions contain the target, so it keeps the target
+        # exactly when none lies outside: stop at the first that does
+        if all(pt in target for pt in _points(p, rest, caps)):
             keep = trial
         else:
             i += 1

@@ -11,8 +11,10 @@ forms coincide.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
+from .core import DerivedPolyadicGroup
 from .errors import (
     ArityMismatch,
     ParseError,
@@ -111,7 +113,13 @@ def eval_equation(eq, assignment, p):
 
 
 def term_compiler(p):
-    """A function that compiles terms over p into evaluators.
+    """A function that compiles terms over p into evaluators: a
+    `TermCompiler`, which also solves for a variable that occurs once."""
+    return TermCompiler(p)
+
+
+class TermCompiler:
+    """Compiles terms over p into evaluators.
 
     A compiled term is a closure that takes an assignment (a sequence of
     element indices, one per variable, each bound) and returns the value
@@ -120,47 +128,223 @@ def term_compiler(p):
     over a lazy direct power, is compiled to calls of p.f. Subterms
     without variables are evaluated once, at compile time, and skew values
     are tabulated on first use.
+
+    `solver` inverts a term in a variable that occurs once in it, along the
+    path from the root to that variable. At an f node the child's value is
+    the unique solution in its position: a derived operation is uniquely
+    solvable by construction, and `solve_at` or the inverses of its step
+    tables give it. A table form is any table the caller gave, so its f
+    nodes take every x on the line with the wanted value. At a skew node
+    the child's value is each preimage under the skew, which need not be a
+    bijection.
     """
-    n = p.n
-    if p.cheap_steps:
-        steps = p.steps
 
-        def apply(kids):
-            acc = kids[0]
-            for rows, kid in zip(steps, kids[1:]):
-                acc = _lookup(rows, acc, kid)
-            return acc
+    def __init__(self, p):
+        self.p = p
+        self._solvable = isinstance(p, DerivedPolyadicGroup)
+        if p.cheap_steps:
+            steps = p.steps
 
-    else:
-        f = p.f
+            def apply(kids):
+                acc = kids[0]
+                for rows, kid in zip(steps, kids[1:]):
+                    acc = _lookup(rows, acc, kid)
+                return acc
 
-        def apply(kids):
-            if all(isinstance(k, int) for k in kids):
-                return f(list(kids))
-            fns = [_callable(k) for k in kids]
-            return lambda a: f([fn(a) for fn in fns])
+        else:
+            f = p.f
 
-    skews = None
+            def apply(kids):
+                if all(isinstance(k, int) for k in kids):
+                    return f(list(kids))
+                fns = [_callable(k) for k in kids]
+                return lambda a: f([fn(a) for fn in fns])
 
-    def walk(t):
-        # an int is a constant, anything else a closure over the assignment
-        nonlocal skews
+        self._apply = apply
+
+    def __call__(self, t):
+        return _callable(self.node(t))
+
+    @cached_property
+    def _skews(self):
+        return tuple(self.p.skew(x) for x in self.p.elements())
+
+    @cached_property
+    def _preimages(self):
+        """_preimages[y]: the x with skew(x) = y, in increasing order."""
+        pre = [[] for _ in self._skews]
+        for x, y in enumerate(self._skews):
+            pre[y].append(x)
+        return tuple(map(tuple, pre))
+
+    def node(self, t):
+        """t compiled: an int for a constant, else a closure over the
+        assignment."""
         if isinstance(t, Variable):
             return itemgetter(t.index)
         if isinstance(t, Constant):
             return t.element
         if isinstance(t, Skew):
-            if skews is None:
-                skews = tuple(p.skew(x) for x in p.elements())
-            kid = walk(t.child)
+            skews = self._skews
+            kid = self.node(t.child)
             if isinstance(kid, int):
                 return skews[kid]
             return lambda a: skews[kid(a)]
-        if len(t.children) != n:
-            raise ArityMismatch(n, len(t.children))
-        return apply([walk(c) for c in t.children])
+        self._check_arity(t)
+        return self._apply([self.node(c) for c in t.children])
 
-    return lambda t: _callable(walk(t))
+    def solver(self, t, x, target):
+        """A closure a -> the values of variable x, which occurs once in t,
+        at which t equals the term target, every other variable read from
+        a. The values are distinct.
+
+        Each step from the root down maps a wanted value of a node to the
+        wanted values of its child on the path. A step is a list of table
+        lookups, with one answer, or a function giving all answers. Runs of
+        lookups are joined into one loop, and runs of lookups without a
+        variable into one table."""
+        segments, ops = [], []  # (step, one answer) from the root down
+        for node, pos in _path(t, x):
+            if pos is None:
+                step = self._skew_step()
+            else:
+                self._check_arity(node)
+                kids = [0 if i == pos else self.node(c) for i, c in enumerate(node.children)]
+                step = self._f_step(kids, pos)
+            if isinstance(step, list):
+                ops += step
+                continue
+            if ops:
+                segments.append((_lookups(ops), True))
+                ops = []
+            segments.append((step, False))
+        if ops:
+            segments.append((_lookups(ops), True))
+        goal = _callable(self.node(target))
+        if not segments:
+            return lambda a: (goal(a),)
+        if len(segments) == 1 and segments[0][1]:
+            step = segments[0][0]
+            return lambda a: (step(a, goal(a)),)
+
+        def values(a):
+            cs = (goal(a),)
+            for step, one in segments:
+                cs = [step(a, c) for c in cs] if one else [y for c in cs for y in step(a, c)]
+            return cs
+
+        return values
+
+    def fanout(self, t, x):
+        """A bound on how many values `solver(t, x, ...)` returns: the
+        product over x's path of the largest skew fibre at each skew node
+        and, for a table form, |G| at each f node; at most |G|."""
+        g, bound = self.p.order, 1
+        for _, pos in _path(t, x):
+            if pos is None:
+                bound *= max(map(len, self._preimages))
+            elif not self._solvable:
+                bound *= g
+            if bound >= g:
+                return g
+        return bound
+
+    def _skew_step(self):
+        """The skew's inverse as one lookup when the skew is a bijection,
+        else a function giving the tuple of preimages."""
+        pre = self._preimages
+        if max(map(len, pre)) == 1:
+            return [(tuple(xs[0] for xs in pre), None)]
+        return lambda a, y: pre[y]
+
+    def _f_step(self, kids, pos):
+        """The step solving f(kids) = c in position pos, the kids compiled
+        and kids[pos] a placeholder: a list of lookups (table, kid) reading
+        table[c], or table[kid(a)][c] when kid is not None; or a function
+        (a, c) -> the solutions."""
+        p = self.p
+        if not self._solvable:
+            fns = [_callable(k) for k in kids]
+
+            def line_step(a, c):
+                line = p.line([fn(a) for fn in fns], pos)
+                return [y for y, v in enumerate(line) if v == c]
+
+            return line_step
+        if not p.cheap_steps:
+            fns = [_callable(k) for k in kids]
+            solve_at = p.solve_at
+            return lambda a, c: (solve_at([fn(a) for fn in fns], pos, c),)
+        rows, cols = self._division
+        # undo the arguments after pos, the last first, through column
+        # inverses; what is left is the step value of args[:pos+1], and x
+        # is read from it by the row inverse at the step value of args[:pos]
+        ops = [_bind(cols[k - 1], kids[k]) for k in range(p.n - 1, pos, -1)]
+        if pos:
+            ops.append(_bind(rows[pos - 1], self._apply(kids[:pos])))
+        return ops
+
+    @cached_property
+    def _division(self):
+        """Inverses of a derived group's step tables, which are bijective
+        in each argument (v . theta^(k+1)(x), times b at the last level):
+        rows[k][v][w] is the x with steps[k][v][x] = w, and cols[k][x][w]
+        the v with steps[k][v][x] = w."""
+        steps = self.p.steps
+        rows = [tuple(map(_inverse, level)) for level in steps]
+        cols = [tuple(map(_inverse, zip(*level))) for level in steps]
+        return rows, cols
+
+    def _check_arity(self, t):
+        if len(t.children) != self.p.n:
+            raise ArityMismatch(self.p.n, len(t.children))
+
+
+def _path(t, x):
+    """(node, position) from t's root down to the variable x, which occurs
+    once in t; the position is None at a skew node."""
+    while not isinstance(t, Variable):
+        if isinstance(t, Skew):
+            yield t, None
+            t = t.child
+        else:
+            pos = next(i for i, c in enumerate(t.children) if x in term_variables(c))
+            yield t, pos
+            t = t.children[pos]
+
+
+def _bind(tables, kid):
+    """The lookup tables[kid][c]: one table when kid is a constant."""
+    return (tables[kid], None) if isinstance(kid, int) else (tables, kid)
+
+
+def _lookups(ops):
+    """step(a, c) applying the lookups in turn; consecutive ones without a
+    variable are joined into one table first."""
+    joined = []
+    for table, kid in ops:
+        if kid is None and joined and joined[-1][1] is None:
+            table = tuple(table[v] for v in joined.pop()[0])
+        joined.append((table, kid))
+    if len(joined) == 1:
+        table, kid = joined[0]
+        if kid is None:
+            return lambda a, c: table[c]
+        return lambda a, c: table[kid(a)][c]
+
+    def step(a, c):
+        for table, kid in joined:
+            c = table[c] if kid is None else table[kid(a)][c]
+        return c
+
+    return step
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inv[v] = i
+    return tuple(inv)
 
 
 def _callable(node):

@@ -7,7 +7,8 @@ import pytest
 
 from polyadic import geometry
 from polyadic.caps import Caps
-from polyadic.core import DerivedPolyadicGroup, as_derived, derive, tabulate
+from polyadic.core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived, derive
+from polyadic.core import tabulate
 from polyadic.cover import build_post_cover
 from polyadic.errors import PolyadicError, SizeCapExceeded
 from polyadic.geometry import (
@@ -28,6 +29,7 @@ from polyadic.groups import (
     cyclic_group,
     direct_power,
     hom_from_generator_images,
+    identity_automorphism,
     induced_automorphism,
     validate_group,
 )
@@ -42,6 +44,8 @@ from polyadic.terms import (
     parse_equation,
     parse_term,
     polyadic_to_group,
+    term_compiler,
+    term_variables,
 )
 
 Z3NAMES = ["0", "1", "2"]
@@ -528,6 +532,204 @@ def test_solve_matches_grid_scan(seed, small_bases, random_derived):
                 )
                 s = EquationSystem(q, m, equations)
                 assert solve(q, s).points == grid_scan(q, s), (q, equations)
+
+
+def old_solve(p, system, caps=Caps()):
+    """solve as it was before pivots: a depth-first search over all of
+    G^m, binding x1, x2, ... in turn and checking each equation as soon as
+    its highest-index variable is bound; max_points caps order**m."""
+    m = system.m
+    if p.order ** m > caps.max_points:
+        raise SizeCapExceeded("solution grid", p.order ** m, caps.max_points)
+    compile_term = term_compiler(p)
+    at_depth = [[] for _ in range(m + 1)]
+    for eq in system.equations:
+        used = term_variables(eq.left) | term_variables(eq.right)
+        at_depth[max(used) + 1 if used else 0].append(
+            (compile_term(eq.left), compile_term(eq.right))
+        )
+    tests = [
+        (lambda a, pairs=pairs: all(left(a) == right(a) for left, right in pairs))
+        if pairs else None
+        for pairs in at_depth
+    ]
+    a = [0] * m
+    sols = []
+    if tests[0] is None or tests[0](a):
+        if m == 0:
+            sols.append(())
+        last, top = m - 1, p.order - 1
+        d = 0
+        while 0 <= d < m:
+            test = tests[d + 1]
+            if test is None or test(a):
+                if d == last:
+                    sols.append(tuple(a))
+                else:
+                    d += 1
+                    a[d] = 0
+                    continue
+            while d >= 0 and a[d] == top:
+                d -= 1
+            if d >= 0:
+                a[d] += 1
+    return tuple(sols)
+
+
+def term_over(rng, free, order, depth, n, skews=True):
+    """A random term over the variables in free, and constants."""
+    r = rng.random()
+    if depth <= 0 or r < 0.35:
+        if r < 0.15 or not free:
+            return Constant(rng.randrange(order))
+        return Variable(rng.choice(free))
+    if r < 0.55 and skews:
+        return Skew(term_over(rng, free, order, depth - 1, n))
+    return Apply(tuple(term_over(rng, free, order, depth - 1, n, skews) for _ in range(n)))
+
+
+def pivot_system(rng, q, m, seen, skews=True):
+    """A random system in m variables over q. Up to three pivots each
+    occur once, on a random side of their own equation, inside random f
+    nodes (at a random position) and skews (sometimes nested, unless skews
+    is false); every other term ranges over the remaining variables.
+    Sometimes a spare variable occurs once too, beside the first pivot.
+    Adds what it built to seen."""
+    pivots = rng.sample(range(m), rng.randrange(min(m, 3) + 1))
+    free = [x for x in range(m) if x not in pivots]
+    spare = free.pop() if free and pivots and rng.random() < 0.3 else None
+    equations = []
+    for x in pivots:
+        t = Variable(x)
+        for _ in range(rng.randrange(4)):
+            if skews and rng.random() < 0.3:
+                if isinstance(t, Skew):
+                    seen.add("nested skews")
+                t = Skew(t)
+                continue
+            kids = [term_over(rng, free, q.order, 1, q.n, skews) for _ in range(q.n)]
+            pos = rng.randrange(q.n)
+            kids[pos] = t
+            seen.add(("position", pos))
+            if spare is not None:
+                kids[(pos + 1) % q.n] = Variable(spare)
+                spare = None
+                seen.add("two once-occurring variables")
+            t = Apply(tuple(kids))
+        other = term_over(rng, free, q.order, 2, q.n, skews)
+        left = rng.random() < 0.5
+        seen.add("pivot on the left" if left else "pivot on the right")
+        equations.append(Equation(t, other) if left else Equation(other, t))
+    for _ in range(rng.randrange(3) if pivots else rng.randrange(1, 3)):
+        equations.append(
+            Equation(
+                term_over(rng, free, q.order, 2, q.n, skews),
+                term_over(rng, free, q.order, 1, q.n, skews),
+            )
+        )
+    rng.shuffle(equations)
+    if not pivots:
+        seen.add("no pivot")
+    if m == 0:
+        seen.add("m = 0")
+    return EquationSystem(q, m, tuple(equations))
+
+
+def pivot_groups(rng, small_bases, random_derived):
+    """A random derived group over each small base, its table form and its
+    derivation over a lazy direct power, then Z4 with n = 4, theta = id
+    and b = 0, whose skew x -> -2x has the fibres {0, 2} and {1, 3}."""
+    groups = []
+    for base in small_bases:
+        p = random_derived(rng, base)
+        pg = direct_power(base, 1)
+        groups += [p, tabulate(p), derive(pg, induced_automorphism(p.theta, pg), p.b, p.n)]
+    z4 = cyclic_group(4)
+    groups.append(derive(z4, identity_automorphism(z4), 0, 4))
+    assert [groups[-1].skew(x) for x in z4.elements()] == [0, 2, 0, 2]
+    return groups
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_with_pivots_matches_old_solve(seed, small_bases, random_derived):
+    """solve against the frozen search over all of G^m and against the
+    eval_term grid scan, on random systems with pivots."""
+    rng = random.Random(seed)
+    seen = set()
+    empty = 0
+    for q in pivot_groups(rng, small_bases, random_derived):
+        for _ in range(6):
+            m = rng.randrange(5 if q.order <= 4 else 4)
+            s = pivot_system(rng, q, m, seen)
+            got = solve(q, s).points
+            assert got == old_solve(q, s) == grid_scan(q, s), (q, s.equations)
+            empty += not got
+    assert empty >= 1
+    wanted = {("position", i) for i in range(4)} | {
+        "pivot on the left", "pivot on the right", "nested skews",
+        "two once-occurring variables", "no pivot", "m = 0",
+    }
+    assert wanted <= seen, wanted - seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_with_pivots_on_tables_that_are_not_groups(seed):
+    """A table form is any table: a line may repeat a value, so a pivot
+    under f takes every x with the wanted value, or none."""
+    rng = random.Random(seed)
+    for g, n in ((2, 3), (3, 3), (3, 4), (4, 3)):
+        q = TablePolyadicGroup([f"e{i}" for i in range(g)], n,
+                               [rng.randrange(g) for _ in range(g ** n)])
+        for _ in range(6):
+            s = pivot_system(rng, q, rng.randrange(1, 4), set(), skews=False)
+            assert solve(q, s).points == old_solve(q, s) == grid_scan(q, s), s.equations
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_minimal_subsystem_matches_old_pass(seed, small_bases, random_derived):
+    """The early-stopping trials keep the equations that the greedy pass
+    over the frozen solve keeps."""
+    rng = random.Random(seed)
+    for q in pivot_groups(rng, small_bases, random_derived):
+        s = pivot_system(rng, q, rng.randrange(4), set())
+        target = old_solve(q, s)
+        keep = list(s.equations)
+        i = 0
+        while i < len(keep):
+            trial = keep[:i] + keep[i + 1 :]
+            if old_solve(q, EquationSystem(q, s.m, tuple(trial))) == target:
+                keep = trial
+            else:
+                i += 1
+        assert minimal_subsystem(q, s).equations == tuple(keep), (q, s.equations)
+
+
+def test_max_points_keyed_on_the_space_searched():
+    """Z5 in 10 variables with 5 pivots searches 5^5 points, not 5^10;
+    a skew on a pivot's path multiplies the space by its largest fibre."""
+    z5 = cyclic_group(5)
+    p = derive(z5, identity_automorphism(z5), 0, 3)
+    names = list(p.names())
+    texts = [f"f(x{i},x{i % 5 + 1},~x{i + 5}) = f(x{i % 5 + 1},x{i},1)" for i in range(1, 6)]
+    s = EquationSystem(p, 10, tuple(parse_equation(t, element_names=names) for t in texts))
+    with pytest.raises(SizeCapExceeded) as info:
+        old_solve(p, s)
+    assert info.value.size == 5 ** 10
+    v = solve(p, s)
+    assert len(v) == 5 ** 5
+    assert all(eval_equation(eq, pt, p) for pt in v for eq in s.equations)
+    assert list(v.points) == sorted(v.points)
+
+    z4 = cyclic_group(4)
+    q = derive(z4, identity_automorphism(z4), 0, 4)
+    # x2, the highest variable that occurs once, is the pivot
+    for text, space in (("~x2 = x1", 4 * 2), ("~~x2 = x1", 4 * 4), ("~x1 = 1", 2)):
+        m = 2 if "x2" in text else 1
+        s = EquationSystem(q, m, (parse_equation(text, element_names=list(q.names())),))
+        with pytest.raises(SizeCapExceeded) as info:
+            solve(q, s, caps=Caps(max_points=space - 1))
+        assert (info.value.what, info.value.size) == ("solution grid", space)
+        assert solve(q, s, caps=Caps(max_points=space)).points == grid_scan(q, s)
 
 
 @pytest.mark.parametrize("seed", range(4))
