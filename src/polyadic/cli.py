@@ -17,6 +17,7 @@ import sys
 
 from . import caps as _caps
 from .core import (
+    as_derived,
     dornte_check,
     hosszu_gloskin,
     nary_identity,
@@ -134,10 +135,12 @@ def _load_system(args):
 
 
 def _point_set(args):
-    """The working point set of a system document: explicit points when
-    present, otherwise the solution set of its equations."""
+    """The working point set of a system document: its points field when
+    present, even an empty one, otherwise the solution set of its
+    equations; and the derived form of its group, recovered once."""
     p, m, eqs, pts = _load_system(args)
-    if pts:
+    p = as_derived(p)
+    if pts is not None:
         return p, m, pts
     v = solve(p, EquationSystem(p, m, eqs))
     return p, m, v.points

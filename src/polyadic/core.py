@@ -8,11 +8,11 @@ theta and a constant b with
     f(x_1,...,x_n) = x_1 . theta(x_2) . theta^2(x_3) ... theta^(n-1)(x_n) . b,
 
 subject to theta(b) = b and theta^(n-1)(x) = b . x . b^(-1); and a direct
-n-dimensional table over named elements. Every operation here works on both.
-Both forms factor f into n-1 step tables, one lookup per argument
-(`steps`). The operations that read the whole operation read it as one flat
-row-major table, which the derived form builds from its steps with
-`prefix_products`.
+n-dimensional table over named elements. Every operation here works on both,
+reading the whole operation as one flat row-major table, which the derived
+form builds from its step tables with `prefix_products`. Equations are
+solved over the derived form: a table form over its recovery, `as_derived`,
+which refuses a table that is not an n-ary group.
 """
 
 from dataclasses import dataclass
@@ -42,17 +42,11 @@ from .groups import (
 
 class PolyadicGroup:
     """Both forms expose `flat`: f on every n-tuple of element indices, as
-    one row-major tuple of order**n values; and `steps`: n-1 tables with
-    f(x_1, ..., x_n) = steps[n-2][...steps[0][x_1][x_2]...][x_n], built on
-    first use. `cheap_steps` tells whether steps are small enough to build:
-    false for a derived group over a lazy power, whose steps would hold
-    (n-1) order**2 products."""
+    one row-major tuple of order**n values."""
 
     n: int
     order: int
     flat: tuple
-    steps: tuple
-    cheap_steps = True
 
     def f(self, args):
         self._check_arity(args)
@@ -99,7 +93,13 @@ class PolyadicGroup:
 
 class DerivedPolyadicGroup(PolyadicGroup):
     """Carrier and names are those of the base group; f is computed from
-    them, and `flat` is built on first use, under caps.max_tabulate."""
+    them, and `flat` is built on first use, under caps.max_tabulate.
+
+    `steps` holds n-1 tables with
+    f(x_1, ..., x_n) = steps[n-2][...steps[0][x_1][x_2]...][x_n], built on
+    first use. `cheap_steps` tells whether they are small enough to build:
+    false over a lazy direct power, where they would hold (n-1) order**2
+    products."""
 
     def __init__(self, base, theta, b, n, caps=_caps.DEFAULT):
         self.base = base
@@ -195,19 +195,6 @@ class TablePolyadicGroup(PolyadicGroup):
             raise PolyadicError("table size does not match order**n")
         self.flat = tuple(flat_table)
         self._skew_cache = {}
-
-    @cached_property
-    def steps(self):
-        """Prefix indices, then the rows of flat: level k < n-2 sends the
-        index v of a (k+1)-prefix to its extensions v*g .. v*g+g-1, and the
-        last level sends the index of an (n-1)-prefix to its row of flat."""
-        g, n, flat = self.order, self.n, self.flat
-        steps = [
-            tuple(range(v * g, v * g + g) for v in range(g ** (k + 1)))
-            for k in range(n - 2)
-        ]
-        steps.append(tuple(flat[i:i + g] for i in range(0, g ** n, g)))
-        return tuple(steps)
 
     def skew(self, x):
         if x not in self._skew_cache:

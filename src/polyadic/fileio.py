@@ -20,8 +20,9 @@ generators. Its flattened image uses {"generators": [str],
 System document: {"polyadic": path, "vars": int, "equations": [str]}
 with equations "lhs = rhs" in the term grammar; a "points" array of
 name tuples may replace (or accompany) the equations for the verbs that
-consume point sets. The path is resolved relative to the document's own
-directory unless a group is supplied directly.
+consume point sets, and an empty array is the empty set. The path is
+resolved relative to the document's own directory unless a group is
+supplied directly. n and vars are integral numbers or digit strings.
 """
 
 import json
@@ -83,6 +84,9 @@ def _strings(value, what):
 
 
 def _integer(value, what):
+    """int(value), refusing booleans and fractions, which int() truncates."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise PolyadicError(f"{what} must be an integer, not {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -216,8 +220,9 @@ def group_presentation_to_doc(gp):
 def system_from_doc(doc, base_dir=".", p=None, n=None, caps=_caps.DEFAULT):
     """Resolve the group reference and parse equations and points.
 
-    Returns (p, m, equations, points); equations and points may each be
-    empty when the document omits them.
+    Returns (p, m, equations, points); equations are empty when the
+    document omits them, and points are None when it has no points field
+    (an empty one gives no points).
     """
     if p is None:
         ref = _require(doc, "polyadic", "system")
@@ -231,9 +236,11 @@ def system_from_doc(doc, base_dir=".", p=None, n=None, caps=_caps.DEFAULT):
     names = list(p.names())
     texts = _strings(doc.get("equations", []), "equations")
     equations = tuple(parse_equation(s, element_names=names) for s in texts)
+    if "points" not in doc:
+        return p, m, equations, None
     points = tuple(
         tuple(_element(p, nm) for nm in _list(pt, "point"))
-        for pt in _list(doc.get("points", []), "points")
+        for pt in _list(doc["points"], "points")
     )
     for pt in points:
         if len(pt) != m:

@@ -485,8 +485,10 @@ def is_irreducible(p, y, caps=_caps.DEFAULT):
 def minimal_subsystem(p, system, caps=_caps.DEFAULT):
     """Greedy removal pass: drop equations whose removal keeps the
     solution set; no single equation of the result is removable. One
-    pass suffices because removing equations can only grow the set."""
-    target = set(solve(p, system, caps=caps).points)
+    pass suffices because removing equations can only grow the set. Every
+    trial is solved over the derived form of p, recovered once."""
+    d = as_derived(p)
+    target = set(solve(d, system, caps=caps).points)
     keep = list(system.equations)
     i = 0
     while i < len(keep):
@@ -494,7 +496,7 @@ def minimal_subsystem(p, system, caps=_caps.DEFAULT):
         rest = EquationSystem(p, system.m, tuple(trial))
         # the trial's solutions contain the target, so it keeps the target
         # exactly when none lies outside: stop at the first that does
-        if all(pt in target for pt in _points(p, rest, caps)):
+        if all(pt in target for pt in _points(d, rest, caps)):
             keep = trial
         else:
             i += 1
@@ -536,7 +538,9 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
     (and keeps Z_(n-1), the cover of the one-element Γ of an empty V_G).
     So one span decides it, of the tuples (embedded projection, c,
     projection on V*): the map exists exactly when the span is the graph
-    of a map, and then it is onto, as the projections on V* generate W."""
+    of a map, and then it is onto, as the projections on V* generate W.
+    Its first part, the cover, has n-1 elements over each element of
+    Γ(V_G), which gives |Γ(V_G)|."""
     from .cover import build_post_cover
 
     for eq in system.equations:
@@ -546,9 +550,9 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
     if m < 1:
         raise PolyadicError("at least one variable is required")
 
-    v_g = solve(p, system, caps=caps)
-    gamma = coordinate_group(p, v_g, with_constants=False, caps=caps)
-    cover = build_post_cover(p, caps=caps)
+    d = as_derived(p)
+    v_g = solve(d, system, caps=caps)
+    cover = build_post_cover(d, caps=caps)
     cg = cover.group
     v_star = solve(derive_from_constant(cg, cg.identity, n, caps=caps), system, caps=caps)
     powers = [cg.identity, cover.embed_index(0)]  # x^0, x^1, ..., x^ord(x)
@@ -576,6 +580,7 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
         one = (cg.identity,) * head
         over = sum(x[:head] == one for x in span)
         why = f"no homomorphism: {over} word functions lie over the cover's identity"
+    gamma_order = cover_order // (n - 1)
     return Theorem63Report(
-        ok, v_g, gamma.order, cover_order, len(v_star), len(star), images, why
+        ok, v_g, gamma_order, cover_order, len(v_star), len(star), images, why
     )

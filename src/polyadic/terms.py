@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .core import DerivedPolyadicGroup
+from .core import as_derived
 from .errors import (
     ArityMismatch,
     ParseError,
@@ -121,27 +121,27 @@ def term_compiler(p):
 class TermCompiler:
     """Compiles terms over p into evaluators.
 
+    Terms are compiled over `as_derived(p)`, which has p's carrier and
+    operation: a table form over its Hosszú–Gluskin recovery, which raises
+    for a table that is not an n-ary group or whose retract the caps refuse.
+
     A compiled term is a closure that takes an assignment (a sequence of
     element indices, one per variable, each bound) and returns the value
-    `eval_term` gives. A group with `cheap_steps` is compiled to lookups in
-    its step tables, one per argument; any other, such as a derived group
-    over a lazy direct power, is compiled to calls of p.f. Subterms
-    without variables are evaluated once, at compile time, and skew values
-    are tabulated on first use.
+    `eval_term` gives. A derived group with `cheap_steps` is compiled to
+    lookups in its step tables, one per argument; one over a lazy direct
+    power is compiled to calls of its f. Subterms without variables are
+    evaluated once, at compile time, and skew values are tabulated on first
+    use.
 
     `solver` inverts a term in a variable that occurs once in it, along the
     path from the root to that variable. At an f node the child's value is
-    the unique solution in its position: a derived operation is uniquely
-    solvable by construction, and `solve_at` or the inverses of its step
-    tables give it. A table form is any table the caller gave, so its f
-    nodes take every x on the line with the wanted value. At a skew node
-    the child's value is each preimage under the skew, which need not be a
-    bijection.
+    the unique solution in its position, which the inverses of the step
+    tables or `solve_at` give. At a skew node the child's value is each
+    preimage under the skew, which need not be a bijection.
     """
 
     def __init__(self, p):
-        self.p = p
-        self._solvable = isinstance(p, DerivedPolyadicGroup)
+        p = self.p = as_derived(p)
         if p.cheap_steps:
             steps = p.steps
 
@@ -237,17 +237,12 @@ class TermCompiler:
 
     def fanout(self, t, x):
         """A bound on how many values `solver(t, x, ...)` returns: the
-        product over x's path of the largest skew fibre at each skew node
-        and, for a table form, |G| at each f node; at most |G|."""
-        g, bound = self.p.order, 1
-        for _, pos in _path(t, x):
-            if pos is None:
-                bound *= max(map(len, self._preimages))
-            elif not self._solvable:
-                bound *= g
-            if bound >= g:
-                return g
-        return bound
+        product over x's path of the largest skew fibre at each skew node,
+        at most |G|."""
+        skews = sum(pos is None for _, pos in _path(t, x))
+        if not skews:
+            return 1
+        return min(self.p.order, max(map(len, self._preimages)) ** skews)
 
     def _skew_step(self):
         """The skew's inverse as one lookup when the skew is a bijection,
@@ -263,14 +258,6 @@ class TermCompiler:
         table[c], or table[kid(a)][c] when kid is not None; or a function
         (a, c) -> the solutions."""
         p = self.p
-        if not self._solvable:
-            fns = [_callable(k) for k in kids]
-
-            def line_step(a, c):
-                line = p.line([fn(a) for fn in fns], pos)
-                return [y for y, v in enumerate(line) if v == c]
-
-            return line_step
         if not p.cheap_steps:
             fns = [_callable(k) for k in kids]
             solve_at = p.solve_at
@@ -286,8 +273,8 @@ class TermCompiler:
 
     @cached_property
     def _division(self):
-        """Inverses of a derived group's step tables, which are bijective
-        in each argument (v . theta^(k+1)(x), times b at the last level):
+        """Inverses of the step tables, which are bijective in each
+        argument (v . theta^(k+1)(x), times b at the last level):
         rows[k][v][w] is the x with steps[k][v][x] = w, and cols[k][x][w]
         the v with steps[k][v][x] = w."""
         steps = self.p.steps

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from polyadic import cli
+from polyadic import cli, core
 from polyadic.cli import main
 from polyadic.core import tabulate
 from polyadic.fileio import (
@@ -257,6 +257,137 @@ def test_thm63_exit_codes(tmp_path, capsys):
     code, doc = run(capsys, "thm63", "--system", bad)
     assert code == 1 and not doc["ok"]
     assert doc["gamma_star_order"] == 6
+
+
+def _not_a_group_doc():
+    """P2 in table form with f(0,0,1) changed to f(0,0,0): its retract at 0
+    repeats a value in a row, so it is not a 3-ary group."""
+    doc = polyadic_to_doc(tabulate(polyadic_from_doc(P2)))
+    doc["table"][1] = doc["table"][0]
+    return doc
+
+
+def test_equation_verbs_refuse_a_table_that_is_not_a_group(tmp_path, capsys):
+    """Every verb that solves or closes runs on the Hosszú–Gluskin recovery
+    of a table form, so each prints the error document of the recovery."""
+    write(tmp_path, "bad.json", _not_a_group_doc())
+    sysdoc = {"polyadic": "bad.json", "vars": 1, "equations": ["f(x1,x1,x1) = x1"]}
+    spath = write(tmp_path, "sys.json", sysdoc)
+    pdoc = {"polyadic": "bad.json", "vars": 1, "points": [["0"], ["1"]]}
+    ppath = write(tmp_path, "pts.json", pdoc)
+    errors = []
+    for verb, path in (
+        ("solve", spath), ("minsys", spath), ("coordgroup", spath), ("closure", spath),
+        ("irreducible", spath), ("thm63", spath), ("coordgroup", ppath),
+        ("closure", ppath), ("irreducible", ppath),
+    ):
+        code = main([verb, "--system", path])
+        captured = capsys.readouterr()
+        assert code == 2, verb
+        assert captured.err == ""
+        errors.append(json.loads(captured.out)["error"])
+    assert all(e == errors[0] for e in errors), errors
+    assert errors[0]["type"] == "NotLatinSquare"
+
+
+@pytest.mark.parametrize("verb", ["solve", "minsys", "coordgroup", "closure", "irreducible",
+                                  "thm63"])
+def test_equation_verbs_recover_a_table_form_once(tmp_path, capsys, monkeypatch, verb):
+    calls = []
+    recover = core.hosszu_gloskin
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return recover(*args, **kwargs)
+
+    monkeypatch.setattr(core, "hosszu_gloskin", spy)
+    write(tmp_path, "p2t.json", polyadic_to_doc(tabulate(polyadic_from_doc(P2))))
+    sysdoc = {"polyadic": "p2t.json", "vars": 1,
+              "equations": ["f(x1,x1,x1) = x1", "~x1 = x1"]}
+    code = main([verb, "--system", write(tmp_path, "s.json", sysdoc)])
+    capsys.readouterr()
+    assert code in (0, 1) and calls == [0]
+
+
+def _systems(names, n):
+    """Systems over the elements names at arity n, with constants, skews,
+    pivots, free variables, repeated and redundant equations."""
+    a, b, c = names[1], names[2], names[-1]
+    tail = ",".join(["x1"] * (n - 2))
+    return [
+        (1, [f"f({tail},x1,x1) = {a}"]),
+        (2, [f"f(x1,{tail},~x2) = {b}", f"f(x2,{tail},x2) = f(x2,{tail},x2)"]),
+        (3, [f"f(x1,x2,{tail}) = f(x2,x1,{tail})", f"~x3 = f({c},{tail},x1)",
+             f"f(x1,x2,{tail}) = f(x2,x1,{tail})"]),
+        (3, [f"f(x3,{tail},x2) = f(x2,{tail},x3)", f"x1 = ~x1",
+             f"f(x1,x1,{tail}) = f(x1,x1,{tail})", f"~~x2 = {a}"]),
+    ]
+
+
+@pytest.mark.parametrize("name", ["p7", "p6"])
+def test_table_form_solves_as_its_derived_form(tmp_path, capsys, catalog, name):
+    """`solve` and `minsys` print the same bytes for a table document as
+    for the derived document of the same group: S3 at n = 3 and n = 4."""
+    p = catalog[name]
+    write(tmp_path, "derived.json", polyadic_to_doc(p))
+    write(tmp_path, "table.json", polyadic_to_doc(tabulate(p)))
+    for m, texts in _systems(p.names(), p.n):
+        outputs = []
+        for form in ("derived.json", "table.json"):
+            spath = write(tmp_path, "sys.json", {"polyadic": form, "vars": m, "equations": texts})
+            for verb in ("solve", "minsys"):
+                code = main([verb, "--system", spath])
+                outputs.append((verb, code, capsys.readouterr().out))
+        assert outputs[:2] == outputs[2:], texts
+        assert [code for _, code, _ in outputs] == [0] * 4
+
+
+@pytest.mark.parametrize("verb, want", [
+    ("closure", {"vars": 1, "count": 0, "points": []}),
+    ("irreducible", {"irreducible": True, "witness": None}),
+])
+def test_explicit_empty_points_are_the_empty_set(tmp_path, capsys, verb, want):
+    """"points": [] is the empty point set, not a missing field: the
+    closure of no points over Z3 (n = 3, theta = x -> 2x) is empty and
+    its coordinate group has one element, while without the field the
+    verbs read the solution set of the equations, all of Z3."""
+    write(tmp_path, "p2.json", P2)
+    empty = {"polyadic": "p2.json", "vars": 1, "equations": ["x1 = x1"], "points": []}
+    code, doc = run(capsys, verb, "--system", write(tmp_path, "e.json", empty))
+    assert (code, doc) == (0, want)
+    code, doc = run(capsys, "coordgroup", "--system", write(tmp_path, "e.json", empty))
+    assert code == 0 and doc["order"] == 1 and doc["points"] == []
+    absent = {"polyadic": "p2.json", "vars": 1, "equations": ["x1 = x1"]}
+    code, doc = run(capsys, "closure", "--system", write(tmp_path, "a.json", absent))
+    assert code == 0 and doc["count"] == 3
+    code, doc = run(capsys, "coordgroup", "--system", write(tmp_path, "a.json", absent))
+    assert code == 0 and doc["order"] == 9 and len(doc["points"]) == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vars", True), ("vars", False), ("vars", 1.7), ("vars", -0.5),
+    ("n", 3.9), ("n", True), ("n", float("inf")), ("n", float("nan")),
+])
+def test_integer_fields_refuse_booleans_and_fractions(tmp_path, capsys, field, value):
+    """A JSON boolean or a number with a fractional part is refused for n
+    and vars, with an error naming the field, not truncated by int()."""
+    pdoc, sysdoc = dict(P2), {"polyadic": "p2.json", "vars": 1, "equations": ["x1 = 2"]}
+    (sysdoc if field == "vars" else pdoc)[field] = value
+    write(tmp_path, "p2.json", pdoc)
+    code = main(["solve", "--system", write(tmp_path, "s.json", sysdoc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "PolyadicError"
+    assert error["message"].startswith(f"{field} must be an integer")
+
+
+@pytest.mark.parametrize("vars_, n", [(1.0, 3), ("1", 3.0), (1, "3")])
+def test_integer_fields_accept_integral_numbers_and_digit_strings(tmp_path, capsys, vars_, n):
+    write(tmp_path, "p2.json", dict(P2, n=n))
+    sysdoc = {"polyadic": "p2.json", "vars": vars_, "equations": ["x1 = 2"]}
+    code, doc = run(capsys, "solve", "--system", write(tmp_path, "s.json", sysdoc))
+    assert (code, doc) == (0, {"vars": 1, "count": 1, "points": [["2"]]})
 
 
 def test_present2group_and_cosets(tmp_path, capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from polyadic import geometry
+from polyadic import core, geometry
 from polyadic.caps import Caps
 from polyadic.core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived, derive
 from polyadic.core import tabulate
@@ -674,15 +674,81 @@ def test_solve_with_pivots_matches_old_solve(seed, small_bases, random_derived):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_solve_with_pivots_on_tables_that_are_not_groups(seed):
-    """A table form is any table: a line may repeat a value, so a pivot
-    under f takes every x with the wanted value, or none."""
+    """`solve` and `minimal_subsystem` take a table form through its
+    Hosszú–Gluskin recovery, so a table without group laws is refused, with
+    or without pivots, with the error that recovery raises."""
     rng = random.Random(seed)
+    refused = 0
     for g, n in ((2, 3), (3, 3), (3, 4), (4, 3)):
         q = TablePolyadicGroup([f"e{i}" for i in range(g)], n,
                                [rng.randrange(g) for _ in range(g ** n)])
+        try:
+            as_derived(q)
+            continue
+        except PolyadicError as e:
+            want = (type(e), str(e))
         for _ in range(6):
             s = pivot_system(rng, q, rng.randrange(1, 4), set(), skews=False)
-            assert solve(q, s).points == old_solve(q, s) == grid_scan(q, s), s.equations
+            for fn in (solve, minimal_subsystem):
+                with pytest.raises(PolyadicError) as info:
+                    fn(q, s)
+                assert (type(info.value), str(info.value)) == want, (fn, s.equations)
+        refused += 1
+    assert refused >= 3
+
+
+def test_table_form_recovered_once_per_call(monkeypatch, catalog):
+    """`minimal_subsystem` and `theorem63_check` recover a table form once
+    per call, and the comparison reads |Γ(V_G)| off the cover's span
+    without building Γ(V_G)."""
+    calls = []
+    recover = core.hosszu_gloskin
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return recover(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coordinate_group called")
+
+    monkeypatch.setattr(core, "hosszu_gloskin", spy)
+    monkeypatch.setattr(geometry, "coordinate_group", refuse)
+    for name in ("p2", "p6", "p7"):
+        p = catalog[name]
+        t = tabulate(p)
+        rest = ",".join(["x2"] * (p.n - 2))
+        system = EquationSystem(t, 2, eqs(t, [
+            f"f(x1,{rest},x1) = f(x1,{rest},x1)", f"f(x1,{rest},x2) = f(x2,{rest},x1)",
+            f"~x1 = ~x1", f"f(x1,{rest},x2) = f(x2,{rest},x1)",
+        ]))
+        del calls[:]
+        ms = minimal_subsystem(t, system)
+        assert calls == [t] and ms.p is t
+        assert ms.equations == minimal_subsystem(p, system).equations
+        del calls[:]
+        rep = theorem63_check(t, system)
+        assert calls == [t]
+        assert report_counts(rep) == report_counts(theorem63_check(p, system))
+        assert rep.v_g.system is system
+
+
+def test_table_form_past_max_table_order_is_refused():
+    """Z65 at n = 3 has a table of 65^3 entries, under max_tabulate, but its
+    retract is a group table past max_table_order, so `solve` refuses the
+    table form, as `coordinate_group` does. A derived form over Z65, which
+    only raised caps build, answers."""
+    table = [[(i + j) % 65 for j in range(65)] for i in range(65)]
+    z65 = validate_group(list(map(str, range(65))), table, caps=Caps(max_table_order=65))
+    p = derive(z65, identity_automorphism(z65), 0, 3)
+    t = tabulate(p)
+    for q, fn in ((t, solve), (t, coordinate_group), (p, solve)):
+        system = EquationSystem(q, 1, eqs(q, ["f(x1,x1,x1) = 1"]))
+        if q is p:
+            assert fn(q, system).points == ((22,),)  # 3 * 22 = 1 mod 65
+            continue
+        with pytest.raises(SizeCapExceeded) as info:
+            fn(q, system if fn is solve else AlgebraicSet(1, ((0,),)))
+        assert (info.value.what, info.value.size, info.value.cap) == ("group order", 65, 64)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -720,10 +786,15 @@ def test_max_points_keyed_on_the_space_searched():
     assert all(eval_equation(eq, pt, p) for pt in v for eq in s.equations)
     assert list(v.points) == sorted(v.points)
 
-    z4 = cyclic_group(4)
-    q = derive(z4, identity_automorphism(z4), 0, 4)
+    z4, z9 = cyclic_group(4), cyclic_group(9)
+    q4 = derive(z4, identity_automorphism(z4), 0, 4)
+    # Z9 at n = 5 has the skew x -> -3x, whose fibres have 3 elements
+    q9 = derive(z9, identity_automorphism(z9), 0, 5)
     # x2, the highest variable that occurs once, is the pivot
-    for text, space in (("~x2 = x1", 4 * 2), ("~~x2 = x1", 4 * 4), ("~x1 = 1", 2)):
+    for q, text, space in (
+        (q4, "~x2 = x1", 4 * 2), (q4, "~~x2 = x1", 4 * 4), (q4, "~x1 = 1", 2),
+        (q9, "~~x2 = x1", 9 * 3 * 3),
+    ):
         m = 2 if "x2" in text else 1
         s = EquationSystem(q, m, (parse_equation(text, element_names=list(q.names())),))
         with pytest.raises(SizeCapExceeded) as info:
