@@ -457,8 +457,9 @@ def dornte_check(p):
 # retracts and recovery
 
 
-def retract(p, a):
-    """Binary group on the same carrier: x*y = f(x, a^(n-2), y).
+def retract(p, a, caps=_caps.DEFAULT):
+    """Binary group on the same carrier: x*y = f(x, a^(n-2), y), validated
+    under caps.
 
     The identity is skew(a); the inverse of x is f(skew a, x^(n-3), skew x,
     skew a), cross-checked against the computed table.
@@ -466,7 +467,7 @@ def retract(p, a):
     mid = [a] * (p.n - 2)
     names = p.names()
     table = [p.line([x] + mid + [None], p.n - 1) for x in p.elements()]
-    g = validate_group(names, table, name=f"ret_{p.name(a)}")
+    g = validate_group(names, table, name=f"ret_{p.name(a)}", caps=caps)
     sa = p.skew(a)
     if g.identity != sa:
         raise ReconstructionMismatch(("identity", a), sa, g.identity)
@@ -493,8 +494,9 @@ def hosszu_gloskin(p, a, caps=_caps.DEFAULT):
     The recovered data is checked to rebuild f exactly, as the derived
     group's flat table against p's, and is returned as a derived polyadic
     group over the retract; a mismatch names the least differing tuple.
+    The retract and the derived flat table are both checked against caps.
     """
-    g = retract(p, a)
+    g = retract(p, a, caps=caps)
     sa = p.skew(a)
     theta_images = p.line([sa, None] + [a] * (p.n - 2), 1)
     theta = GroupAutomorphism(g, theta_images)
@@ -508,11 +510,11 @@ def hosszu_gloskin(p, a, caps=_caps.DEFAULT):
     return out
 
 
-def as_derived(p):
-    """p itself if already derived, else the anchor-0 recovery."""
+def as_derived(p, caps=_caps.DEFAULT):
+    """p itself if already derived, else the anchor-0 recovery under caps."""
     if isinstance(p, DerivedPolyadicGroup):
         return p
-    return hosszu_gloskin(p, 0)
+    return hosszu_gloskin(p, 0, caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +591,7 @@ def polyadic_homs(p, q, caps=_caps.DEFAULT):
     (I_a = conjugation by a in q's base). Results are deduplicated by image
     array and sorted.
     """
-    dp, dq = as_derived(p), as_derived(q)
+    dp, dq = as_derived(p, caps), as_derived(q, caps)
     gb, hb = dp.base, dq.base
     homs = enumerate_homs(gb, hb, caps=caps)
     out = {}

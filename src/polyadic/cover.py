@@ -10,7 +10,7 @@ bounded coset enumeration can then try to realize as a finite table.
 """
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import caps as _caps
 from .core import _decode, _first_difference, as_derived, prefix_products, retract
@@ -19,10 +19,12 @@ from .errors import (
     EmptyGeneratorSet,
     Inconsistent,
     NotPolyadicHom,
+    NotRegular,
     PolyadicError,
     PropertyFailure,
 )
 from .groups import (
+    TableGroup,
     are_isomorphic,
     hom_from_generator_images,
     subgroup_closure,
@@ -80,7 +82,7 @@ def build_post_cover(p, caps=_caps.DEFAULT):
       5. the embedded coset generates the whole cover.
     Any failure raises PropertyFailure with the property index.
     """
-    d = as_derived(p)
+    d = as_derived(p, caps)
     base = d.base
     n = d.n
     m = n - 1
@@ -107,7 +109,7 @@ def build_post_cover(p, caps=_caps.DEFAULT):
 
     # property 2: R is the retract
     r_group = subgroup_table(group, range(q), name="R")
-    ok, iso = are_isomorphic(r_group, retract(d, 0))
+    ok, iso = are_isomorphic(r_group, retract(d, 0, caps))
     if not ok:
         raise PropertyFailure(2, "grade-0 subgroup is not the retract")
 
@@ -266,9 +268,12 @@ def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
     column. So the numbering is deterministic. The cap counts every coset
     ever defined, merged ones included: if more than cap would be defined
     the enumeration stops with CapExceeded; that outcome makes no claim
-    about the group being infinite. On closure, returns the multiplication
-    table of the group with elements named c0, c1, ... in breadth-first
-    order from c0 = 1, read off that search's spanning tree.
+    about the group being infinite. On closure, returns the group as a
+    TableGroup with elements named c0, c1, ... in breadth-first order from
+    c0 = 1, read off that search's spanning tree by `_regular_group`: a
+    complete coset table of the trivial subgroup is the regular action,
+    which a certificate checks in place of validate_group, so only `cap`
+    bounds the order, not max_table_order.
     """
     if not pres.generators:
         raise EmptyGeneratorSet()
@@ -378,8 +383,28 @@ def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
             deductions.append((a, c))
             close(b)
 
-    # read out the closed table as a group: label cosets breadth-first from
-    # coset 0 = 1, so each label y > 0 is parent(y) . col(y) in that tree
+    return _regular_group(table)
+
+
+def _regular_group(table):
+    """The group whose regular action is the closed coset table, certified.
+
+    table[x][c] is coset x times column c (2i for generator i, 2i+1 for
+    its inverse), and coset 0 is the trivial subgroup; rows no entry
+    reaches from 0 are ignored. Cosets are labelled c0, c1, ... breadth-first
+    from c0 = 1, so each label y > 0 is parent(y) . col(y) in that search's
+    spanning tree, and the product x * y traces y's tree word from x.
+
+    The certificate: every column is a permutation with column c^1 its
+    inverse, and the row of each generator g (g * y over y) commutes with
+    every column. The columns generate a transitive permutation group P;
+    the generator rows lie in its centraliser, and the orbit of c0 under
+    them is closed under the columns, so that centraliser is transitive.
+    The centraliser of a transitive group is semiregular, so it is regular,
+    hence so is P, and the table read out is the Cayley table of P. It
+    costs O(N * ncols^2), where validate_group costs O(N^2 * ncols). A
+    failure raises NotRegular.
+    """
     order = [0]
     label = {0: 0}
     tree = []
@@ -391,6 +416,11 @@ def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
                 order.append(y)
     act = [[label[y] for y in table[x]] for x in order]
     size = len(order)
+    cols = list(zip(*act))
+    ident = tuple(range(size))
+    for c, col in enumerate(cols):
+        if tuple(map(cols[c ^ 1].__getitem__, col)) != ident:
+            raise NotRegular(f"column {c ^ 1} does not invert column {c}")
 
     def row_of(g):
         """g * y for every y, as g * y = (g * parent(y)) . col(y)."""
@@ -399,11 +429,18 @@ def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
             row.append(act[row[p]][c])
         return row
 
-    # x * y = parent(x) * (col(x) * y): compose rows with generator rows
     gen_rows = [row_of(g) for g in act[0]]
-    mul_table = [list(range(size))]
+    for c, row in enumerate(gen_rows):
+        for d, col in enumerate(cols):
+            if list(map(row.__getitem__, col)) != list(map(col.__getitem__, row)):
+                raise NotRegular(f"generator row {c} does not commute with column {d}")
+
+    # x * y = parent(x) * (col(x) * y): compose rows with generator rows, and
+    # y^-1 = col(y)^-1 * parent(y)^-1
+    mul_table = [ident]
+    inverses = [0]
     for p, c in tree:
-        mul_table.append(list(map(mul_table[p].__getitem__, gen_rows[c])))
+        mul_table.append(tuple(map(mul_table[p].__getitem__, gen_rows[c])))
+        inverses.append(gen_rows[c ^ 1][inverses[p]])
     names = [f"c{i}" for i in range(size)]
-    relaxed = replace(caps, max_table_order=max(caps.max_table_order, size))
-    return validate_group(names, mul_table, name="presented", caps=relaxed)
+    return TableGroup(names, mul_table, 0, inverses, name="presented")

@@ -40,6 +40,13 @@ class NotLatinSquare(GroupValidationError):
         super().__init__(f"{kind} {index} is not a permutation")
 
 
+class NotRegular(GroupValidationError):
+    """A closed coset table whose action fails the regularity certificate."""
+
+    def __init__(self, detail):
+        super().__init__(f"coset table is not a regular action: {detail}")
+
+
 class SizeCapExceeded(PolyadicError):
     """A size above its cap. A size with more decimal digits than Python
     converts to text is kept as the lower bound ">= 2^k", k its bit length

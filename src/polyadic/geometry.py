@@ -87,7 +87,7 @@ def _points(p, system, caps):
     for eq in system.equations:
         _count_variables(eq.left, counts)
         _count_variables(eq.right, counts)
-    compile_term = term_compiler(p)
+    compile_term = term_compiler(as_derived(p, caps))
     # at most one pivot per equation: its highest once-occurring variable,
     # which leaves the lowest last free variable
     pivots, checks = [], []
@@ -252,7 +252,7 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     """Closure of the projections (plus diagonal constants by default)
     under the power operation and skew; the concrete coordinate group of
     the point set y."""
-    d = as_derived(p)
+    d = as_derived(p, caps)
     pts = tuple(y.points if isinstance(y, AlgebraicSet) else y)
     m = y.m if isinstance(y, AlgebraicSet) else (len(pts[0]) if pts else 0)
     if not pts:
@@ -395,7 +395,7 @@ class TermFunctions:
     """
 
     def __init__(self, p, m, caps=_caps.DEFAULT):
-        d = as_derived(p)
+        d = as_derived(p, caps)
         self.p = d
         self.m = m
         coords = d.order ** m
@@ -487,7 +487,7 @@ def minimal_subsystem(p, system, caps=_caps.DEFAULT):
     solution set; no single equation of the result is removable. One
     pass suffices because removing equations can only grow the set. Every
     trial is solved over the derived form of p, recovered once."""
-    d = as_derived(p)
+    d = as_derived(p, caps)
     target = set(solve(d, system, caps=caps).points)
     keep = list(system.equations)
     i = 0
@@ -550,7 +550,7 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
     if m < 1:
         raise PolyadicError("at least one variable is required")
 
-    d = as_derived(p)
+    d = as_derived(p, caps)
     v_g = solve(d, system, caps=caps)
     cover = build_post_cover(d, caps=caps)
     cg = cover.group

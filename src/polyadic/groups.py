@@ -2,10 +2,12 @@
 
 Elements of a group of order N are the integers 0..N-1; names are display
 strings attached to indices. TableGroup stores the full multiplication table
-and is only ever built through validate_group, so holding a TableGroup is
-proof the table satisfies the group axioms. TwistedGroup and DirectPowerGroup
-compute products on demand and share the same interface, which keeps direct
-powers usable far beyond the full-table size cap.
+and is built only by validate_group and by the certified coset readout
+(`cover._regular_group`, which checks that a closed coset table is a regular
+action), so holding a TableGroup is proof the table satisfies the group
+axioms. TwistedGroup and DirectPowerGroup compute products on demand and
+share the same interface, which keeps direct powers usable far beyond the
+full-table size cap.
 """
 
 from dataclasses import dataclass, field

@@ -10,14 +10,21 @@ Such a scan can write half of a deduction into the dead row and lose
 it, and the oracle then spends definitions on entries the relators
 already determine. Only there may the Felsch enumerator define fewer
 cosets; everywhere else both define the same cosets in the same order.
+
+Every closed table is also checked against `validate_group`, which the
+enumerator's certified readout replaces: the oracle must accept the table
+read out and find the same identity and inverses.
 """
 
+import itertools
 import random
 
 import pytest
 
-from polyadic.cover import GroupPresentation, coset_enumerate
-from polyadic.errors import CapExceeded
+from polyadic.caps import Caps
+from polyadic.cover import GroupPresentation, _regular_group, coset_enumerate
+from polyadic.errors import CapExceeded, NotRegular
+from polyadic.groups import validate_group
 from polyadic.words import parse_word
 
 
@@ -213,11 +220,23 @@ PSL27 = GroupPresentation(
 CAP = 120
 
 
+ORACLE_CAPS = Caps(max_table_order=10_000)
+
+
+def _check_readout(g):
+    """validate_group, with its order cap raised, accepts the group read
+    out and agrees on its table, identity and inverses."""
+    want = validate_group(g.names(), g.table, name=g.group_name, caps=ORACLE_CAPS)
+    assert (g.table, g.identity, g.inverses) == (want.table, want.identity, want.inverses)
+
+
 def _enumerate(pres, cap):
     try:
-        return coset_enumerate(pres, cap=cap).table
+        g = coset_enumerate(pres, cap=cap)
     except CapExceeded:
         return None
+    _check_readout(g)
+    return g.table
 
 
 @pytest.mark.parametrize(
@@ -257,3 +276,69 @@ def test_fewer_definitions_where_rescan_loses_a_deduction():
     assert len(want) == 5 and k == 12 and lost
     assert _enumerate(pres, 10) == want
     assert _enumerate(pres, 9) is None
+
+
+@pytest.mark.parametrize("order", [300, 600])
+def test_dihedral_readout_matches_validate_group(order):
+    # past the default max_table_order of 64, which the readout never consults
+    pres = _pres("ab", [f"a^{order // 2}", "b^2", "a*b*a*b"])
+    g = coset_enumerate(pres)
+    assert g.order == order
+    _check_readout(g)
+
+
+def _action_table(perms, cosets):
+    """Coset table of the right action on `cosets` (frozensets of
+    permutations, coset 0 first) by each permutation and its inverse."""
+    def compose(x, y):
+        return tuple(y[i] for i in x)
+
+    def inverse(x):
+        out = [0] * len(x)
+        for i, v in enumerate(x):
+            out[v] = i
+        return tuple(out)
+
+    index = {c: i for i, c in enumerate(cosets)}
+    cols = [q for p in perms for q in (p, inverse(p))]
+    return [
+        [index[frozenset(compose(x, q) for x in c)] for q in cols] for c in cosets
+    ]
+
+
+@pytest.mark.parametrize("gens", ["ab", "ba"])
+def test_certificate_rejects_a_table_that_is_not_regular(gens):
+    """S3 = <a, b | a^2, b^3, (ab)^2> acting on the 3 cosets of <a>,
+    a = (0 1): a complete table, on which every relator closes at every
+    coset, whose columns are permutations in inverse pairs, but which is
+    not regular. Either generator may come first."""
+    perm = {"a": (1, 0, 2), "b": (1, 2, 0)}
+    col = {g: 2 * i for i, g in enumerate(gens)}
+    s3 = sorted(itertools.permutations(range(3)))
+    cosets = []
+    for g in s3:
+        c = frozenset(tuple(g[i] for i in h) for h in ((0, 1, 2), perm["a"]))
+        if c not in cosets:
+            cosets.append(c)
+    assert len(cosets) == 3
+    perms = [perm[g] for g in gens]
+    table = _action_table(perms, cosets)
+    for rel in ("aa", "bbb", "abab"):
+        for x in range(3):
+            y = x
+            for g in rel:
+                y = table[y][col[g]]
+            assert y == x
+    with pytest.raises(NotRegular, match="does not commute"):
+        _regular_group(table)
+    # the regular action of S3 on the cosets of the trivial subgroup passes
+    g = _regular_group(_action_table(perms, [frozenset([g]) for g in s3]))
+    assert g.order == 6
+    _check_readout(g)
+
+
+def test_certificate_rejects_a_column_without_its_inverse():
+    # Z3 = <a | a^3> with a^-1 acting as a
+    table = [[(x + 1) % 3, (x + 1) % 3] for x in range(3)]
+    with pytest.raises(NotRegular, match="does not invert"):
+        _regular_group(table)

@@ -751,6 +751,24 @@ def test_table_form_past_max_table_order_is_refused():
         assert (info.value.what, info.value.size, info.value.cap) == ("group order", 65, 64)
 
 
+def test_table_form_recovered_under_the_callers_caps():
+    """The caller's caps reach the recovery of a table form and its retract:
+    raising max_table_order lets `solve`, `minimal_subsystem` and
+    `coordinate_group` take the Z65 table form at n = 3, which the default
+    caps refuse on its retract."""
+    table = [[(i + j) % 65 for j in range(65)] for i in range(65)]
+    raised = Caps(max_table_order=100)
+    z65 = validate_group(list(map(str, range(65))), table, caps=raised)
+    t = tabulate(derive(z65, identity_automorphism(z65), 0, 3))
+    system = EquationSystem(t, 1, eqs(t, ["f(x1,x1,x1) = 1"]))
+    assert solve(t, system, caps=raised).points == ((22,),)
+    assert minimal_subsystem(t, system, caps=raised).equations == system.equations
+    assert coordinate_group(t, AlgebraicSet(1, ((0,),)), caps=raised).order == 65
+    with pytest.raises(SizeCapExceeded) as info:
+        solve(t, system)
+    assert (info.value.what, info.value.size, info.value.cap) == ("group order", 65, 64)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_minimal_subsystem_matches_old_pass(seed, small_bases, random_derived):
     """The early-stopping trials keep the equations that the greedy pass
