@@ -11,7 +11,6 @@ errors, resource caps).
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -37,6 +36,7 @@ from .errors import (
     ReconstructionMismatch,
 )
 from .fileio import (
+    dump_json,
     group_from_doc,
     group_presentation_from_doc,
     group_presentation_to_doc,
@@ -516,7 +516,7 @@ def _table_lines(value, depth=0):
 
 def _emit(doc, fmt):
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(dump_json(doc))
     else:
         print("\n".join(_table_lines(doc)))
 

@@ -27,6 +27,7 @@ supplied directly. n and vars are integral numbers or digit strings.
 
 import json
 import os
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import caps as _caps
 from .core import (
@@ -49,6 +50,41 @@ def load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: {e.msg}", line=e.lineno, column=e.colno)
+
+
+def dump_json(doc):
+    """`json.dumps(doc, indent=2)`, byte for byte. With `indent` set, json
+    encodes in Python generators; here each list of only str or only int
+    and each str -> str dict is one C-level join, and everything else
+    (floats, bools, None, subclasses, non-str keys) is `json.dumps` itself."""
+    return _dump(doc, "\n")
+
+
+def _dump(x, nl):
+    t = type(x)
+    inner = nl + "  "
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        try:  # most lists in a document hold only str
+            items = list(map(_quote, x))
+        except TypeError:
+            if set(map(type, x)) == {int}:
+                items = map(int.__repr__, x)
+            else:
+                items = [_dump(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict and set(map(type, x)) == {str}:
+        if set(map(type, x.values())) == {str}:
+            items = map(": ".join, zip(map(_quote, x), map(_quote, x.values())))
+        else:
+            items = [_quote(k) + ": " + _dump(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, (list, tuple, dict)):
+        # an empty dict, a subclass or non-str keys: indent=2 output has no
+        # raw newline but those between lines, so it nests by re-indenting
+        return json.dumps(x, indent=2).replace("\n", nl)
+    return json.dumps(x)  # a scalar prints the same at any indent
 
 
 def _object(doc, where):

@@ -13,6 +13,7 @@ full-table size cap.
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
+from math import factorial
 from operator import eq
 
 from . import caps as _caps
@@ -196,28 +197,30 @@ def _light_associative(rows, cols):
 # constructions
 
 
-def cyclic_group(k):
+def cyclic_group(k, caps=_caps.DEFAULT):
+    _caps.check(caps, "group order", k, caps.max_table_order)
     names = [str(i) for i in range(k)]
     table = [[(i + j) % k for j in range(k)] for i in range(k)]
-    return validate_group(names, table, name=f"Z{k}")
+    return validate_group(names, table, name=f"Z{k}", caps=caps)
 
 
-def symmetric_group(k):
+def symmetric_group(k, caps=_caps.DEFAULT):
     """S_k on {0..k-1}; element names are one-line images, identity first."""
+    _caps.check(caps, "group order", factorial(k), caps.max_table_order)
     perms = sorted(permutations(range(k)))
     idx = {p: i for i, p in enumerate(perms)}
     names = ["".join(map(str, p)) for p in perms]
     table = [
         [idx[tuple(pa[pb[i]] for i in range(k))] for pb in perms] for pa in perms
     ]
-    return validate_group(names, table, name=f"S{k}")
+    return validate_group(names, table, name=f"S{k}", caps=caps)
 
 
-def direct_product(g, h, name=None):
+def direct_product(g, h, name=None, caps=_caps.DEFAULT):
     """Componentwise product as a full table; names joined with '_'."""
+    _caps.check(caps, "group order", g.order * h.order, caps.max_table_order)
     names = []
     table = []
-    order = g.order * h.order
     pairs = [(a, b) for a in g.elements() for b in h.elements()]
     for a, b in pairs:
         names.append(f"{g.name(a)}_{h.name(b)}")
@@ -227,7 +230,7 @@ def direct_product(g, h, name=None):
             [idx[(g.mul(a, c), h.mul(b, d))] for c, d in pairs]
         )
     label = name or f"{getattr(g, 'group_name', 'G')}x{getattr(h, 'group_name', 'H')}"
-    return validate_group(names, table, name=label)
+    return validate_group(names, table, name=label, caps=caps)
 
 
 class TwistedGroup(FiniteGroup):

@@ -682,22 +682,20 @@ def term_to_free_word(t, generators, n):
 # ---------------------------------------------------------------------------
 # text grammar
 
-_TOKEN = re.compile(r"\s*([A-Za-z0-9_]+|\^-?[0-9]+|[(),=~*'])")
+# the second alternative matches (empty) before the first character that
+# starts no token, so an error names that character
+_TOKEN = re.compile(r"\s*(?:([A-Za-z0-9_]+|\^-?[0-9]+|[(),=~*'])|(?=(\S)))")
 _VAR = re.compile(r"x([0-9]+)$")
 _NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 def _tokenize(text):
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", column=pos)
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        tok, bad = m.groups()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", column=m.start(2))
+        out.append((tok, m.start(1)))
     return out
 
 

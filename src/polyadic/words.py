@@ -255,7 +255,12 @@ def mp_f(operands, n):
 # ---------------------------------------------------------------------------
 # text syntax
 
-_WORD_TOKEN = re.compile(r"\s*([A-Za-z0-9_]+|\^-?[0-9]+|'|\*|~)")
+# one alternative per kind of token; the last matches (empty) before the
+# first character that starts no token, so an error names that character
+_WORD_TOKEN = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z0-9_]+)|(?P<inv>')|(?P<power>\^-?[0-9]+)|\*"
+    r"|(?P<skew>~)|(?=(?P<bad>\S)))"
+)
 
 
 def parse_word(text):
@@ -264,29 +269,20 @@ def parse_word(text):
     concatenation, 1 for the empty word ("1" is therefore not usable as a
     generator name)."""
     runs = []
-    pos = 0
-    while pos < len(text):
-        m = _WORD_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", column=pos)
-        tok = m.group(1)
-        pos = m.end()
-        if tok == "*":
-            continue
-        if tok == "~":
-            raise ParseError("skew marks are not free-group syntax", column=pos)
-        if tok == "'" or tok.startswith("^"):
+    for m in _WORD_TOKEN.finditer(text):
+        name, inv, power, skew, bad = m.groups()
+        if name:
+            if name != "1":
+                runs.append((name, 1))
+        elif inv or power:
             if not runs:
-                raise ParseError("power with no base", column=pos)
+                raise ParseError("power with no base", column=m.end())
             g, e = runs.pop()
-            k = -1 if tok == "'" else _exponent(tok, pos)
-            runs.append((g, e * k))
-            continue
-        if tok == "1":
-            continue
-        runs.append((tok, 1))
+            runs.append((g, -e if inv else e * _exponent(power, m.end())))
+        elif skew:
+            raise ParseError("skew marks are not free-group syntax", column=m.end())
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", column=m.start("bad"))
     return FreeWord(tuple(runs))
 
 

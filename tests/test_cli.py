@@ -421,6 +421,10 @@ def test_freereduce(capsys):
     # nine digits are still an exponent; more exit 2 (test_long_exponent_exit2)
     code, doc = run(capsys, "freereduce", "x^-" + "9" * 9)
     assert code == 0 and doc["height"] == -999999999
+    code, doc = run(capsys, "freereduce", "a  $")
+    assert code == 2
+    assert doc["error"] == {"type": "ParseError", "column": 3, "line": 1,
+                            "message": "line 1, column 3: unexpected character '$'"}
 
 
 def test_translate_directions(tmp_path, capsys):

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from polyadic.caps import Caps
 from polyadic.errors import (
     NoIdentity,
     NoInverse,
     NotAssociative,
     NotLatinSquare,
     PolyadicError,
+    SizeCapExceeded,
 )
 from polyadic.groups import (
     are_isomorphic,
@@ -233,3 +235,21 @@ def test_random_product_closure_sanity():
         b = rng.randrange(6)
         c = rng.randrange(6)
         assert s3.mul(s3.mul(a, b), c) == s3.mul(a, s3.mul(b, c))
+
+
+def test_constructions_take_caps():
+    """S5 (order 120) is past the default max_table_order of 64; raised
+    caps reach validate_group."""
+    caps = Caps(max_table_order=120)
+    s5 = symmetric_group(5, caps=caps)
+    assert s5.order == 120 and s5.names()[s5.identity] == "01234"
+    assert sum(s5.element_order(a) == 2 for a in s5.elements()) == 25
+    assert direct_product(cyclic_group(8), cyclic_group(9), caps=caps).order == 72
+    for build, order in (
+        (lambda c: symmetric_group(5, caps=c), 120),
+        (lambda c: cyclic_group(65, caps=c), 65),
+        (lambda c: direct_product(cyclic_group(8), cyclic_group(9), caps=c), 72),
+    ):
+        with pytest.raises(SizeCapExceeded) as info:
+            build(Caps())
+        assert (info.value.what, info.value.size, info.value.cap) == ("group order", order, 64)

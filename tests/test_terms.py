@@ -68,6 +68,21 @@ def test_parse_term_bare_constant_names():
         parse_term("f(x1,x2", element_names=NAMES)
 
 
+@pytest.mark.parametrize(
+    "text, char, column",
+    [("x1 $", "$", 3), ("f(x1,\t  %", "%", 8), ("x1$", "$", 2), ("  !", "!", 2)],
+)
+def test_tokenizer_names_the_first_bad_character(text, char, column):
+    """The error names the first character that starts no token, not the
+    whitespace before it, at its 0-based offset."""
+    with pytest.raises(ParseError) as info:
+        parse_term(text, element_names=NAMES)
+    assert str(info.value) == f"line 1, column {column}: unexpected character {char!r}"
+    with pytest.raises(ParseError) as info:
+        parse_equation(text + " = x1", element_names=NAMES)
+    assert info.value.column == column
+
+
 def test_parse_depth_bound_keeps_walkers_inside_the_stack():
     z3 = cyclic_group(3)
     p = derive(z3, identity_automorphism(z3), 0, 6)  # the default arity cap

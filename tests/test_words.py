@@ -58,6 +58,33 @@ def test_parse_word_syntax():
         parse_word("~x")
 
 
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("a  $", "unexpected character '$'", 3),
+        ("a$", "unexpected character '$'", 1),
+        ("\t+", "unexpected character '+'", 1),
+        ("x ^ 2", "unexpected character '^'", 2),
+        ("x ~y", "skew marks are not free-group syntax", 3),
+        (" ' x", "power with no base", 2),
+        ("x^1234567890", "exponent has more than 9 digits", 12),
+    ],
+)
+def test_parse_word_error_columns(text, message, column):
+    """A bad character is the first one that starts no token, after any
+    whitespace before it, at its 0-based offset; a bad token is reported
+    at its end."""
+    with pytest.raises(ParseError) as info:
+        parse_word(text)
+    assert str(info.value) == f"line 1, column {column}: {message}"
+    assert info.value.column == column
+
+
+def test_parse_word_ignores_trailing_whitespace():
+    assert str(parse_word(" x\t y' \n ")) == "x*y^-1"
+    assert parse_word(" \t ").is_empty()
+
+
 def test_polyadic_free_word_membership():
     PolyadicFreeWord(x ** 4, 4)
     with pytest.raises(HeightViolation):
