@@ -197,28 +197,34 @@ def _light_associative(rows, cols):
 # constructions
 
 
-def cyclic_group(k, caps=_caps.DEFAULT):
-    _caps.check(caps, "group order", k, caps.max_table_order)
+def _refuse_past_cap(order):
+    """validate_group refuses this order under the default caps anyway;
+    checking first spares building its order**2 table."""
+    _caps.check(_caps.DEFAULT, "group order", order, _caps.DEFAULT.max_table_order)
+
+
+def cyclic_group(k):
+    _refuse_past_cap(k)
     names = [str(i) for i in range(k)]
     table = [[(i + j) % k for j in range(k)] for i in range(k)]
-    return validate_group(names, table, name=f"Z{k}", caps=caps)
+    return validate_group(names, table, name=f"Z{k}")
 
 
-def symmetric_group(k, caps=_caps.DEFAULT):
+def symmetric_group(k):
     """S_k on {0..k-1}; element names are one-line images, identity first."""
-    _caps.check(caps, "group order", factorial(k), caps.max_table_order)
+    _refuse_past_cap(factorial(k))
     perms = sorted(permutations(range(k)))
     idx = {p: i for i, p in enumerate(perms)}
     names = ["".join(map(str, p)) for p in perms]
     table = [
         [idx[tuple(pa[pb[i]] for i in range(k))] for pb in perms] for pa in perms
     ]
-    return validate_group(names, table, name=f"S{k}", caps=caps)
+    return validate_group(names, table, name=f"S{k}")
 
 
-def direct_product(g, h, name=None, caps=_caps.DEFAULT):
+def direct_product(g, h, name=None):
     """Componentwise product as a full table; names joined with '_'."""
-    _caps.check(caps, "group order", g.order * h.order, caps.max_table_order)
+    _refuse_past_cap(g.order * h.order)
     names = []
     table = []
     pairs = [(a, b) for a in g.elements() for b in h.elements()]
@@ -230,7 +236,7 @@ def direct_product(g, h, name=None, caps=_caps.DEFAULT):
             [idx[(g.mul(a, c), h.mul(b, d))] for c, d in pairs]
         )
     label = name or f"{getattr(g, 'group_name', 'G')}x{getattr(h, 'group_name', 'H')}"
-    return validate_group(names, table, name=label, caps=caps)
+    return validate_group(names, table, name=label)
 
 
 class TwistedGroup(FiniteGroup):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from polyadic.caps import Caps
 from polyadic.errors import (
     NoIdentity,
     NoInverse,
@@ -237,19 +236,22 @@ def test_random_product_closure_sanity():
         assert s3.mul(s3.mul(a, b), c) == s3.mul(a, s3.mul(b, c))
 
 
-def test_constructions_take_caps():
-    """S5 (order 120) is past the default max_table_order of 64; raised
-    caps reach validate_group."""
-    caps = Caps(max_table_order=120)
-    s5 = symmetric_group(5, caps=caps)
-    assert s5.order == 120 and s5.names()[s5.identity] == "01234"
-    assert sum(s5.element_order(a) == 2 for a in s5.elements()) == 25
-    assert direct_product(cyclic_group(8), cyclic_group(9), caps=caps).order == 72
+def test_constructions_refuse_past_the_cap(monkeypatch):
+    """S5 (order 120), Z65 and Z8 x Z9 are past the default max_table_order
+    of 64; each construction refuses before it builds and validates a table."""
+    import polyadic.groups as groups
+
+    z8, z9 = cyclic_group(8), cyclic_group(9)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built past the cap")
+
+    monkeypatch.setattr(groups, "validate_group", no_table)
     for build, order in (
-        (lambda c: symmetric_group(5, caps=c), 120),
-        (lambda c: cyclic_group(65, caps=c), 65),
-        (lambda c: direct_product(cyclic_group(8), cyclic_group(9), caps=c), 72),
+        (lambda: symmetric_group(5), 120),
+        (lambda: cyclic_group(65), 65),
+        (lambda: direct_product(z8, z9), 72),
     ):
         with pytest.raises(SizeCapExceeded) as info:
-            build(Caps())
+            build()
         assert (info.value.what, info.value.size, info.value.cap) == ("group order", order, 64)
