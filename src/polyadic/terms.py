@@ -673,10 +673,9 @@ def term_to_free_word(t, generators, n):
         return term_to_free_word(t.child, generators, n) ** (2 - n)
     if len(t.children) != n:
         raise ArityMismatch(n, len(t.children))
-    acc = FreeWord()
-    for c in t.children:
-        acc = acc * term_to_free_word(c, generators, n)
-    return acc
+    return FreeWord(
+        [r for c in t.children for r in term_to_free_word(c, generators, n).runs]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,9 @@ class FreeWord:
         return FreeWord(tuple((g, -e) for g, e in reversed(self.runs)))
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = FreeWord()
-        for _ in range(k):
-            out = out * self
-        return out
+        """One reduction over |k| copies of the runs of w or of w^-1."""
+        base = self if k >= 0 else self.inv()
+        return FreeWord(base.runs * abs(k))
 
     @property
     def height(self):
@@ -73,16 +70,24 @@ class FreeWord:
 
 
 def _reduce_runs(runs):
+    """One pass: a run merges into the stack top when their generators
+    agree, and the top is dropped when the exponents cancel. Adjacent runs
+    on the stack never share a generator, so no merge cascades."""
     stack = []
+    top = None
     for g, e in runs:
         if e == 0:
             continue
-        while stack and stack[-1][0] == g:
-            e += stack.pop()[1]
-            if e == 0:
-                break
-        if e != 0:
-            stack.append((g, e))
+        if top is not None and top[0] == g:
+            e += top[1]
+            if e:
+                top = stack[-1] = (g, e)
+            else:
+                stack.pop()
+                top = stack[-1] if stack else None
+        else:
+            top = (g, e)
+            stack.append(top)
     return tuple(stack)
 
 
@@ -131,18 +136,19 @@ class PolyadicFreeWord:
 
 
 def f_free(operands, n):
-    """n-ary operation on free polyadic words: concatenate and reduce."""
+    """n-ary operation on free polyadic words: concatenate, then reduce
+    once."""
     if len(operands) != n:
         from .errors import ArityMismatch
 
         raise ArityMismatch(n, len(operands))
-    acc = FreeWord()
+    runs = []
     for i, w in enumerate(operands):
         w = w.word if isinstance(w, PolyadicFreeWord) else w
         if w.height % (n - 1) != 1 % (n - 1):
             raise HeightViolation(i, w.height, n)
-        acc = acc * w
-    return PolyadicFreeWord(acc, n)
+        runs.extend(w.runs)
+    return PolyadicFreeWord(FreeWord(runs), n)
 
 
 def skew_free(w, n=None):
@@ -255,43 +261,81 @@ def mp_f(operands, n):
 # ---------------------------------------------------------------------------
 # text syntax
 
-# one alternative per kind of token; the last matches (empty) before the
-# first character that starts no token, so an error names that character
-_WORD_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z0-9_]+)|(?P<inv>')|(?P<power>\^-?[0-9]+)|\*"
-    r"|(?P<skew>~)|(?=(?P<bad>\S)))"
-)
+# re.split on one capture group: the odd parts are the tokens, each a name
+# with the postfixes written right after it, a lone postfix chain, or ~;
+# the even parts lie between them and may hold only whitespace and *
+_WORD_SPLIT = re.compile(r"((?:[A-Za-z0-9_]+|'|\^-?[0-9]+)(?:'|\^-?[0-9]+)*|~)")
+_NAME = re.compile(r"[A-Za-z0-9_]*")
+_POSTFIX = re.compile(r"'|\^-?[0-9]+")
+_NOT_SEPARATOR = re.compile(r"[^\s*]")
 
 
 def parse_word(text):
     """Free-group word syntax: identifiers, postfix ' for inverse, ^k for
     integer powers of at most 9 digits, * or juxtaposition for
     concatenation, 1 for the empty word ("1" is therefore not usable as a
-    generator name)."""
+    generator name). A postfix acts on the generator or 1 written before
+    it, so a^2^3 is a^6 and 1^k is empty. An error names the first
+    character that starts no token, or the end of the token at fault, by
+    its 0-based column."""
+    parts = _WORD_SPLIT.split(text)
+    bad = {sep for sep in set(parts[::2]) if _NOT_SEPARATOR.search(sep)}
+    end = len(parts)
+    if bad:
+        end = next(i for i in range(0, end, 2) if parts[i] in bad)
+    if end > 1 and parts[1][0] in "'^":
+        first = _POSTFIX.match(parts[1]).end()
+        raise ParseError("power with no base", column=_column(parts, 1, first))
     runs = []
-    for m in _WORD_TOKEN.finditer(text):
-        name, inv, power, skew, bad = m.groups()
-        if name:
-            if name != "1":
-                runs.append((name, 1))
-        elif inv or power:
-            if not runs:
-                raise ParseError("power with no base", column=m.end())
-            g, e = runs.pop()
-            runs.append((g, -e if inv else e * _exponent(power, m.end())))
-        elif skew:
-            raise ParseError("skew marks are not free-group syntax", column=m.end())
-        elif bad:
-            raise ParseError(f"unexpected character {bad!r}", column=m.start("bad"))
-    return FreeWord(tuple(runs))
+    known = {}
+    for i in range(1, end, 2):
+        run = known.get(parts[i])
+        if run is None:
+            run = known[parts[i]] = _token_run(parts, i)
+        if run[0] is None:
+            g, e = runs[-1]
+            runs[-1] = (g, e * run[1])
+        else:
+            runs.append(run)
+    if bad:
+        col = _NOT_SEPARATOR.search(parts[end]).start()
+        raise ParseError(
+            f"unexpected character {parts[end][col]!r}",
+            column=_column(parts, end, col),
+        )
+    return FreeWord(runs)
 
 
-def _exponent(tok, col):
-    """k of a ^k token; more than 9 digits is refused before int() runs."""
-    digits = tok.lstrip("^-").lstrip("0") or "0"
-    if len(digits) > 9:
-        raise ParseError("exponent has more than 9 digits", column=col)
-    return -int(digits) if tok[1] == "-" else int(digits)
+def _token_run(parts, i):
+    """(name, exponent) of the token parts[i]: (g, e) for a generator with
+    its postfixes, ("1", 0) for 1 with its postfixes, (None, factor) for a
+    lone postfix chain, which scales the run before it."""
+    tok = parts[i]
+    if tok == "~":
+        raise ParseError(
+            "skew marks are not free-group syntax", column=_column(parts, i, 1)
+        )
+    pos = _NAME.match(tok).end()
+    name = tok[:pos] or None
+    e = 0 if name == "1" else 1
+    for m in _POSTFIX.finditer(tok, pos):
+        post = m.group()
+        if post == "'":
+            e = -e
+        else:
+            digits = post.lstrip("^-").lstrip("0") or "0"
+            if len(digits) > 9:
+                raise ParseError(
+                    "exponent has more than 9 digits",
+                    column=_column(parts, i, m.end()),
+                )
+            e *= -int(digits) if post[1] == "-" else int(digits)
+    return name, e
+
+
+def _column(parts, i, offset):
+    """0-based column of the offset into parts[i]."""
+    return sum(map(len, parts[:i])) + offset
 
 
 def parse_mp_word(text, n):

@@ -1,6 +1,11 @@
 import random
+import re
 
 import pytest
+
+from polyadic import words
+from polyadic.cli import main
+from polyadic.terms import parse_term, term_to_free_word
 
 from polyadic.errors import (
     ArityMismatch,
@@ -83,6 +88,149 @@ def test_parse_word_error_columns(text, message, column):
 def test_parse_word_ignores_trailing_whitespace():
     assert str(parse_word(" x\t y' \n ")) == "x*y^-1"
     assert parse_word(" \t ").is_empty()
+
+
+@pytest.mark.parametrize(
+    "text, word",
+    [
+        ("b 1'", "b"),
+        ("b 1^-1", "b"),
+        ("b*1^3", "b"),
+        ("b 1 '", "b"),
+        ("1'", "1"),
+        ("1^2", "1"),
+        ("1^2'^-5 a", "a"),
+        ("a^2^3", "a^6"),
+        ("a'^2 1", "a^-2"),
+    ],
+)
+def test_postfix_acts_on_the_base_before_it(text, word):
+    """'1' is a base whose powers are empty, so a postfix after it never
+    reaches back to the run before it."""
+    assert str(parse_word(text)) == word
+
+
+def test_freereduce_powers_of_1(capsys):
+    assert main(["freereduce", "b 1'"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "word": "b",\n  "height": 1,\n  "length": 1\n}\n'
+    )
+
+
+def test_powers_reduce_once(monkeypatch):
+    """w^k is one reduction over k copies of the runs, not k products each
+    re-reducing the word so far; an f node is one reduction over its
+    children's runs."""
+    calls = []
+    reduce_runs = words._reduce_runs
+    monkeypatch.setattr(
+        words, "_reduce_runs", lambda runs: calls.append(1) or reduce_runs(runs)
+    )
+    w = x * y
+    calls.clear()
+    assert (w ** 1000).runs == (("x", 1), ("y", 1)) * 1000
+    assert len(calls) == 1
+    assert (w ** -3).runs == (("y", -1), ("x", -1)) * 3
+    assert (w ** 0).is_empty()
+    n = 51
+    calls.clear()
+    t = parse_term("~f(" + ",".join(["x1", "x2"] * 25 + ["x1"]) + ")")
+    got = term_to_free_word(t, ["x", "y"], n)
+    # one per leaf, one for the f node, two for the skew power (w^-1 first)
+    assert len(calls) == n + 3
+    want = FreeWord()
+    for _ in range(n - 2):
+        want = want * FreeWord((("x", -1),) + (("y", -1), ("x", -1)) * 25)
+    assert got == want
+    calls.clear()
+    assert f_free([x] * n, n).word.runs == (("x", n),)
+    assert len(calls) == 1
+
+
+# the tokenizer parse_word replaced (one finditer match per token), with 1
+# made a base whose powers are empty, and the stack reduction before it:
+# frozen references for the split-based parse and the one-pass reduction
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z0-9_]+)|(?P<inv>')|(?P<power>\^-?[0-9]+)|\*"
+    r"|(?P<skew>~)|(?=(?P<bad>\S)))"
+)
+
+
+def _reference_parse(text):
+    runs = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        name, inv, power, skew, bad = m.groups()
+        if name:
+            runs.append((name, 0 if name == "1" else 1))
+        elif inv or power:
+            if not runs:
+                raise ParseError("power with no base", column=m.end())
+            g, e = runs.pop()
+            runs.append((g, -e if inv else e * _reference_exponent(power, m.end())))
+        elif skew:
+            raise ParseError("skew marks are not free-group syntax", column=m.end())
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", column=m.start("bad"))
+    return _reference_reduce(runs)
+
+
+def _reference_exponent(tok, col):
+    digits = tok.lstrip("^-").lstrip("0") or "0"
+    if len(digits) > 9:
+        raise ParseError("exponent has more than 9 digits", column=col)
+    return -int(digits) if tok[1] == "-" else int(digits)
+
+
+def _reference_reduce(runs):
+    stack = []
+    for g, e in runs:
+        if e == 0:
+            continue
+        while stack and stack[-1][0] == g:
+            e += stack.pop()[1]
+            if e == 0:
+                break
+        if e != 0:
+            stack.append((g, e))
+    return tuple(stack)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.column
+
+
+# names (1, 01 and 1a among them), lone and attached postfixes with leading
+# zeros and 10 or more digits, ~ $ - and a bare ^, separators including
+# non-ASCII whitespace; fragments also glue into longer names and exponents
+_FRAGMENTS = (
+    ["a", "b", "ab", "x_1", "1", "01", "1a", "0", "7", "_"]
+    + ["'", "^2", "^-3", "^0", "^-0", "^007", "^-0001", "^999999999"]
+    + ["^1234567890", "^-98765432101", "^00000000000042"]
+    + ["~", "$", "^", "-", "é"]
+    + ["*", " ", "  ", "\t", "\n", "\u00a0", "\u2003", " * "]
+)
+
+
+def test_parse_word_matches_the_finditer_reference():
+    rng = random.Random(1515)
+    for _ in range(100_000):
+        text = rng.choice(("", "a")) + "".join(
+            rng.choice(_FRAGMENTS) for _ in range(rng.randrange(13))
+        )
+        got = _outcome(lambda s: parse_word(s).runs, text)
+        assert got == _outcome(_reference_parse, text), text
+
+
+def test_reduction_matches_the_stack_reference():
+    rng = random.Random(1516)
+    for _ in range(20_000):
+        runs = tuple(
+            (rng.choice("abc"), rng.randint(-2, 2)) for _ in range(rng.randrange(16))
+        )
+        assert FreeWord(runs).runs == _reference_reduce(runs), runs
 
 
 def test_polyadic_free_word_membership():
