@@ -277,10 +277,11 @@ def _cmd_homs(args):
     p = polyadic_from_doc(load_json(paths[0]), n=args.n)
     q = polyadic_from_doc(load_json(paths[1]))
     hs = polyadic_homs(p, q)
+    pnames, qnames = p.names(), q.names()
     out = [
         {
-            "a": q.name(h.a),
-            "images": {p.name(x): q.name(h.images[x]) for x in p.elements()},
+            "a": qnames[h.a],
+            "images": dict(zip(pnames, map(qnames.__getitem__, h.images))),
         }
         for h in hs
     ]

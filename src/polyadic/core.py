@@ -18,6 +18,7 @@ which refuses a table that is not an n-ary group.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
+from operator import attrgetter
 from typing import Optional
 
 from . import caps as _caps
@@ -33,6 +34,7 @@ from .groups import (
     GroupAutomorphism,
     TableGroup,
     enumerate_homs,
+    generating_set,
     identity_automorphism,
     psi_u,
     subgroups,
@@ -588,29 +590,28 @@ def polyadic_homs(p, q, caps=_caps.DEFAULT):
     Every polyadic homomorphism factors as x -> phi(x) * a where phi is a
     homomorphism of the underlying derived groups, a satisfies
     f_q(a,...,a) = phi(b_p) * a, and phi . theta_p = I_a . theta_q . phi
-    (I_a = conjugation by a in q's base). Results are deduplicated by image
-    array and sorted.
+    (I_a = conjugation by a in q's base). Both sides of the last condition
+    are homomorphisms of the base groups, so it is checked on a generating
+    set of p's base. The map sends p's base identity to a, so distinct
+    pairs (a, phi) give distinct maps; they are sorted by image array.
+    Raises ArityMismatch when p and q differ in arity.
     """
+    if p.n != q.n:
+        raise ArityMismatch(p.n, q.n)
     dp, dq = as_derived(p, caps), as_derived(q, caps)
     gb, hb = dp.base, dq.base
-    homs = enumerate_homs(gb, hb, caps=caps)
-    out = {}
+    anchors = {}  # c -> the a with f_q(a,...,a) = c * a
     for a in hb.elements():
-        ia_eta = tuple(
-            hb.conjugate(a, dq.theta(x)) for x in hb.elements()
-        )
-        fa = dq.f([a] * dq.n)
-        for phi in homs:
-            if fa != hb.mul(phi(dp.b), a):
-                continue
-            if any(
-                phi(dp.theta(x)) != ia_eta[phi(x)] for x in gb.elements()
-            ):
-                continue
-            images = tuple(hb.mul(phi(x), a) for x in gb.elements())
-            if images not in out:
-                out[images] = PolyadicHom(images=images, a=a, phi=phi.images)
-    return tuple(out[k] for k in sorted(out))
+        anchors.setdefault(hb.mul(dq.f([a] * dq.n), hb.inv(a)), []).append(a)
+    pairs = [(x, dp.theta(x)) for x in generating_set(gb)]
+    out = []
+    for phi in enumerate_homs(gb, hb, caps=caps):
+        im = phi.images
+        for a in anchors.get(im[dp.b], ()):
+            if all(im[tx] == hb.conjugate(a, dq.theta(im[x])) for x, tx in pairs):
+                images = tuple(hb.mul(y, a) for y in im)
+                out.append(PolyadicHom(images=images, a=a, phi=im))
+    return tuple(sorted(out, key=attrgetter("images")))
 
 
 def polyadic_maps_bruteforce(p, q, caps=_caps.DEFAULT):

@@ -140,7 +140,7 @@ def _product_mismatch(p, images, row_of):
     the row of products c . images[x] over x.
     """
     level = prefix_products(images, [row_of] * (p.n - 1))
-    want = tuple(images[v] for v in p.flat)
+    want = tuple(map(images.__getitem__, p.flat))
     if level == want:
         return None
     i = _first_difference(level, want)

@@ -146,11 +146,20 @@ def _entry(pos, entry):
     return pos[entry]
 
 
+def _entries(pos, entries):
+    """The indices of a list of table entries, in one C-level map; on a bad
+    entry, the per-entry scan raises for the first one."""
+    try:
+        return list(map(pos.__getitem__, entries))
+    except (KeyError, TypeError):
+        return [_entry(pos, e) for e in entries]
+
+
 def group_from_doc(doc, caps=_caps.DEFAULT):
     names = _require(doc, "elements", "group")
     rows = _list(_require(doc, "table", "group"), "table")
     pos = _positions(names)
-    table = [[_entry(pos, e) for e in _list(row, "table row")] for row in rows]
+    table = [_entries(pos, _list(row, "table row")) for row in rows]
     return validate_group(names, table, name=doc.get("name", "G"), caps=caps)
 
 
@@ -197,7 +206,7 @@ def polyadic_from_doc(doc, n=None, caps=_caps.DEFAULT):
             raise PolyadicError("no arity: the document has no n and none was given")
         pos = _positions(names)
         table = _list(_require(doc, "table", "polyadic"), "table")
-        flat = [_entry(pos, e) for e in table]
+        flat = _entries(pos, table)
         return polyadic_from_table(names, _integer(arity, "n"), flat, caps=caps)
     raise PolyadicError("polyadic document needs either a group or a table field")
 

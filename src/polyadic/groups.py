@@ -13,7 +13,7 @@ full-table size cap.
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 from operator import eq
 
 from . import caps as _caps
@@ -519,55 +519,74 @@ def bfs_words(g, gens):
     return order, defs
 
 
-def _propagate(g, h, gens, gen_images, order, defs):
-    """Images along the BFS definitions, img[x] = img[parent] . the image
-    of x's generator; `_first_bad_edge` decides whether they multiply."""
-    img = {g.identity: h.identity}
-    for x in order[1:]:
-        parent, pos = defs[x]
-        img[x] = h.mul(img[parent], gen_images[pos])
-    return img
+def _cayley_edges(g, gens):
+    """The Cayley-graph edges (x, position, x . gens[position]) of the
+    subgroup gens generate: x in the order `bfs_words` visits, and the
+    generators in turn. The first edge reaching an element is the
+    definition `bfs_words` records for it."""
+    order, seen, edges = [g.identity], {g.identity}, []
+    for x in order:  # grows as the walk reaches new elements
+        for pos, gen in enumerate(gens):
+            y = g.mul(x, gen)
+            edges.append((x, pos, y))
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return edges
 
 
-def _first_bad_edge(g, h, gens, gen_images, order, img):
-    """The first Cayley-graph edge (x, gen), x in `order` and gen in turn,
-    with img(x . gen) != img(x) . img(gen); None if every edge holds. If
-    none fails, gens generate g and img sends identity to identity, img is
-    a homomorphism, by induction on word length: |G| * |gens| products, not
-    |G|^2.
+def _extend_along_edges(g, h, gens, gen_images, edges):
+    """Extend gens -> gen_images along `_cayley_edges(g, gens)` in one pass:
+    the first edge (x, gen) reaching y defines img[y] = img[x] . img[gen],
+    and every later edge is checked as soon as it is reached.
+
+    Returns (img, None), img a list with None off the subgroup gens
+    generate, or (None, (x, gen)) for the first edge that fails. If none
+    fails and gens generate g, img is a homomorphism by induction on word
+    length: |G| * |gens| products, not |G|^2.
     """
-    for x in order:
-        ix = img[x]
-        for gen, gi in zip(gens, gen_images):
-            if img[g.mul(x, gen)] != h.mul(ix, gi):
-                return x, gen
-    return None
+    img = [None] * g.order
+    img[g.identity] = h.identity
+    rows = h.table if isinstance(h, TableGroup) else None
+    mul = h.mul
+    for x, pos, y in edges:
+        a, b = img[x], gen_images[pos]
+        v = rows[a][b] if rows else mul(a, b)
+        w = img[y]
+        if w is None:
+            img[y] = v
+        elif w != v:
+            return None, (x, gens[pos])
+    return img, None
 
 
 def _multiplicative(g, h, images):
-    """Whether the image array is a homomorphism g -> h: identity to
-    identity, then the Cayley-graph edges of g's generating set."""
-    if images[g.identity] != h.identity:
-        return False
+    """Whether the image array is a homomorphism g -> h: the one extending
+    its values on g's generating set along the Cayley-graph edges."""
     gens = generating_set(g)
-    gen_images = [images[x] for x in gens]
-    return _first_bad_edge(g, h, gens, gen_images, g.elements(), images) is None
+    img, _ = _extend_along_edges(
+        g, h, gens, [images[x] for x in gens], _cayley_edges(g, gens)
+    )
+    return img == list(images)
 
 
-def _homs_on_generators(g, h, gens, fits):
+def _homs_on_generators(g, h, gens, candidates):
     """Image arrays of the homomorphisms g -> h, one per tuple of generator
-    images, in tuple order, where each generator's image y passes
-    fits(generator's order, y's order). Each tuple is extended along the
-    BFS definitions and kept when every Cayley-graph edge holds."""
-    order, defs = bfs_words(g, gens)
-    candidates = [
-        [y for y in h.elements() if fits(g.element_order(x), h.element_order(y))]
+    images drawn from the candidate lists, in tuple order."""
+    edges = _cayley_edges(g, gens)
+    for choice in product(*candidates):
+        img, _ = _extend_along_edges(g, h, gens, choice, edges)
+        if img is not None:
+            yield tuple(img)
+
+
+def _candidates(g, h, gens, fits):
+    """For each generator x, the y in h with fits(order of x, order of y)."""
+    orders = [h.element_order(y) for y in h.elements()]
+    return [
+        [y for y, k in enumerate(orders) if fits(g.element_order(x), k)]
         for x in gens
     ]
-    for choice in product(*candidates):
-        img = _propagate(g, h, gens, choice, order, defs)
-        if _first_bad_edge(g, h, gens, choice, order, img) is None:
-            yield tuple(img[x] for x in g.elements())
 
 
 def enumerate_homs(g, h, caps=_caps.DEFAULT):
@@ -575,18 +594,20 @@ def enumerate_homs(g, h, caps=_caps.DEFAULT):
     generator images are pruned by element-order divisibility.
 
     The search runs over every tuple of generator images, so its size is
-    the product over generators of the images their orders admit. The
-    generators are picked by decreasing order, so that their number and
-    orders, and the search's size, follow the group rather than the
-    numbering of its elements: index order gives S4 three involutions
-    (1000 tuples) under one numbering and a 3-cycle and an involution (90)
-    under another, decreasing order two 4-cycles (256) under every one.
+    the product over generators of the images their orders admit, and that
+    is what the cap is checked on. The generators are picked by decreasing
+    order, so that their number and orders, and the search's size, follow
+    the group rather than the numbering of its elements: index order gives
+    S4 three involutions (1000 tuples) under one numbering and a 3-cycle
+    and an involution (90) under another, decreasing order two 4-cycles
+    (256) under every one.
     """
     gens = generating_set(g, key=lambda x: -g.element_order(x))
+    candidates = _candidates(g, h, gens, lambda a, b: a % b == 0)
     _caps.check(
-        caps, "hom search space", h.order ** len(gens), caps.max_power_order
+        caps, "hom search space", prod(map(len, candidates)), caps.max_power_order
     )
-    homs = _homs_on_generators(g, h, gens, lambda a, b: a % b == 0)
+    homs = _homs_on_generators(g, h, gens, candidates)
     return [Hom(g, h, images) for images in sorted(homs)]
 
 
@@ -599,15 +620,12 @@ def hom_from_generator_images(g, h, gens, images):
     generators do not generate g, with reason ('not-generating', x) for
     the least element they miss.
     """
-    order, defs = bfs_words(g, gens)
-    img = _propagate(g, h, gens, images, order, defs)
-    edge = _first_bad_edge(g, h, gens, images, order, img)
+    img, edge = _extend_along_edges(g, h, gens, images, _cayley_edges(g, gens))
     if edge is not None:
         return None, ("clash",) + edge
-    if len(order) != g.order:
-        missing = min(x for x in g.elements() if x not in img)
-        return None, ("not-generating", missing)
-    return Hom(g, h, tuple(img[x] for x in g.elements())), None
+    if None in img:
+        return None, ("not-generating", img.index(None))
+    return Hom(g, h, tuple(img)), None
 
 
 def are_isomorphic(g, h):
@@ -615,7 +633,8 @@ def are_isomorphic(g, h):
     the generators to elements of the same orders."""
     if g.order != h.order or g.order_profile() != h.order_profile():
         return False, None
-    for images in _homs_on_generators(g, h, generating_set(g), eq):
+    gens = generating_set(g)
+    for images in _homs_on_generators(g, h, gens, _candidates(g, h, gens, eq)):
         if len(set(images)) == g.order:
             return True, Hom(g, h, images)
     return False, None

@@ -731,6 +731,39 @@ def test_homs_two_files(tmp_path, capsys):
     code, doc = run(capsys, "homs", "--polyadic", p1, p1)
     assert code == 0
     assert doc["count"] == 3
+    p2 = write(tmp_path, "p2.json", P2)
+    code, doc = run(capsys, "homs", p2, p2)
+    names = polyadic_from_doc(P2).names()
+    assert code == 0
+    assert doc["homs"] == [
+        {"a": names[h.a], "images": {s: names[y] for s, y in zip(names, h.images)}}
+        for h in core.polyadic_homs(polyadic_from_doc(P2), polyadic_from_doc(P2))
+    ]
+
+
+def test_homs_across_arities_exit2(tmp_path, capsys):
+    p1 = write(tmp_path, "p1.json", P1)
+    p1_4 = write(tmp_path, "p1-4.json", dict(P1, n=4))
+    code, doc = run(capsys, "homs", p1, p1_4)
+    assert code == 2
+    assert doc["error"]["type"] == "ArityMismatch"
+    assert doc["error"]["message"] == "expected 3 arguments, got 4"
+
+
+@pytest.mark.parametrize("bad, shown", [("7", "'7'"), (["1"], "['1']")],
+                         ids=["unknown", "unhashable"])
+def test_table_decoding_names_the_first_bad_entry(tmp_path, capsys, bad, shown):
+    """A group row and a flat n-ary table decode in one map; on a bad
+    entry after a valid prefix the message names that entry."""
+    group = dict(Z3, table=[["0", "1", "2"], ["1", bad, "0"], ["2", "0", "1"]])
+    flat = polyadic_to_doc(tabulate(polyadic_from_doc(P2)))
+    flat["table"][5] = bad
+    for verb, flag, doc in (("validate", "--group", group),
+                            ("validate", "--polyadic", dict(P2, group=group)),
+                            ("skew", "--polyadic", flat)):
+        code, out = run(capsys, verb, flag, write(tmp_path, "bad.json", doc))
+        assert code == 2
+        assert out["error"]["message"] == f"unknown element name {shown} in table"
 
 
 def test_output_determinism(tmp_path, capsys):

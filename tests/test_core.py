@@ -79,6 +79,24 @@ def test_arity_checks(p1):
         eval_f(p1, [0, 1, 2, 0])
 
 
+def test_homs_refuse_mismatched_arity(catalog, monkeypatch):
+    """A map between a ternary and a 4-ary group cannot preserve f: both
+    searches refuse the pair, the fast one before it searches anything."""
+    import polyadic.core as core
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched across arities")
+
+    p1, p5 = catalog["p1"], catalog["p5"]
+    monkeypatch.setattr(core, "enumerate_homs", no_search)
+    for p, q in ((p1, p5), (p5, p1), (tabulate(p1), p5)):
+        with pytest.raises(ArityMismatch) as info:
+            polyadic_homs(p, q)
+        assert (info.value.expected, info.value.got) == (p.n, q.n)
+        with pytest.raises(ArityMismatch):
+            polyadic_maps_bruteforce(p, q)
+
+
 def test_derive_rejects_bad_conditions():
     z4 = cyclic_group(4)
     neg = automorphism(z4, (0, 3, 2, 1))

@@ -175,13 +175,13 @@ def test_enumerate_homs_search_size_ignores_numbering(monkeypatch):
     import polyadic.groups as groups
 
     tried = []
-    propagate = groups._propagate
+    extend = groups._extend_along_edges
 
     def counting(*args):
         tried[-1] += 1
-        return propagate(*args)
+        return extend(*args)
 
-    monkeypatch.setattr(groups, "_propagate", counting)
+    monkeypatch.setattr(groups, "_extend_along_edges", counting)
     rng = random.Random(11)
     for g in (symmetric_group(4), direct_product(symmetric_group(3), cyclic_group(2))):
         sizes, homs = set(), set()
@@ -206,6 +206,21 @@ def test_enumerate_homs_s4xz2_within_cap():
     hs = enumerate_homs(g, g)
     assert len(hs) == 400
     assert all(h.is_valid() for h in hs)
+
+
+def test_enumerate_homs_caps_the_space_it_searches():
+    """Z2^4 has four involutions as generators; Z35 has no involution, so
+    the search tries the one all-identity tuple, not 35^4 of them. Into
+    Z2^6 every element of order 1 or 2 is a candidate: 64^4 tuples."""
+    z2 = cyclic_group(2)
+    z2_4 = direct_product(direct_product(z2, z2), direct_product(z2, z2))
+    z35 = cyclic_group(35)
+    hs = enumerate_homs(z2_4, z35)
+    assert [h.images for h in hs] == [(z35.identity,) * 16]
+    z2_6 = direct_product(z2_4, direct_product(z2, z2))
+    with pytest.raises(SizeCapExceeded) as info:
+        enumerate_homs(z2_4, z2_6)
+    assert (info.value.what, info.value.size) == ("hom search space", 64 ** 4)
 
 
 def test_hom_from_generator_images():
