@@ -15,8 +15,9 @@ class Caps:
     max_table_order: int = 64        # full-table binary groups
     max_power_order: int = 10 ** 6   # enumerated direct powers, hom searches
     max_arity: int = 6               # n-ary operations
-    max_tabulate: int = 2 * 10 ** 6  # flat n-ary tables (|G|^n), relator rotations,
-                                     # coordinate-group entries (|H| * points)
+    max_tabulate: int = 2 * 10 ** 6  # flat n-ary tables (|G|^n), cover tables,
+                                     # relator rotations, coordinate-group
+                                     # entries (|H| * points)
     max_axiom_tuples: int = 10 ** 7  # exhaustive associativity (|G|^(2n-1))
     max_points: int = 10 ** 6        # space solve searches, term-function grids (|G|^m)
     max_closure_algebra: int = 50_000  # generated term-function algebras

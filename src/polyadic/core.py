@@ -8,11 +8,12 @@ theta and a constant b with
     f(x_1,...,x_n) = x_1 . theta(x_2) . theta^2(x_3) ... theta^(n-1)(x_n) . b,
 
 subject to theta(b) = b and theta^(n-1)(x) = b . x . b^(-1); and a direct
-n-dimensional table over named elements. Every operation here works on both,
-reading the whole operation as one flat row-major table, which the derived
-form builds from its step tables with `prefix_products`. Equations are
-solved over the derived form: a table form over its recovery, `as_derived`,
-which refuses a table that is not an n-ary group.
+n-dimensional table over named elements. Every operation here works on both.
+One that reads the whole operation reads it as one flat row-major table,
+which the derived form builds from its step tables with `prefix_products`;
+the axioms and the recovery of a derived group come from its derivation
+data instead. Equations are solved over the derived form: a table form over
+its recovery, `as_derived`, which refuses a table that is not an n-ary group.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from .groups import (
     GroupAutomorphism,
     TableGroup,
     enumerate_homs,
-    generating_set,
+    hom_generators,
     identity_automorphism,
     psi_u,
     subgroups,
@@ -96,6 +97,12 @@ class PolyadicGroup:
 class DerivedPolyadicGroup(PolyadicGroup):
     """Carrier and names are those of the base group; f is computed from
     them, and `flat` is built on first use, under caps.max_tabulate.
+
+    An instance is trusted to be an n-ary group: `derive` checks both
+    derivation conditions, and `coordinate_group` builds its power from
+    data meeting them. So `verify_axioms`, `hosszu_gloskin` and
+    `build_post_cover` decide it from that data (Hosszú–Gluskin; Post),
+    with no order**n table.
 
     `steps` holds n-1 tables with
     f(x_1, ..., x_n) = steps[n-2][...steps[0][x_1][x_2]...][x_n], built on
@@ -310,7 +317,9 @@ def verify_axioms(p, caps=_caps.DEFAULT):
     """Associativity (all position pairs) and unique solvability (every
     position) of p's operation.
 
-    Success is proved by reconstruction: when `hosszu_gloskin(p, 0)` rebuilds
+    A derived group is an n-ary group by its checked derivation data, so
+    it is reported ok, with no scan and no cap consulted. For a table,
+    success is proved by reconstruction: when `hosszu_gloskin(p, 0)` rebuilds
     f on all |G|^n tuples from a validated retract, automorphism and
     constant, f is a derived operation, and every derived operation is
     associative and uniquely solvable. When that proof fails, the exhaustive
@@ -320,6 +329,8 @@ def verify_axioms(p, caps=_caps.DEFAULT):
     max_tabulate bounds the two |G|^n tables the reconstruction compares.
     The report never raises on mathematical failure.
     """
+    if isinstance(p, DerivedPolyadicGroup):
+        return _report(None, None)
     n, g = p.n, p.order
     _caps.check(caps, "reconstruction tuples", g ** n, caps.max_axiom_tuples)
     try:
@@ -493,10 +504,13 @@ def hosszu_gloskin(p, a, caps=_caps.DEFAULT):
     """Recover (retract group, twisting automorphism, constant) at anchor a.
 
     theta_a(x) = f(skew a, x, a^(n-2)) and b_a = f(skew a, ..., skew a).
-    The recovered data is checked to rebuild f exactly, as the derived
-    group's flat table against p's, and is returned as a derived polyadic
-    group over the retract; a mismatch names the least differing tuple.
-    The retract and the derived flat table are both checked against caps.
+    The retract, theta_a and the derivation conditions are validated, and
+    the data is returned as a derived polyadic group over the retract. On
+    a table, it is also checked to rebuild f exactly, as the derived
+    group's flat table against p's; a mismatch names the least differing
+    tuple. A derived p needs no such check: it is an n-ary group, so its
+    recovery rebuilds f by the Hosszú–Gluskin theorem. The retract is
+    checked against caps, and so is the flat table when it is built.
     """
     g = retract(p, a, caps=caps)
     sa = p.skew(a)
@@ -506,6 +520,8 @@ def hosszu_gloskin(p, a, caps=_caps.DEFAULT):
         raise ReconstructionMismatch(("theta", a), "automorphism", theta_images)
     b = p.f([sa] * p.n)
     out = derive(g, theta, b, p.n, caps=caps)
+    if isinstance(p, DerivedPolyadicGroup):
+        return out
     if out.flat != p.flat:
         i = _first_difference(out.flat, p.flat)
         raise ReconstructionMismatch(_decode(p.order, p.n, i), p.flat[i], out.flat[i])
@@ -603,9 +619,10 @@ def polyadic_homs(p, q, caps=_caps.DEFAULT):
     anchors = {}  # c -> the a with f_q(a,...,a) = c * a
     for a in hb.elements():
         anchors.setdefault(hb.mul(dq.f([a] * dq.n), hb.inv(a)), []).append(a)
-    pairs = [(x, dp.theta(x)) for x in generating_set(gb)]
+    gens = hom_generators(gb)
+    pairs = [(x, dp.theta(x)) for x in gens]
     out = []
-    for phi in enumerate_homs(gb, hb, caps=caps):
+    for phi in enumerate_homs(gb, hb, caps=caps, gens=gens):
         im = phi.images
         for a in anchors.get(im[dp.b], ()):
             if all(im[tx] == hb.conjugate(a, dq.theta(im[x])) for x, tx in pairs):

@@ -54,14 +54,17 @@ def load_json(path):
 
 def dump_json(doc):
     """`json.dumps(doc, indent=2)`, byte for byte. With `indent` set, json
-    encodes in Python generators; here each list of only str or only int
-    and each str -> str dict is one C-level join, and everything else
-    (floats, bools, None, subclasses, non-str keys) is `json.dumps` itself."""
+    encodes in Python generators; here each str is one C-level quote, each
+    list of only str or only int and each str -> str dict one C-level
+    join, and everything else (floats, bools, None, subclasses, non-str
+    keys) is `json.dumps` itself."""
     return _dump(doc, "\n")
 
 
 def _dump(x, nl):
     t = type(x)
+    if t is str:
+        return _quote(x)
     inner = nl + "  "
     if t is list or t is tuple:
         if not x:

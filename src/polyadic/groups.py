@@ -2,10 +2,11 @@
 
 Elements of a group of order N are the integers 0..N-1; names are display
 strings attached to indices. TableGroup stores the full multiplication table
-and is built only by validate_group and by the certified coset readout
+and is built only by validate_group, by the certified coset readout
 (`cover._regular_group`, which checks that a closed coset table is a regular
-action), so holding a TableGroup is proof the table satisfies the group
-axioms. TwistedGroup and DirectPowerGroup compute products on demand and
+action) and by `cover.build_post_cover` from checked derivation data
+(Post's theorem), so holding a TableGroup is proof the table satisfies the
+group axioms. TwistedGroup and DirectPowerGroup compute products on demand and
 share the same interface, which keeps direct powers usable far beyond the
 full-table size cap.
 """
@@ -589,20 +590,27 @@ def _candidates(g, h, gens, fits):
     ]
 
 
-def enumerate_homs(g, h, caps=_caps.DEFAULT):
+def hom_generators(g):
+    """The generating set `enumerate_homs` searches over by default, picked
+    by decreasing order, so that their number and orders, and the search's
+    size, follow the group rather than the numbering of its elements:
+    index order gives S4 three involutions (1000 tuples) under one
+    numbering and a 3-cycle and an involution (90) under another,
+    decreasing order two 4-cycles (256) under every one."""
+    return generating_set(g, key=lambda x: -g.element_order(x))
+
+
+def enumerate_homs(g, h, caps=_caps.DEFAULT, gens=None):
     """All homomorphisms g -> h as Hom records, sorted by image array;
     generator images are pruned by element-order divisibility.
 
-    The search runs over every tuple of generator images, so its size is
-    the product over generators of the images their orders admit, and that
-    is what the cap is checked on. The generators are picked by decreasing
-    order, so that their number and orders, and the search's size, follow
-    the group rather than the numbering of its elements: index order gives
-    S4 three involutions (1000 tuples) under one numbering and a 3-cycle
-    and an involution (90) under another, decreasing order two 4-cycles
-    (256) under every one.
+    The search runs over every tuple of images of `gens`, a generating set
+    of g (`hom_generators(g)` when not given), so its size is the product
+    over generators of the images their orders admit, and that is what the
+    cap is checked on.
     """
-    gens = generating_set(g, key=lambda x: -g.element_order(x))
+    if gens is None:
+        gens = hom_generators(g)
     candidates = _candidates(g, h, gens, lambda a, b: a % b == 0)
     _caps.check(
         caps, "hom search space", prod(map(len, candidates)), caps.max_power_order

@@ -18,6 +18,7 @@ from polyadic.fileio import (
     polyadic_from_doc,
     polyadic_to_doc,
 )
+from polyadic.groups import are_isomorphic, cyclic_group
 
 Z3 = {
     "name": "Z3",
@@ -646,26 +647,32 @@ def _z12n6(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["hg", "--anchor", "0"], ["postcover"]], ids=lambda argv: argv[0]
+    "argv",
+    [["hg", "--anchor", "0"], ["postcover"], ["validate"]],
+    ids=lambda argv: argv[0],
 )
-def test_whole_operation_verbs_capped_by_max_tabulate(tmp_path, capsys, argv):
-    """The Hosszú–Gluskin check and the cover's product check compare flat
-    tables, which max_tabulate bounds: these exit 2 on Z12 at n = 6, where
-    they ran the 12^6 tuples one by one before."""
+def test_whole_operation_verbs_answer_from_derivation_data(tmp_path, capsys, argv):
+    """A derived group is an n-ary group by its checked derivation data, so
+    the recovery, the cover and the axioms answer on Z12 at n = 6, where
+    they compared or scanned flat tables past max_tabulate and exited 2."""
     code, doc = run(capsys, argv[0], "--polyadic", _z12n6(tmp_path), *argv[1:])
-    assert code == 2
-    assert doc["error"]["type"] == "SizeCapExceeded"
-    assert doc["error"]["what"] == "n-ary table"
-    assert doc["error"]["size"] == 12 ** 6
-
-
-def test_validate_falls_back_to_the_capped_scan(tmp_path, capsys):
-    """When the reconstruction cannot build its table, `validate` takes the
-    exhaustive scan, whose 12^11 tuples exceed max_axiom_tuples."""
-    code, doc = run(capsys, "validate", "--polyadic", _z12n6(tmp_path))
-    assert code == 2
-    assert doc["error"]["what"] == "associativity tuples"
-    assert doc["error"]["size"] == 12 ** 11
+    assert code == 0
+    if argv[0] == "hg":
+        # anchor 0: x * y = f(x, 0, 0, 0, 0, y) = x + y, theta = id, b = 0
+        rec = polyadic_from_doc(doc["polyadic"])
+        rng = random.Random(6)
+        for _ in range(200):
+            args = [rng.randrange(12) for _ in range(6)]
+            assert int(rec.name(rec.f(args))) == sum(args) % 12
+    elif argv[0] == "postcover":
+        assert doc["order"] == 60
+        g = group_from_doc(doc["group"])
+        assert are_isomorphic(g, cyclic_group(60))[0]
+        assert [doc["embed"][str(x)] for x in range(12)] == [f"{x}_1" for x in range(12)]
+    else:
+        assert doc == {"ok": True, "kind": "polyadic", "order": 12, "n": 6,
+                       "associative": True, "solvable": True, "unique": True,
+                       "dornte": True}
 
 
 def test_element_verbs_need_no_flat_table(tmp_path, capsys):

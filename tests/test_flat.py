@@ -3,9 +3,11 @@
 A derived group factors f into step tables, one lookup per argument, and
 its `flat` is their prefix products; a table form is compiled and solved
 through its Hosszú–Gluskin recovery. Every reader of the whole
-operation reads it: `tabulate`, the Hosszú–Gluskin check, `retract`,
-`skew_search`, `nary_identity`, `dornte_check`, the exhaustive solvability
-scan, and the cover's product checks. Compiled terms and coordinate groups
+operation reads it: `tabulate`, the Hosszú–Gluskin check of a table,
+`retract`, `skew_search`, `nary_identity`, `dornte_check`, the exhaustive
+solvability scan, and the cover's homomorphism precheck (a derived group
+is decided by its derivation data, `test_derivation_data.py`). Compiled
+terms and coordinate groups
 read the steps. Each must give what the per-tuple code it replaced gave,
 frozen here, down to the witnesses and messages on corrupted operations.
 """
@@ -39,7 +41,6 @@ from polyadic.errors import (
     NoSolution,
     NotPolyadicHom,
     PolyadicError,
-    PropertyFailure,
     ReconstructionMismatch,
     SizeCapExceeded,
 )
@@ -171,17 +172,6 @@ def old_solvability_scan(p):
     return None, None
 
 
-def old_property4(group, d):
-    q, n = d.order, d.n
-    for args in product(range(q), repeat=n):
-        acc = q + args[0]
-        for x in args[1:]:
-            acc = group.mul(acc, q + x)
-        if acc != q + d.f(list(args)):
-            return f"product mismatch at {args}"
-    return None
-
-
 def old_hom_precheck(cover, beta, target):
     p = cover.polyadic
     for args in product(range(p.order), repeat=cover.n):
@@ -246,10 +236,10 @@ def recovered(result):
     return "ok", out.base.table, out.theta.images, out.b, out.n
 
 
-def corruptions(rng, flat, g, count, allowed=None):
+def corruptions(rng, flat, g, count):
     """`count` copies of flat, alternately with one entry changed and with
-    two entries of different values swapped, at indices `allowed` admits."""
-    idx = [i for i in range(len(flat)) if allowed is None or allowed(i)]
+    two entries of different values swapped."""
+    idx = range(len(flat))
     out = []
     for k in range(count):
         bad = list(flat)
@@ -261,10 +251,6 @@ def corruptions(rng, flat, g, count, allowed=None):
             bad[i], bad[j] = bad[j], bad[i]
         out.append(bad)
     return out
-
-
-def decode(g, n, i):
-    return tuple(i // g ** (n - 1 - k) % g for k in range(n))
 
 
 def through_steps(steps, args):
@@ -481,38 +467,6 @@ def test_identity_broken_at_each_position(catalog, name):
         flat[i] = e
         bad = TablePolyadicGroup(t.names(), t.n, flat)
         assert nary_identity(bad) == old_nary_identity(bad) != e, pos
-
-
-def test_corrupted_derived_group_fails_property_4_as_before(small_bases, random_derived):
-    """A derived group whose f and flat are both corrupted away from the
-    entries the anchor-0 retract reads: the cover's property 4 must fail
-    with the message of the per-tuple loop."""
-    rng = random.Random(7)
-    failures = 0
-    for base in small_bases:
-        for n in (3, 4):
-            d = random_derived(rng, base, (n,))
-            clean = build_post_cover(d)
-            assert old_property4(clean.group, d) is None
-            q = d.order
-            sa = d.skew(0)
-
-            def off_retract(i):
-                args = decode(q, n, i)
-                return any(args[1:n - 1]) and not (args[0] == sa == args[-1])
-
-            for flat in corruptions(rng, d.flat, q, 2, off_retract):
-                bad = derive(d.base, d.theta, d.b, n)
-                bad.flat = tuple(flat)
-                bad.f = lambda args, flat=flat: flat[
-                    sum(x * q ** (n - 1 - k) for k, x in enumerate(args))
-                ]
-                want = old_property4(clean.group, bad)
-                with pytest.raises(PropertyFailure) as e:
-                    build_post_cover(bad)
-                assert e.value.index == 4 and e.value.detail == want
-                failures += 1
-    assert failures == 2 * 2 * len(small_bases)
 
 
 def test_extend_hom_precheck_matches_per_tuple_loop(catalog):
