@@ -68,11 +68,6 @@ class PolyadicGroup:
             start = start * g + (0 if k == pos else x)
         return self.flat[start:start + g * step:step]
 
-    def solve_at(self, args, pos, c):
-        """The unique x with f(args[:pos], x, args[pos+1:]) = c, which
-        unique solvability guarantees; args[pos] is ignored."""
-        return self.line(args, pos).index(c)
-
     def skew(self, x):
         """The unique y with f(x,...,x,y) = x."""
         raise NotImplementedError

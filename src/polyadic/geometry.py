@@ -20,7 +20,7 @@ from .core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived, prefix_p
 from .core import derive_from_constant
 from .errors import PolyadicError
 from .groups import DirectPowerGroup, constant_tuple, induced_automorphism, psi_u
-from .terms import Apply, Skew, Variable, eval_term, is_coefficient_free, term_compiler
+from .terms import Apply, Skew, TermCompiler, Variable, eval_term, is_coefficient_free
 from .terms import term_variables, validate_term
 
 
@@ -87,7 +87,7 @@ def _points(p, system, caps):
     for eq in system.equations:
         _count_variables(eq.left, counts)
         _count_variables(eq.right, counts)
-    compile_term = term_compiler(as_derived(p, caps))
+    compile_term = TermCompiler(as_derived(p, caps))
     # at most one pivot per equation: its highest once-occurring variable,
     # which leaves the lowest last free variable
     pivots, checks = [], []

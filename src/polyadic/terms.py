@@ -112,12 +112,6 @@ def eval_equation(eq, assignment, p):
     return eval_term(eq.left, assignment, p) == eval_term(eq.right, assignment, p)
 
 
-def term_compiler(p):
-    """A function that compiles terms over p into evaluators: a
-    `TermCompiler`, which also solves for a variable that occurs once."""
-    return TermCompiler(p)
-
-
 class TermCompiler:
     """Compiles terms over p into evaluators.
 
@@ -366,128 +360,73 @@ def is_coefficient_free(t):
 # ---------------------------------------------------------------------------
 # normal form in the free product of the cover with a free group
 
-SYL_CONST = "c"
-SYL_VAR = "v"
-
 
 @dataclass(frozen=True)
 class SyllableWord:
-    """Alternating constant and variable-power syllables; constants are
-    cover element indices, never the cover identity; variable exponents
-    are nonzero. Identical syllable tuples mean equal elements."""
+    """Syllables ("c", cover index), never the cover identity, and ("v",
+    variable, nonzero exponent), reduced: no two adjacent constants or
+    powers of one variable. Identical syllable tuples mean equal elements."""
 
     syllables: tuple
 
     def __str__(self):
-        if not self.syllables:
-            return "1"
-        parts = []
-        for s in self.syllables:
-            if s[0] == SYL_CONST:
-                parts.append(f"<{s[1]}>")
-            else:
-                parts.append(
-                    f"x{s[1] + 1}" if s[2] == 1 else f"x{s[1] + 1}^{s[2]}"
-                )
-        return "*".join(parts)
-
-    def to_string(self, cover):
-        if not self.syllables:
-            return "1"
-        parts = []
-        for s in self.syllables:
-            if s[0] == SYL_CONST:
-                parts.append(cover.group.name(s[1]))
-            else:
-                parts.append(
-                    f"x{s[1] + 1}" if s[2] == 1 else f"x{s[1] + 1}^{s[2]}"
-                )
-        return "*".join(parts)
+        return "*".join(
+            f"<{s[1]}>" if s[0] == "c"
+            else f"x{s[1] + 1}" if s[2] == 1
+            else f"x{s[1] + 1}^{s[2]}"
+            for s in self.syllables
+        ) or "1"
 
     def height(self, cover):
         """Variable exponent sum plus grades of constant syllables."""
-        total = 0
-        for s in self.syllables:
-            total += cover.grade(s[1]) if s[0] == SYL_CONST else s[2]
-        return total
+        return sum(cover.grade(s[1]) if s[0] == "c" else s[2] for s in self.syllables)
 
 
-def _push_syllable(stack, syl, grp):
-    while True:
-        if syl is None:
-            return
-        if not stack:
+def _reduce_syllables(syllables, group):
+    """One pass, as `words._reduce_runs`: constants multiply in the cover,
+    powers of one variable add, and the top is dropped at the identity or
+    exponent 0. SizeCapExceeded past MAX_TERM_NODES syllables."""
+    if len(syllables) > MAX_TERM_NODES:
+        raise SizeCapExceeded("normal form syllables", len(syllables), MAX_TERM_NODES)
+    stack = []
+    for syl in syllables:
+        top = stack[-1] if stack else ("",)
+        if syl[0] != top[0] or syl[0] == "v" and syl[1] != top[1]:
             stack.append(syl)
-            return
-        top = stack[-1]
-        if top[0] == SYL_CONST and syl[0] == SYL_CONST:
-            c = grp.mul(top[1], syl[1])
-            stack.pop()
-            if c == grp.identity:
-                return
-            syl = (SYL_CONST, c)
             continue
-        if top[0] == SYL_VAR and syl[0] == SYL_VAR and top[1] == syl[1]:
-            e = top[2] + syl[2]
-            stack.pop()
-            if e == 0:
-                return
-            syl = (SYL_VAR, top[1], e)
-            continue
-        stack.append(syl)
-        return
-
-
-def _syl_mul(a, b, grp):
-    stack = list(a)
-    for syl in b:
-        _push_syllable(stack, syl, grp)
+        stack.pop()
+        if syl[0] == "c":
+            c = group.mul(top[1], syl[1])
+            if c != group.identity:
+                stack.append(("c", c))
+        elif top[2] + syl[2]:
+            stack.append(("v", syl[1], top[2] + syl[2]))
     return tuple(stack)
-
-
-def _syl_inv(a, grp):
-    out = []
-    for s in reversed(a):
-        if s[0] == SYL_CONST:
-            out.append((SYL_CONST, grp.inv(s[1])))
-        else:
-            out.append((SYL_VAR, s[1], -s[2]))
-    return tuple(out)
-
-
-def _syl_pow(a, k, grp):
-    if k < 0:
-        return _syl_pow(_syl_inv(a, grp), -k, grp)
-    out = ()
-    for _ in range(k):
-        out = _syl_mul(out, a, grp)
-    return out
 
 
 def normalize_term(t, p, cover=None):
     """Normal form of a term as an element of the free product of p's
     cover with the free group on the variables. Equal terms (under the
-    n-ary laws and the cover relations) get identical normal forms."""
+    n-ary laws and the cover relations) get identical normal forms. Each
+    node is one `_reduce_syllables`: of its children's forms joined at an
+    f node, of n-2 copies of its child's inverse at a skew."""
     if cover is None:
         from .cover import build_post_cover
 
         cover = build_post_cover(p)
-    grp = cover.group
-    n = cover.n
+    grp, n = cover.group, cover.n
 
     def rec(t):
         if isinstance(t, Variable):
-            return ((SYL_VAR, t.index, 1),)
+            return (("v", t.index, 1),)
         if isinstance(t, Constant):
-            return ((SYL_CONST, cover.embed_index(t.element)),)
+            return (("c", cover.embed_index(t.element)),)
         if isinstance(t, Skew):
-            return _syl_pow(rec(t.child), 2 - n, grp)
+            w = [("c", grp.inv(s[1])) if s[0] == "c" else ("v", s[1], -s[2]) for s in rec(t.child)]
+            return _reduce_syllables(w[::-1] * (n - 2), grp)
         if len(t.children) != n:
             raise ArityMismatch(n, len(t.children))
-        acc = ()
-        for c in t.children:
-            acc = _syl_mul(acc, rec(c), grp)
-        return acc
+        return _reduce_syllables(tuple(s for c in t.children for s in rec(c)), grp)
 
     word = SyllableWord(rec(t))
     if word.height(cover) % (n - 1) != 1 % (n - 1):
@@ -717,9 +656,7 @@ class _Resolver:
     group, with an optional leading c before an element name."""
 
     def __init__(self, element_names=None, generators=None):
-        self.elements = (
-            {s: i for i, s in enumerate(element_names)} if element_names else None
-        )
+        self.elements = {s: i for i, s in enumerate(element_names or ())}
         self.generators = (
             {s: i for i, s in enumerate(generators)} if generators is not None else None
         )
@@ -732,19 +669,25 @@ class _Resolver:
         k = _variable_index(name, col)
         if k is not None:
             return Variable(k)
-        if self.elements is not None:
-            if name in self.elements:
-                return Constant(self.elements[name])
-            if name[0] == "c" and name[1:] in self.elements:
-                return Constant(self.elements[name[1:]])
-        raise ParseError(f"unknown name {name!r}", column=col)
+        return Constant(_element(self.elements, name, col))
 
 
-class _TermParser:
-    def __init__(self, tokens, resolver):
+def _element(elements, name, col):
+    """The index of an element name, or of the name without a leading c;
+    else a ParseError at col."""
+    if name in elements:
+        return elements[name]
+    if name[0] == "c" and name[1:] in elements:
+        return elements[name[1:]]
+    raise ParseError(f"unknown name {name!r}", column=col)
+
+
+class _Cursor:
+    """A position in a token list, for both term grammars."""
+
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.resolver = resolver
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -760,6 +703,18 @@ class _TermParser:
         tok, col = self.next()
         if tok != want:
             raise ParseError(f"expected {want!r}, found {tok!r}", column=col)
+
+    def finish(self):
+        """A ParseError at the first token left unread, if any."""
+        if self.pos != len(self.tokens):
+            tok, col = self.tokens[self.pos]
+            raise ParseError(f"trailing input {tok!r}", column=col)
+
+
+class _TermParser(_Cursor):
+    def __init__(self, tokens, resolver):
+        super().__init__(tokens)
+        self.resolver = resolver
 
     def term(self, depth=0):
         tok, col = self.next()
@@ -789,11 +744,7 @@ def parse_term(text, element_names=None, generators=None):
     written with a leading c, as in c2 for the element named 2)."""
     parser = _TermParser(_tokenize(text), _Resolver(element_names, generators))
     t = parser.term()
-    if parser.pos != len(parser.tokens):
-        raise ParseError(
-            f"trailing input {parser.tokens[parser.pos][0]!r}",
-            column=parser.tokens[parser.pos][1],
-        )
+    parser.finish()
     return t
 
 
@@ -802,11 +753,7 @@ def parse_equation(text, element_names=None, generators=None):
     left = parser.term()
     parser.expect("=")
     right = parser.term()
-    if parser.pos != len(parser.tokens):
-        raise ParseError(
-            f"trailing input {parser.tokens[parser.pos][0]!r}",
-            column=parser.tokens[parser.pos][1],
-        )
+    parser.finish()
     return Equation(left, right)
 
 
@@ -826,7 +773,7 @@ def term_to_string(t, p=None, generators=None):
     return f"f({inner})"
 
 
-class _GroupTermParser:
+class _GroupTermParser(_Cursor):
     """Binary group terms: juxtaposition or * for products (grouped to
     the right), postfix ' or ^-1 for inverses, ^k for powers, 1 for the
     identity, parentheses for grouping.
@@ -839,19 +786,8 @@ class _GroupTermParser:
     """
 
     def __init__(self, tokens, element_names):
-        self.tokens = tokens
-        self.pos = 0
+        super().__init__(tokens)
         self.elements = {s: i for i, s in enumerate(element_names)}
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def product(self, nest=0):
         factors = [self.factor(nest)]
@@ -881,9 +817,7 @@ class _GroupTermParser:
                     column=col,
                 )
             base = self.product(nest + 1)
-            tok2, col2 = self.next()
-            if tok2 != ")":
-                raise ParseError(f"expected ')', found {tok2!r}", column=col2)
+            self.expect(")")
         elif _NAME.fullmatch(tok):
             base = (self.atom(tok, col), 1, 1)
         else:
@@ -939,36 +873,22 @@ class _GroupTermParser:
         k = _variable_index(name, col)
         if k is not None:
             return GVar(k)
-        if name in self.elements:
-            return GConst(self.elements[name])
-        if name[0] == "c" and name[1:] in self.elements:
-            return GConst(self.elements[name[1:]])
-        raise ParseError(f"unknown name {name!r}", column=col)
+        return GConst(_element(self.elements, name, col))
 
 
 def parse_group_term(text, element_names):
     parser = _GroupTermParser(_tokenize(text), element_names)
     t = parser.product()[0]
-    if parser.pos != len(parser.tokens):
-        raise ParseError(
-            f"trailing input {parser.tokens[parser.pos][0]!r}",
-            column=parser.tokens[parser.pos][1],
-        )
+    parser.finish()
     return t
 
 
 def parse_group_equation(text, element_names):
     parser = _GroupTermParser(_tokenize(text), element_names)
     left = parser.product()[0]
-    tok, col = parser.next()
-    if tok != "=":
-        raise ParseError(f"expected '=', found {tok!r}", column=col)
+    parser.expect("=")
     right = parser.product()[0]
-    if parser.pos != len(parser.tokens):
-        raise ParseError(
-            f"trailing input {parser.tokens[parser.pos][0]!r}",
-            column=parser.tokens[parser.pos][1],
-        )
+    parser.finish()
     return left, right
 
 

@@ -126,14 +126,14 @@ def test_skew_closed_form_vs_search(catalog):
 @pytest.mark.parametrize("seed", range(3))
 def test_solve_at_is_the_line_inverse(seed, catalog, small_bases, random_derived):
     """solve_at in every position, on the catalog and on random derived
-    groups, in both forms and over a lazy direct power: the x where the
-    line takes the value c."""
+    groups, on the derived form and over a lazy direct power: the x where
+    the line takes the value c."""
     rng = random.Random(seed)
     groups = list(catalog.values()) + [random_derived(rng, b) for b in small_bases]
     for p in groups:
         pg = direct_power(p.base, 1)
         lazy = derive(pg, induced_automorphism(p.theta, pg), p.b, p.n)
-        for q in (p, tabulate(p), lazy):
+        for q in (p, lazy):
             for _ in range(10):
                 args = [rng.randrange(q.order) for _ in range(q.n)]
                 for pos in range(q.n):

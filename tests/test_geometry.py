@@ -44,7 +44,7 @@ from polyadic.terms import (
     parse_equation,
     parse_term,
     polyadic_to_group,
-    term_compiler,
+    TermCompiler,
     term_variables,
 )
 
@@ -541,7 +541,7 @@ def old_solve(p, system, caps=Caps()):
     m = system.m
     if p.order ** m > caps.max_points:
         raise SizeCapExceeded("solution grid", p.order ** m, caps.max_points)
-    compile_term = term_compiler(p)
+    compile_term = TermCompiler(p)
     at_depth = [[] for _ in range(m + 1)]
     for eq in system.equations:
         used = term_variables(eq.left) | term_variables(eq.right)

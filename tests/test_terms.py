@@ -25,6 +25,7 @@ from polyadic.terms import (
     GOne,
     GVar,
     Skew,
+    TermCompiler,
     Variable,
     eval_equation,
     eval_group_term,
@@ -41,7 +42,6 @@ from polyadic.terms import (
     polyadic_to_group,
     polyadic_to_group_equation,
     term_to_free_word,
-    term_compiler,
     term_to_string,
     terms_equal,
     term_variables,
@@ -94,7 +94,7 @@ def test_parse_depth_bound_keeps_walkers_inside_the_stack():
     t = parse_term(deepest, element_names=names)
     assert term_to_string(t, p) == deepest
     value = eval_term(t, [1], p)
-    assert term_compiler(p)(t)([1]) == value
+    assert TermCompiler(p)(t)([1]) == value
     cover = build_post_cover(p)
     g = polyadic_to_group(t, cover)
     group_term_to_string(g, cover.group)
@@ -168,6 +168,161 @@ def test_normalize_skew_cancellation(p2):
     # and the normal form agrees
     t = Apply((Variable(0), Variable(0), Skew(Variable(0))))
     assert terms_equal(t, Variable(0), p2)
+
+
+def old_normal_form(t, cover):
+    """The syllables of normalize_term as computed before its one-pass
+    reducer: each syllable pushed with cascading merges, an f node as n-1
+    products of its children's forms, a skew as n-2 products of its
+    child's inverse. Frozen here as the oracle."""
+    grp, n = cover.group, cover.n
+
+    def push(stack, syl):
+        while True:
+            if syl is None:
+                return
+            if not stack:
+                stack.append(syl)
+                return
+            top = stack[-1]
+            if top[0] == "c" and syl[0] == "c":
+                c = grp.mul(top[1], syl[1])
+                stack.pop()
+                if c == grp.identity:
+                    return
+                syl = ("c", c)
+                continue
+            if top[0] == "v" and syl[0] == "v" and top[1] == syl[1]:
+                e = top[2] + syl[2]
+                stack.pop()
+                if e == 0:
+                    return
+                syl = ("v", top[1], e)
+                continue
+            stack.append(syl)
+            return
+
+    def mul(a, b):
+        stack = list(a)
+        for syl in b:
+            push(stack, syl)
+        return tuple(stack)
+
+    def inv(a):
+        return tuple(
+            ("c", grp.inv(s[1])) if s[0] == "c" else ("v", s[1], -s[2]) for s in reversed(a)
+        )
+
+    def power(a, k):
+        if k < 0:
+            return power(inv(a), -k)
+        out = ()
+        for _ in range(k):
+            out = mul(out, a)
+        return out
+
+    def rec(t):
+        if isinstance(t, Variable):
+            return (("v", t.index, 1),)
+        if isinstance(t, Constant):
+            return (("c", cover.embed_index(t.element)),)
+        if isinstance(t, Skew):
+            return power(rec(t.child), 2 - n)
+        acc = ()
+        for c in t.children:
+            acc = mul(acc, rec(c))
+        return acc
+
+    return rec(t)
+
+
+def group_power(g, x, k):
+    if k < 0:
+        x, k = g.inv(x), -k
+    out = g.identity
+    while k:
+        if k & 1:
+            out = g.mul(out, x)
+        x, k = g.mul(x, x), k >> 1
+    return out
+
+
+def eval_normal_form(word, assignment, cover):
+    """The normal form's value in the cover group, each variable at the
+    embedded value the assignment gives it."""
+    g = cover.group
+    acc = g.identity
+    for s in word.syllables:
+        if s[0] == "c":
+            acc = g.mul(acc, s[1])
+        else:
+            acc = g.mul(acc, group_power(g, cover.embed_index(assignment[s[1]]), s[2]))
+    return acc
+
+
+def random_term(rng, n, order, m, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        if r < 0.1:
+            return Constant(rng.randrange(order))
+        return Variable(rng.randrange(m))
+    if r < 0.5:
+        return Skew(random_term(rng, n, order, m, depth - 1))
+    return Apply(tuple(random_term(rng, n, order, m, depth - 1) for _ in range(n)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_normal_form_matches_the_frozen_reducer(n, small_bases, random_derived):
+    """On seeded random terms with constants and nested skews, over every
+    small base with theta and b drawn from all valid pairs: the one-pass
+    normal form has the frozen reducer's syllables, and evaluates in the
+    cover, at embedded values, to the embedded value of the term."""
+    rng = random.Random(1800 + n)
+    twisted = nested = 0
+    kinds = set()
+    for base in small_bases * 3:
+        p = random_derived(rng, base, (n,))
+        twisted += any(p.theta(x) != x for x in p.elements())
+        cover = build_post_cover(p)
+        for _ in range(15):
+            t = random_term(rng, n, p.order, 3, 3)
+            word = normalize_term(t, p, cover)
+            assert word.syllables == old_normal_form(t, cover), t
+            a = [rng.randrange(p.order) for _ in range(3)]
+            want = cover.embed_index(eval_term(t, a, p))
+            assert eval_normal_form(word, a, cover) == want, (t, a)
+            kinds |= {s[0] for s in word.syllables}
+            nested += "~~" in term_to_string(t)
+    assert twisted and nested and kinds == {"c", "v"}
+
+
+def test_normal_form_refuses_a_reduction_past_max_term_nodes():
+    """Over Z3 at n = 5 each skew over f(x1,1,x2,2,x1) triples its normal
+    form: up to 7 skews match the frozen reducer, the 8th would reduce
+    3 * 8749 syllables and is refused, and 100 skews over x1 are one
+    syllable."""
+    z3 = cyclic_group(3)
+    p = derive(z3, identity_automorphism(z3), 0, 5)
+    cover = build_post_cover(p)
+    lengths = []
+    for d in range(1, 8):
+        t = parse_term("~" * d + "f(x1,1,x2,2,x1)", element_names=NAMES)
+        word = normalize_term(t, p, cover)
+        assert word.syllables == old_normal_form(t, cover)
+        lengths.append(len(word.syllables))
+    assert lengths == [13, 37, 109, 325, 973, 2917, 8749]
+    t = parse_term("~" * 8 + "f(x1,1,x2,2,x1)", element_names=NAMES)
+    assert len(old_normal_form(t, cover)) == 26245
+    with pytest.raises(SizeCapExceeded) as e:
+        normalize_term(t, p, cover)
+    assert (e.value.what, e.value.size, e.value.cap) == (
+        "normal form syllables", 3 * 8749, MAX_TERM_NODES
+    )
+    with pytest.raises(SizeCapExceeded):
+        terms_equal(t, Variable(0), p, cover)
+    skews = parse_term("~" * MAX_TERM_DEPTH + "x1", element_names=NAMES)
+    word = normalize_term(skews, p, cover)
+    assert word.syllables == old_normal_form(skews, cover) == (("v", 0, 3 ** 100),)
 
 
 def test_group_term_parse_and_string():
