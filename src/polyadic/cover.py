@@ -17,19 +17,12 @@ from .core import _decode, _first_difference, as_derived, prefix_products, retra
 from .errors import (
     CapExceeded,
     EmptyGeneratorSet,
-    Inconsistent,
     NotPolyadicHom,
     NotRegular,
     PolyadicError,
     PropertyFailure,
 )
-from .groups import (
-    TableGroup,
-    are_isomorphic,
-    hom_from_generator_images,
-    subgroup_closure,
-    subgroup_table,
-)
+from .groups import Hom, TableGroup, hom_from_generator_images, subgroup_closure
 from .terms import term_to_free_word
 from .words import FreeWord
 
@@ -78,7 +71,9 @@ def build_post_cover(p, caps=_caps.DEFAULT):
     built as a TableGroup directly; max_tabulate bounds its ((n-1)|G|)^2
     entries. It is then checked against the five coset properties:
       1. g -> (g,1) is a bijection onto the coset R(e,1);
-      2. R is isomorphic to the retract of p (witness kept);
+      2. (x,0) -> x.s, s = skew 0, is an isomorphism from R onto the
+         retract of p at 0, checked on all |G|^2 products of R and kept
+         as retract_iso;
       3. the grade map is a homomorphism onto Z_(n-1) with kernel R;
       4. f(x_1,...,x_n) = (x_1,1)(x_2,1)...(x_n,1) for all tuples, decided
          by `_coset_mismatch` in O(n|G|^2);
@@ -111,12 +106,18 @@ def build_post_cover(p, caps=_caps.DEFAULT):
     if coset != image:
         raise PropertyFailure(1, f"embedded coset mismatch: {sorted(coset)}")
 
-    # property 2: R is the retract
-    r_group = subgroup_table(group, range(q), name="R")
+    # property 2: R's block holds the base's rows, and the retract at 0 is
+    # the base twisted by its identity s, x*y = x.s^-1.y, so x -> x.s maps
+    # R onto it; the map is a bijection, a right translation of the base
     ret = retract(d, 0, caps)
-    ok, iso = are_isomorphic(r_group, ret)
-    if not ok:
-        raise PropertyFailure(2, "grade-0 subgroup is not the retract")
+    s = ret.identity
+    images = tuple(base.mul(x, s) for x in range(q))
+    for x in range(q):
+        row = ret.table[images[x]]
+        got = tuple(map(images.__getitem__, table[x][:q]))
+        if got != tuple(map(row.__getitem__, images)):
+            y = next(y for y in range(q) if got[y] != row[images[y]])
+            raise PropertyFailure(2, f"x -> x.s not multiplicative onto the retract at {x},{y}")
 
     # property 3: grade map is a homomorphism; it is onto Z_(n-1) with
     # kernel R by the numbering of the pairs. A row's grades are read in
@@ -137,7 +138,7 @@ def build_post_cover(p, caps=_caps.DEFAULT):
     if len(subgroup_closure(group, image)) != m * q:
         raise PropertyFailure(5, "embedded coset does not generate")
 
-    return PostCover(d, group, iso)
+    return PostCover(d, group, Hom(base, ret, images))
 
 
 def _coset_mismatch(d, ret, rows):
@@ -204,26 +205,19 @@ def extend_hom_to_cover(cover, beta, target):
     """The unique group homomorphism on the cover restricting to beta.
 
     beta maps the n-ary group's carrier into target (a sequence of
-    target indices) and must satisfy beta(f(x_1..x_n)) = product of the
-    beta(x_i) in target; the extension is `hom_from_generator_images`
-    with the embedded elements as generators. A clash would mean beta
-    was not a valid starting map, so Inconsistent is unreachable for
-    inputs passing the precheck.
+    target indices). The extension is `hom_from_generator_images` with the
+    embedded elements as generators, which generate the cover (property
+    5). It exists exactly when beta(f(x_1..x_n)) is the product of the
+    beta(x_i) in target: the cover is universal for such maps (Post), and
+    an extension carries f to that product by property 4. So only a clash
+    runs the product check, which names the least tuple where beta fails.
     """
-    p = cover.polyadic
-    bad = _product_mismatch(p, beta, lambda c: tuple(target.mul(c, y) for y in beta))
-    if bad:
-        raise NotPolyadicHom(*bad)
-
-    g = cover.group
-    gens = [cover.embed_index(x) for x in range(p.order)]
-    hom, reason = hom_from_generator_images(g, target, gens, beta)
+    hom, reason = hom_from_generator_images(cover.group, target, cover.embedded(), beta)
     if reason is None:
         return hom
-    if reason[0] == "clash":
-        _, x, gen = reason
-        raise Inconsistent(g.mul(x, gen), x, gen)
-    raise PolyadicError("embedded coset failed to generate the cover")
+    p = cover.polyadic
+    bad = _product_mismatch(p, beta, lambda c: tuple(target.mul(c, y) for y in beta))
+    raise NotPolyadicHom(*bad)
 
 
 # ---------------------------------------------------------------------------

@@ -162,16 +162,6 @@ class NotPolyadicHom(PolyadicError):
         )
 
 
-class Inconsistent(PolyadicError):
-    def __init__(self, element, parent, generator):
-        self.element = element
-        self.parent = parent
-        self.generator = generator
-        super().__init__(
-            f"propagation gives {element} = {parent} . {generator} two images"
-        )
-
-
 class ParseError(PolyadicError):
     def __init__(self, message, line=1, column=0):
         self.line = line

@@ -435,10 +435,6 @@ class TermFunctions:
         ]
         return AlgebraicSet(m=self.m, points=tuple(self.points[i] for i in good))
 
-    def is_algebraic(self, z):
-        zset = {tuple(pt) for pt in z}
-        return set(self.closure(zset).points) == zset
-
     def irreducible(self, y, caps=_caps.DEFAULT):
         """Whether no two proper algebraic subsets of y cover it.
 

@@ -100,10 +100,6 @@ def reduce_word(letters):
     return FreeWord(tuple(letters))
 
 
-def height(w):
-    return w.height
-
-
 class PolyadicFreeWord:
     """A free-group word together with the arity it lives under.
 

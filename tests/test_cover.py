@@ -16,8 +16,10 @@ from polyadic.errors import (
     CapExceeded,
     EmptyGeneratorSet,
     NotPolyadicHom,
+    PropertyFailure,
 )
 from polyadic.groups import (
+    TableGroup,
     are_isomorphic,
     cyclic_group,
     enumerate_homs,
@@ -76,6 +78,42 @@ def test_cover_grade_map(p7):
 def test_cover_of_table_form(p2):
     c = build_post_cover(tabulate(p2))
     assert c.order == 6
+
+
+def _relabelled(g, u, v):
+    """g's table with the labels u and v swapped: a group isomorphic to g."""
+    swap = list(range(g.order))
+    swap[u], swap[v] = v, u
+    table = [[None] * g.order for _ in swap]
+    for x in g.elements():
+        for y in g.elements():
+            table[swap[x]][swap[y]] = swap[g.mul(x, y)]
+    inverses = [swap[g.inv(swap[x])] for x in g.elements()]
+    return TableGroup(g.names(), table, swap[g.identity], inverses, name="relabelled")
+
+
+def test_property_2_refuses_a_relabelled_retract(catalog, monkeypatch):
+    """The retract with two non-identity labels swapped, where that changes
+    its table, is still isomorphic to R, but (x, 0) -> x . s no longer maps
+    R onto it: property 2 fails, before property 4 reads the retract."""
+    import polyadic.cover
+
+    checked = 0
+    for key, p in catalog.items():
+        ret = retract(p, 0)
+        others = [x for x in ret.elements() if x != ret.identity]
+        pairs = [(u, v) for u, v in itertools.combinations(others, 2)
+                 if _relabelled(ret, u, v).table != ret.table]
+        if not pairs:  # every swap is an automorphism, as in Z3 and K4
+            continue
+        bad = _relabelled(ret, *pairs[0])
+        monkeypatch.setattr(polyadic.cover, "retract", lambda p, a, caps: bad)
+        with pytest.raises(PropertyFailure) as e:
+            build_post_cover(p)
+        assert e.value.index == 2, key
+        monkeypatch.undo()
+        checked += 1
+    assert checked == 4
 
 
 def test_extend_hom_to_cover(p1):

@@ -30,11 +30,17 @@ from polyadic.core import (
     tabulate,
     verify_axioms,
 )
-from polyadic.cover import _coset_mismatch, _product_mismatch, build_post_cover
+from polyadic.cover import (
+    _coset_mismatch,
+    _product_mismatch,
+    build_post_cover,
+    extend_hom_to_cover,
+)
 from polyadic.errors import PolyadicError, ReconstructionMismatch
 from polyadic.fileio import polyadic_from_doc, polyadic_to_doc
 from polyadic.groups import (
     GroupAutomorphism,
+    Hom,
     are_isomorphic,
     inner_automorphism,
     subgroup_table,
@@ -67,9 +73,9 @@ def flat_hosszu_gloskin(p, a, caps=RAISED):
 
 
 def validated_cover(p, caps=RAISED):
-    """(derived group, cover group, retract isomorphism) as the cover was
-    proved before: its table through validate_group, property 4 by
-    `_product_mismatch` over all |G|^n tuples."""
+    """(derived group, cover group) as the cover was proved before: its
+    table through validate_group, property 4 by `_product_mismatch` over
+    all |G|^n tuples."""
     d = p if isinstance(p, DerivedPolyadicGroup) else flat_hosszu_gloskin(p, 0, caps)
     base, n, q = d.base, d.n, d.order
     m = n - 1
@@ -83,8 +89,7 @@ def validated_cover(p, caps=RAISED):
                           for x in (carry if i + j >= m else plain)])
     group = validate_group(names, table, name="cover", caps=caps)
     assert _product_mismatch(d, range(q, 2 * q), lambda c: group.table[c][q:2 * q]) is None
-    _, iso = are_isomorphic(subgroup_table(group, range(q), name="R"), retract(d, 0, caps))
-    return d, group, iso
+    return d, group
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +169,18 @@ def test_cover_matches_the_validated_cover(seed, small_bases, random_derived):
         for form in (d, t):
             c = build_post_cover(form)
             assert "flat" not in vars(d)
-            want_d, group, iso = validated_cover(p if form is d else t)
+            want_d, group = validated_cover(p if form is d else t)
             got = c.group
             assert (got.names(), got.table) == (group.names(), group.table), form
             assert (got.identity, got.inverses) == (group.identity, group.inverses)
             assert [c.embed_index(x) for x in form.elements()] == list(c.embedded())
             assert list(c.embedded()) == [form.order + x for x in form.elements()]
-            assert c.retract_iso.images == iso.images
             assert c.polyadic.base.table == want_d.base.table
+            # (x, 0) -> x . s, s = skew 0: an isomorphism from R onto the retract
+            q, base, ret = form.order, want_d.base, retract(want_d, 0)
+            assert c.retract_iso.images == tuple(base.mul(x, ret.identity) for x in range(q))
+            iso = Hom(subgroup_table(group, range(q)), ret, c.retract_iso.images)
+            assert iso.is_valid() and iso.is_injective()
 
 
 def test_property_4_names_a_mismatch_on_each_corrupted_cell(small_bases, random_derived):
@@ -245,6 +254,13 @@ def test_validate_on_derived_s4_at_n5(tmp_path, capsys):
     assert code == 0
     assert out == {"ok": True, "kind": "polyadic", "order": 24, "n": 5,
                    "associative": True, "solvable": True, "unique": True, "dornte": True}
+
+
+def test_embedding_extends_to_the_identity_on_derived_s4_at_n5():
+    cover = build_post_cover(polyadic_from_doc(_s4_doc(5)))
+    assert cover.order == 96
+    hom = extend_hom_to_cover(cover, cover.embedded(), cover.group)
+    assert hom.images == tuple(range(96))
 
 
 def test_postcover_on_derived_s4_at_n4(tmp_path, capsys):

@@ -189,8 +189,8 @@ def old_hom_from_generator_images(g, h, gens, images):
 
 
 def old_cover_images(cover, beta, target):
-    """The propagation `extend_hom_to_cover` ran after its precheck, where
-    a clash raised Inconsistent; the precheck makes it unreachable."""
+    """The propagation `extend_hom_to_cover` once ran after a per-tuple
+    precheck of beta; no map passing it gives an element two images."""
     g = cover.group
     images = [None] * g.order
     frontier = []
