@@ -14,7 +14,6 @@ import functools
 import os
 import sys
 
-from . import caps as _caps
 from .core import (
     as_derived,
     dornte_check,
@@ -181,8 +180,6 @@ def _cmd_validate(args):
     }
     if rep.associativity_witness is not None:
         doc["associativity_witness"] = list(rep.associativity_witness)
-    if rep.solvability_witness is not None:
-        doc["solvability_witness"] = list(rep.solvability_witness)
     if rep.uniqueness_witness is not None:
         doc["uniqueness_witness"] = list(rep.uniqueness_witness)
     if dwit is not None:

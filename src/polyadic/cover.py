@@ -24,7 +24,6 @@ from .errors import (
 )
 from .groups import Hom, TableGroup, hom_from_generator_images, subgroup_closure
 from .terms import term_to_free_word
-from .words import FreeWord
 
 
 class PostCover:
@@ -440,7 +439,9 @@ def _regular_group(table):
     its inverse), and coset 0 is the trivial subgroup; rows no entry
     reaches from 0 are ignored. Cosets are labelled c0, c1, ... breadth-first
     from c0 = 1, so each label y > 0 is parent(y) . col(y) in that search's
-    spanning tree, and the product x * y traces y's tree word from x.
+    spanning tree, and the product x * y traces y's tree word from x. The
+    search walks the table itself, not `groups.cayley_walk`: the table is
+    not known to be a group until the certificate proves it.
 
     The certificate: every column is a permutation with column c^1 its
     inverse, and the row of each generator g (g * y over y) commutes with

@@ -281,6 +281,8 @@ def system_from_doc(doc, base_dir=".", p=None, n=None, caps=_caps.DEFAULT):
     m = _integer(_require(doc, "vars", "system"), "vars")
     if m < 0:
         raise PolyadicError("vars must be nonnegative")
+    # every verb builds an m-entry list or |G|^m points
+    _caps.check(caps, "variables", m, caps.max_tabulate)
     names = list(p.names())
     texts = _strings(doc.get("equations", []), "equations")
     equations = tuple(parse_equation(s, element_names=names) for s in texts)

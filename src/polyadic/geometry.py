@@ -10,7 +10,7 @@ coordinate groups over G and over its cover are all computed exactly by
 enumeration at small scale.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from operator import getitem, itemgetter
 from typing import Optional
@@ -19,7 +19,8 @@ from . import caps as _caps
 from .core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived, prefix_products
 from .core import derive_from_constant
 from .errors import PolyadicError
-from .groups import DirectPowerGroup, constant_tuple, induced_automorphism, psi_u
+from .groups import DirectPowerGroup, cayley_walk, constant_tuple, induced_automorphism
+from .groups import psi_u
 from .terms import Apply, Skew, TermCompiler, Variable, eval_term, is_coefficient_free
 from .terms import term_variables, validate_term
 
@@ -263,9 +264,7 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
             elements=(0,),
         )
     k = len(pts)
-    # H holds |H| tuples of k coordinates: the closure cap is scaled so that
-    # they hold at most max_tabulate entries, like a flat table; with
-    # constants, H holds the |G| distinct constant tuples
+    # with constants, H holds |G| constant tuples: refused before the walk
     limit = min(caps.max_closure_algebra, caps.max_tabulate // k)
     _caps.check(caps, "closure", d.order if with_constants else 1, limit)
     columns = [tuple(pt[j] for pt in pts) for j in range(m)]
@@ -273,7 +272,7 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     gens = list(dict.fromkeys(columns + diagonals))
     if not gens:
         raise PolyadicError("no generators: zero variables and no constants")
-    _, closed = _term_closure(d, gens, replace(caps, max_closure_algebra=limit), "closure")
+    _, closed = _term_closure(d, gens, caps, "closure")
     pg = DirectPowerGroup(d.base, k)
     theta_hat = induced_automorphism(d.theta, pg)
     b_hat = constant_tuple(pg, d.b)
@@ -298,6 +297,10 @@ def _generated(base, identity, gens, caps, what, psi=None):
     only by the steps identity^-1 . t for each generator t, one column
     lookup per coordinate, so the work is |H| times the number of
     generators, and a finite monoid generated that way is the subgroup.
+    Unlike `groups.cayley_walk` it records no edges, |H| * |gens| tuples
+    that nothing would read. As H grows it is capped at
+    min(max_closure_algebra, max_tabulate // len(identity)), so its tuples
+    hold at most max_tabulate entries, like a flat table.
     """
     found = list(dict.fromkeys(gens))
     if psi is not None:
@@ -307,7 +310,8 @@ def _generated(base, identity, gens, caps, what, psi=None):
             if y not in seen:
                 seen.add(y)
                 found.append(y)
-    _caps.check(caps, what, len(found), caps.max_closure_algebra)
+    limit = min(caps.max_closure_algebra, caps.max_tabulate // len(identity))
+    _caps.check(caps, what, len(found), limit)
     # cols[g][a] = a . g: right multiplication by g
     els = base.elements()
     cols = [tuple(base.mul(a, g) for a in els) for g in els]
@@ -323,7 +327,7 @@ def _generated(base, identity, gens, caps, what, psi=None):
             if y not in closed:
                 closed.add(y)
                 queue.append(y)
-        _caps.check(caps, what, len(closed), caps.max_closure_algebra)
+        _caps.check(caps, what, len(closed), limit)
     return closed
 
 
@@ -405,12 +409,10 @@ class TermFunctions:
         projections = [tuple(pt[j] for pt in self.points) for j in range(m)]
         diagonals = [(g,) * coords for g in range(d.order)]
         gens = list(dict.fromkeys(projections + diagonals))
-        limit = min(caps.max_closure_algebra, caps.max_tabulate // coords)
-        capped = replace(caps, max_closure_algebra=limit)
-        self.identity, closed = _term_closure(d, gens, capped, "term algebra")
+        self.identity, closed = _term_closure(d, gens, caps, "term algebra")
         self.functions = sorted(closed)
 
-    def closure(self, z, caps=_caps.DEFAULT):
+    def closure(self, z):
         """Smallest algebraic superset: the points where every pair of
         term functions that agree on z still agree.
 
@@ -464,7 +466,7 @@ class TermFunctions:
 
 
 def closure(p, z, m, caps=_caps.DEFAULT):
-    return TermFunctions(p, m, caps=caps).closure(z, caps=caps)
+    return TermFunctions(p, m, caps=caps).closure(z)
 
 
 def is_irreducible(p, y, caps=_caps.DEFAULT):
@@ -551,19 +553,15 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
     cover = build_post_cover(d, caps=caps)
     cg = cover.group
     v_star = solve(derive_from_constant(cg, cg.identity, n, caps=caps), system, caps=caps)
-    powers = [cg.identity, cover.embed_index(0)]  # x^0, x^1, ..., x^ord(x)
-    while powers[-1] != cg.identity:
-        powers.append(cg.mul(powers[-1], powers[1]))
-    c = powers[(len(powers) - 1) // (n - 1)]
+    powers = cayley_walk(cg, [cover.embed_index(0)])[0]  # x^0, ..., x^(ord(x)-1)
+    c = powers[len(powers) // (n - 1)]
     gens = [
         tuple(cover.embed_index(pt[j]) for pt in v_g.points) + (c,)
         + tuple(pt[j] for pt in v_star.points)
         for j in range(m)
     ]
-    coords = len(gens[0])
-    limit = min(caps.max_closure_algebra, caps.max_tabulate // coords)
-    capped = replace(caps, max_closure_algebra=limit)
-    span = sorted(_generated(cg, (cg.identity,) * coords, gens, capped, "word functions"))
+    identity = (cg.identity,) * len(gens[0])
+    span = sorted(_generated(cg, identity, gens, caps, "word functions"))
     head = len(v_g) + 1
     cover_order = len({x[:head] for x in span})
     star = sorted({x[head:] for x in span})

@@ -24,7 +24,6 @@ from .errors import (
     NotAssociative,
     NotLatinSquare,
     PolyadicError,
-    SizeCapExceeded,
 )
 
 
@@ -171,7 +170,8 @@ def _light_associative(rows, cols):
     generator is the least element outside the closure of the earlier ones
     under all products of its members. Over a group that closure is a
     subgroup and at least doubles with each generator, so at most log2(N)
-    of them are tested.
+    of them are tested. Before associativity is known, `cayley_walk`'s right
+    multiplications by generators need not reach all products of members.
     """
     members, inside = [], set()
     for g in range(len(rows)):
@@ -484,7 +484,7 @@ def subgroup_closure(g, seed):
     """Smallest subgroup containing seed (set of indices): the elements a
     breadth-first search from the identity reaches by right multiplication
     with the seed. A finite monoid is a group, so that is the subgroup."""
-    return frozenset(bfs_words(g, list(seed))[0])
+    return frozenset(cayley_walk(g, list(seed))[0])
 
 
 def generating_set(g, key=None):
@@ -500,31 +500,12 @@ def generating_set(g, key=None):
     return gens
 
 
-def bfs_words(g, gens):
-    """For each element, a definition x = parent * generator, in BFS order.
-
-    Returns (order, defs) where order is the BFS visit order starting at the
-    identity and defs[x] = (parent, generator_position) for x != identity.
-    """
-    defs = {g.identity: None}
-    order = [g.identity]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for pos, gen in enumerate(gens):
-            y = g.mul(x, gen)
-            if y not in defs:
-                defs[y] = (x, pos)
-                order.append(y)
-    return order, defs
-
-
-def _cayley_edges(g, gens):
-    """The Cayley-graph edges (x, position, x . gens[position]) of the
-    subgroup gens generate: x in the order `bfs_words` visits, and the
-    generators in turn. The first edge reaching an element is the
-    definition `bfs_words` records for it."""
+def cayley_walk(g, gens):
+    """Breadth-first walk from the identity over the Cayley graph of the
+    subgroup gens generate: (order, edges), the elements in visit order
+    and every edge (x, position, x . gens[position]), x in that order and
+    the generators in turn. The first edge reaching an element defines it,
+    as a Schreier tree edge (Holt, Eick and O'Brien, 2005, 4.1)."""
     order, seen, edges = [g.identity], {g.identity}, []
     for x in order:  # grows as the walk reaches new elements
         for pos, gen in enumerate(gens):
@@ -533,11 +514,11 @@ def _cayley_edges(g, gens):
             if y not in seen:
                 seen.add(y)
                 order.append(y)
-    return edges
+    return order, edges
 
 
 def _extend_along_edges(g, h, gens, gen_images, edges):
-    """Extend gens -> gen_images along `_cayley_edges(g, gens)` in one pass:
+    """Extend gens -> gen_images along `cayley_walk(g, gens)`'s edges once:
     the first edge (x, gen) reaching y defines img[y] = img[x] . img[gen],
     and every later edge is checked as soon as it is reached.
 
@@ -565,16 +546,15 @@ def _multiplicative(g, h, images):
     """Whether the image array is a homomorphism g -> h: the one extending
     its values on g's generating set along the Cayley-graph edges."""
     gens = generating_set(g)
-    img, _ = _extend_along_edges(
-        g, h, gens, [images[x] for x in gens], _cayley_edges(g, gens)
-    )
+    _, edges = cayley_walk(g, gens)
+    img, _ = _extend_along_edges(g, h, gens, [images[x] for x in gens], edges)
     return img == list(images)
 
 
 def _homs_on_generators(g, h, gens, candidates):
     """Image arrays of the homomorphisms g -> h, one per tuple of generator
     images drawn from the candidate lists, in tuple order."""
-    edges = _cayley_edges(g, gens)
+    edges = cayley_walk(g, gens)[1]
     for choice in product(*candidates):
         img, _ = _extend_along_edges(g, h, gens, choice, edges)
         if img is not None:
@@ -628,7 +608,7 @@ def hom_from_generator_images(g, h, gens, images):
     generators do not generate g, with reason ('not-generating', x) for
     the least element they miss.
     """
-    img, edge = _extend_along_edges(g, h, gens, images, _cayley_edges(g, gens))
+    img, edge = _extend_along_edges(g, h, gens, images, cayley_walk(g, gens)[1])
     if edge is not None:
         return None, ("clash",) + edge
     if None in img:

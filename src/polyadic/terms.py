@@ -523,30 +523,37 @@ def group_to_polyadic(t, a, n):
 
 def group_to_polyadic_equation(left, right, a, n):
     """Both sides through `group_to_polyadic`; SizeCapExceeded when the
-    result would have more than MAX_TERM_NODES nodes."""
+    result has more than MAX_TERM_NODES nodes."""
+    left, right = _capped(group_to_polyadic(left, a, n), group_to_polyadic(right, a, n))
+    return Equation(left, right)
+
+
+def _capped(left, right):
+    """The two translated sides, unless their trees have more than
+    MAX_TERM_NODES nodes. Each builder shares the repeated child of a skew
+    or inverse, so what it built is linear in its input; the trees need not be."""
     memo = {}
-    size = _translated_nodes(left, n, memo) + _translated_nodes(right, n, memo)
+    size = _tree_nodes(left, memo) + _tree_nodes(right, memo)
     if size > MAX_TERM_NODES:
         raise SizeCapExceeded("translated term nodes", size, MAX_TERM_NODES)
-    return Equation(group_to_polyadic(left, a, n), group_to_polyadic(right, a, n))
+    return left, right
 
 
-def _translated_nodes(t, n, memo):
-    """Nodes of group_to_polyadic(t, a, n), every copy of a subterm counted;
-    memo holds the count of each shared subterm, by identity."""
+def _tree_nodes(t, memo):
+    """Nodes of t as a tree, every copy of a shared subterm counted; memo
+    holds the count of each subterm, by identity."""
     key = id(t)
     if key not in memo:
-        if isinstance(t, (GVar, GConst)):
-            memo[key] = 1
-        elif isinstance(t, GOne):
-            memo[key] = 2
+        if isinstance(t, Apply):
+            kids = t.children
         elif isinstance(t, GMul):
-            memo[key] = (
-                n - 1 + _translated_nodes(t.left, n, memo)
-                + _translated_nodes(t.right, n, memo)
-            )
+            kids = (t.left, t.right)
         else:
-            memo[key] = 6 + (n - 2) * _translated_nodes(t.child, n, memo)
+            kids = (t.child,) if isinstance(t, (Skew, GInv)) else ()
+        size = 1
+        for c in kids:
+            size += _tree_nodes(c, memo)
+        memo[key] = size
     return memo[key]
 
 
@@ -571,26 +578,8 @@ def polyadic_to_group(t, cover):
 
 def polyadic_to_group_equation(left, right, cover):
     """Both sides through `polyadic_to_group`; SizeCapExceeded when the
-    result would have more than MAX_TERM_NODES nodes."""
-    memo = {}
-    size = _group_nodes(left, cover.n, memo) + _group_nodes(right, cover.n, memo)
-    if size > MAX_TERM_NODES:
-        raise SizeCapExceeded("translated term nodes", size, MAX_TERM_NODES)
-    return polyadic_to_group(left, cover), polyadic_to_group(right, cover)
-
-
-def _group_nodes(t, n, memo):
-    """Nodes of polyadic_to_group(t, cover) at arity n, every copy of a
-    subterm counted; memo holds the count of each subterm, by identity."""
-    key = id(t)
-    if key not in memo:
-        if isinstance(t, (Variable, Constant)):
-            memo[key] = 1
-        elif isinstance(t, Skew):
-            memo[key] = (n - 2) * (1 + _group_nodes(t.child, n, memo))
-        else:
-            memo[key] = n - 1 + sum(_group_nodes(c, n, memo) for c in t.children)
-    return memo[key]
+    result has more than MAX_TERM_NODES nodes."""
+    return _capped(polyadic_to_group(left, cover), polyadic_to_group(right, cover))
 
 
 def _gproduct(factors):

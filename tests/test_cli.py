@@ -715,6 +715,26 @@ def test_size_past_decimal_limit_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "verb", ["solve", "minsys", "coordgroup", "closure", "irreducible", "thm63"]
+)
+def test_huge_variable_count_exits_2(tmp_path, capsys, verb):
+    """10^12 variables: each verb would build an m-entry list or |G|^m
+    points first; the document is refused on its variable count."""
+    write(tmp_path, "p1.json", P1)
+    sysdoc = {"polyadic": "p1.json", "vars": 10 ** 12, "equations": ["x1 = x1"],
+              "points": []}
+    path = write(tmp_path, "s.json", sysdoc)
+    start = time.perf_counter()
+    code = main([verb, "--system", path])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = json.loads(captured.out)["error"]
+    assert (err["what"], err["size"], err["cap"]) == ("variables", 10 ** 12, 2 * 10 ** 6)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [["--help"], [], ["frobnicate"], ["solve", "--n", "x"], ["skew", "--format", "xml"]],
 )

@@ -14,7 +14,7 @@ from polyadic.groups import (
     are_isomorphic,
     automorphism,
     automorphism_from_map,
-    bfs_words,
+    cayley_walk,
     cyclic_group,
     direct_power,
     direct_product,
@@ -140,14 +140,15 @@ def test_direct_power_encode_decode():
     assert pw.decode(pw.mul(x, y)) == (0, 1, 1)
 
 
-def test_bfs_words_deterministic():
+def test_cayley_walk_deterministic():
     s3 = symmetric_group(3)
     gens = [s3.index("102"), s3.index("120")]
-    order1, defs1 = bfs_words(s3, gens)
-    order2, defs2 = bfs_words(s3, gens)
+    order1, edges1 = cayley_walk(s3, gens)
+    order2, edges2 = cayley_walk(s3, gens)
     assert order1 == order2
-    assert defs1 == defs2
+    assert edges1 == edges2
     assert len(order1) == 6
+    assert len(edges1) == 6 * 2
 
 
 def test_enumerate_homs_z6_z3():

@@ -22,7 +22,6 @@ from polyadic.core import (
     tabulate,
 )
 from polyadic.groups import (
-    bfs_words,
     cyclic_group,
     direct_product,
     generating_set,
@@ -31,6 +30,21 @@ from polyadic.groups import (
 
 # ---------------------------------------------------------------------------
 # frozen reference
+
+
+def old_bfs_words(g, gens):
+    defs = {g.identity: None}
+    order = [g.identity]
+    head = 0
+    while head < len(order):
+        x = order[head]
+        head += 1
+        for pos, gen in enumerate(gens):
+            y = g.mul(x, gen)
+            if y not in defs:
+                defs[y] = (x, pos)
+                order.append(y)
+    return order, defs
 
 
 def old_propagate(g, h, gens, gen_images, order, defs):
@@ -52,7 +66,7 @@ def old_first_bad_edge(g, h, gens, gen_images, order, img):
 
 def old_enumerate_homs(g, h):
     gens = generating_set(g, key=lambda x: -g.element_order(x))
-    order, defs = bfs_words(g, gens)
+    order, defs = old_bfs_words(g, gens)
     candidates = [
         [y for y in h.elements() if g.element_order(x) % h.element_order(y) == 0]
         for x in gens

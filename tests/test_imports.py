@@ -1,0 +1,36 @@
+"""Every name a module of the package imports at module level is used in it.
+
+`__init__.py` imports to re-export, so it is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyadic"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """The names that the module-level imports of source bind and that no
+    expression of source reads, in order of import."""
+    tree = ast.parse(source)
+    bound = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_its_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_reported():
+    source = "import os\nfrom a.b import c as d, e\nimport x.y\n\nprint(e, x.y)\n"
+    assert unused_imports(source) == ["os", "d"]

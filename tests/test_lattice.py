@@ -7,7 +7,8 @@ and homomorphisms are checked on Cayley-graph edges instead of on all
 pairs. Each must give what the code it replaced gave, frozen here: the
 pairwise closure, its lattice completion, the per-u lattice of the twist,
 the all-pairs `_is_hom` and `is_valid` checks, down to the reason tuples
-of `hom_from_generator_images`, and the cover's own propagation.
+of `hom_from_generator_images`, the cover's own propagation, and the
+word BFS whose order and definitions `cayley_walk` keeps.
 """
 
 import random
@@ -31,6 +32,7 @@ from polyadic.groups import (
     TwistedGroup,
     are_isomorphic,
     automorphism,
+    cayley_walk,
     cyclic_group,
     direct_power,
     direct_product,
@@ -283,6 +285,28 @@ def s4_and_s4xz2():
 
 # ---------------------------------------------------------------------------
 # closure and lattice
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cayley_walk_matches_old_bfs_words(seed, zoo, s4_and_s4xz2):
+    """The walk visits in the frozen BFS order, lists every edge once, and
+    the first edge reaching each element is the definition the BFS records."""
+    rng = random.Random(seed)
+    for g in zoo + s4_and_s4xz2:
+        for _ in range(6):
+            gens = [rng.randrange(g.order) for _ in range(rng.randrange(4))]
+            order, edges = cayley_walk(g, gens)
+            old_order, defs = old_bfs_words(g, gens)
+            assert order == old_order, (g, gens)
+            assert edges == [
+                (x, pos, g.mul(x, gen)) for x in order for pos, gen in enumerate(gens)
+            ]
+            first = {}
+            for x, pos, y in edges:
+                first.setdefault(y, (x, pos))
+            assert {y: first[y] for y in order[1:]} == {
+                y: d for y, d in defs.items() if d is not None
+            }, (g, gens)
 
 
 @pytest.mark.parametrize("seed", range(3))

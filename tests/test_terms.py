@@ -12,6 +12,7 @@ from polyadic.errors import (
     SizeCapExceeded,
     UnboundVariable,
 )
+from polyadic import terms
 from polyadic.groups import cyclic_group, identity_automorphism
 from polyadic.terms import (
     MAX_TERM_DEPTH,
@@ -460,6 +461,96 @@ def test_polyadic_to_group_equation_counts_printed_nodes():
         with pytest.raises(SizeCapExceeded) as e:
             polyadic_to_group_equation(left, right, cover)
         assert (e.value.what, e.value.size) == ("translated term nodes", size)
+
+
+def old_translated_nodes(t, n, memo):
+    """Frozen counter: nodes of group_to_polyadic(t, a, n), read off t by
+    the builder's expansion rule before anything was built."""
+    key = id(t)
+    if key not in memo:
+        if isinstance(t, (GVar, GConst)):
+            memo[key] = 1
+        elif isinstance(t, GOne):
+            memo[key] = 2
+        elif isinstance(t, GMul):
+            memo[key] = (
+                n - 1 + old_translated_nodes(t.left, n, memo)
+                + old_translated_nodes(t.right, n, memo)
+            )
+        else:
+            memo[key] = 6 + (n - 2) * old_translated_nodes(t.child, n, memo)
+    return memo[key]
+
+
+def old_group_nodes(t, n, memo):
+    """Frozen counter: nodes of polyadic_to_group(t, cover) at arity n."""
+    key = id(t)
+    if key not in memo:
+        if isinstance(t, (Variable, Constant)):
+            memo[key] = 1
+        elif isinstance(t, Skew):
+            memo[key] = (n - 2) * (1 + old_group_nodes(t.child, n, memo))
+        else:
+            memo[key] = n - 1 + sum(old_group_nodes(c, n, memo) for c in t.children)
+    return memo[key]
+
+
+def random_group_text(rng, depth):
+    """A binary group term in the text grammar, with powers, inverses and
+    the identity; a power repeats its base as one object when parsed."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return rng.choice(["x1", "x2", "x3", "1", "0", "2"])
+    if r < 0.5:
+        suffix = rng.choice(["'", "^-1", f"^{rng.randint(-4, 4)}"])
+        return f"({random_group_text(rng, depth - 1)}){suffix}"
+    factors = [random_group_text(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    return " * ".join(factors)
+
+
+def assert_counted(translate, want):
+    """translate() refuses exactly when want is past MAX_TERM_NODES,
+    naming it, and otherwise returns two sides whose trees have want
+    nodes. Returns whether it refused."""
+    try:
+        got = translate()
+    except SizeCapExceeded as e:
+        assert (e.what, e.size) == ("translated term nodes", want)
+        assert want > MAX_TERM_NODES
+        return True
+    if isinstance(got, Equation):
+        got = got.left, got.right
+    memo = {}
+    assert sum(terms._tree_nodes(t, memo) for t in got) == want <= MAX_TERM_NODES
+    return False
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_translated_node_counts_match_the_frozen_counters(n):
+    """Both translations count the trees they built. On seeded n-ary terms
+    up to depth 6 and parsed group equations up to depth 5, that count is
+    what the frozen counters gave, so the cap refuses the same cases
+    (from n = 5, where a skew repeats its child three times)."""
+    rng = random.Random(2400 + n)
+    z3 = cyclic_group(3)
+    cover = build_post_cover(derive(z3, identity_automorphism(z3), 0, n))
+    verdicts = set()
+    for _ in range(60):
+        left, right = (random_term(rng, n, 3, 3, 6) for _ in range(2))
+        memo = {}
+        want = old_group_nodes(left, n, memo) + old_group_nodes(right, n, memo)
+        verdicts.add(assert_counted(
+            lambda: polyadic_to_group_equation(left, right, cover), want
+        ))
+        text = f"{random_group_text(rng, 5)} = {random_group_text(rng, 5)}"
+        left, right = parse_group_equation(text, NAMES)
+        a = rng.randrange(3)
+        memo = {}
+        want = old_translated_nodes(left, n, memo) + old_translated_nodes(right, n, memo)
+        verdicts.add(assert_counted(
+            lambda: group_to_polyadic_equation(left, right, a, n), want
+        ))
+    assert verdicts == ({False, True} if n >= 5 else {False})
 
 
 def test_group_to_polyadic_identity_and_inverse_forms(p2):
