@@ -16,6 +16,7 @@ import sys
 
 from .core import (
     as_derived,
+    check_arity,
     dornte_check,
     hosszu_gloskin,
     nary_identity,
@@ -328,8 +329,7 @@ def _cmd_freereduce(args):
     w = parse_word(args.rest[0])
     doc = {"word": str(w), "height": w.height, "length": len(w)}
     if args.n is not None:
-        if args.n < 3:
-            raise PolyadicError("arity must be at least 3")
+        check_arity(args.n)
         doc["f_pol_member"] = (w.height - 1) % (args.n - 1) == 0
     return doc, 0
 

@@ -215,19 +215,30 @@ class TablePolyadicGroup(PolyadicGroup):
         return f"TablePolyadicGroup(order={self.order}, n={self.n})"
 
 
-def derive(base, theta, b, n, caps=_caps.DEFAULT):
-    """Build the derived n-ary group, checking both derivation conditions."""
+def check_arity(n, level=0, caps=_caps.DEFAULT):
+    """The one check of an arity n, made by every entry point that takes
+    one before it builds anything of size n. An n below 3 raises
+    PolyadicError; an operation that builds n - 1 levels of `level` table
+    entries each is refused past max_tabulate, as "arity". A derived group
+    passes |G|^2, the entries of one step table. A table form and a
+    presentation pass 0 and bound n by what they build themselves."""
     if n < 3:
         raise PolyadicError("arity must be at least 3")
-    _caps.check(caps, "arity", n, caps.max_arity)
+    _caps.check(caps, "arity", (n - 1) * level, caps.max_tabulate)
+
+
+def derive(base, theta, b, n, caps=_caps.DEFAULT):
+    """Build the derived n-ary group, checking both derivation conditions."""
+    check_arity(n, base.order ** 2, caps)
     if theta(b) != b:
         raise ConditionOneFails(b, theta(b))
-    pow_n1 = theta.iterate(n - 1)
+    d = DerivedPolyadicGroup(base, theta, b, n, caps=caps)
+    top = d.theta_pows[n - 1]
     for x in base.elements():
         rhs = base.mul(base.mul(b, x), base.inv(b))
-        if pow_n1(x) != rhs:
-            raise ConditionTwoFails(x, pow_n1(x), rhs)
-    return DerivedPolyadicGroup(base, theta, b, n, caps=caps)
+        if top[x] != rhs:
+            raise ConditionTwoFails(x, top[x], rhs)
+    return d
 
 
 def derive_from_constant(base, b, n, caps=_caps.DEFAULT):
@@ -240,10 +251,13 @@ def eval_f(p, args):
 
 
 def polyadic_from_table(element_names, n, flat_table, caps=_caps.DEFAULT):
-    if n < 3:
-        raise PolyadicError("arity must be at least 3")
-    _caps.check(caps, "arity", n, caps.max_arity)
-    _caps.check(caps, "n-ary table", len(element_names) ** n, caps.max_tabulate)
+    """The table form, refused when its order**n table, a one-element
+    carrier counted as two, passes max_tabulate. That table holds at least
+    2**n entries, so an n past the cap's bit length is refused before the
+    power is taken."""
+    check_arity(n, caps=caps)
+    _caps.check(caps, "arity", n, caps.max_tabulate.bit_length())
+    _caps.check(caps, "n-ary table", max(len(element_names), 2) ** n, caps.max_tabulate)
     return TablePolyadicGroup(element_names, n, flat_table)
 
 
@@ -442,7 +456,12 @@ def dornte_check(p):
     For 2 <= i <= n checks f(x^(i-2), skew x, x^(n-i), y) = y and the mirror
     f(y, x^(n-i), skew x, x^(i-2)) = y for all x, y. Returns (ok, witness);
     the witness is ("no-skew", x) when x has no unique skew element.
+    A derived group is an n-ary group by its checked derivation data, and
+    the identities hold in every n-ary group (Dörnte, 1929), so it is
+    answered with no scan, as `verify_axioms` answers it.
     """
+    if isinstance(p, DerivedPolyadicGroup):
+        return True, None
     n = p.n
     for x in p.elements():
         try:
@@ -487,10 +506,18 @@ def retract(p, a, caps=_caps.DEFAULT):
 
 
 def nary_identity(p):
-    """Lowest element a with f(a^(i-1), x, a^(n-i)) = x everywhere, or None."""
+    """Lowest element a with f(a^(i-1), x, a^(n-i)) = x everywhere, or None.
+
+    A table is scanned, all n lines through (a, ..., a). A derived group is
+    an n-ary group, and there the line at position 1 decides: if
+    f(a, x, a^(n-2)) = x for every x, then x = a gives f(a, ..., a) = a, so
+    skew(a) = a; the line is then theta_a and b_a = f(a, ..., a) = a, and
+    by Hosszú–Gluskin at anchor a, f is the n-fold product of the retract
+    at a, whose identity is skew(a) = a. One line per a, not n."""
     ident = tuple(p.elements())
+    positions = (1,) if isinstance(p, DerivedPolyadicGroup) else range(p.n)
     for a in p.elements():
-        if all(p.line([a] * p.n, i) == ident for i in range(p.n)):
+        if all(p.line([a] * p.n, i) == ident for i in positions):
             return a
     return None
 
@@ -559,8 +586,12 @@ def polyadic_subgroups(p):
 
 
 def closed_subsets_bruteforce(p, caps=_caps.DEFAULT):
-    """Oracle: nonempty subsets closed under f and skew, by enumeration."""
-    _caps.check(caps, "subset enumeration", 2 ** p.order, 2 ** 16)
+    """Oracle: nonempty subsets closed under f and skew, by enumeration.
+    The subsets are the maps into a two-element set, capped as
+    `polyadic_maps_bruteforce` caps maps, and each enumerates up to |G|^n
+    tuples, capped as an axiom scan."""
+    _caps.check(caps, "subset enumeration", 2 ** p.order, caps.max_power_order)
+    _caps.check(caps, "oracle tuples", p.order ** p.n, caps.max_axiom_tuples)
     out = []
     els = list(p.elements())
     for mask in range(1, 2 ** p.order):
@@ -588,7 +619,9 @@ class PolyadicHom:
         return self.images[x]
 
 
-def is_polyadic_hom(p, q, images):
+def is_polyadic_hom(p, q, images, caps=_caps.DEFAULT):
+    """Oracle: whether images preserves f, on all |p|^n tuples."""
+    _caps.check(caps, "oracle tuples", p.order ** p.n, caps.max_axiom_tuples)
     return all(
         images[p.f(list(args))] == q.f([images[x] for x in args])
         for args in product(p.elements(), repeat=p.n)
@@ -629,6 +662,7 @@ def polyadic_homs(p, q, caps=_caps.DEFAULT):
 def polyadic_maps_bruteforce(p, q, caps=_caps.DEFAULT):
     """Oracle: all f-preserving maps by enumerating every function."""
     _caps.check(caps, "map enumeration", q.order ** p.order, caps.max_power_order)
+    _caps.check(caps, "oracle tuples", p.order ** p.n, caps.max_axiom_tuples)
     tuples = list(product(p.elements(), repeat=p.n))
     out = []
     for images in product(q.elements(), repeat=p.order):

@@ -13,7 +13,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import caps as _caps
-from .core import _decode, _first_difference, as_derived, prefix_products, retract
+from .core import (
+    _decode,
+    _first_difference,
+    as_derived,
+    check_arity,
+    prefix_products,
+    retract,
+)
 from .errors import (
     CapExceeded,
     EmptyGeneratorSet,
@@ -190,10 +197,11 @@ def _product_mismatch(p, images, row_of):
     images[f(x_1, ..., x_n)], as (tuple, expected, got), else None.
 
     The products are the prefix products of images, where row_of(c) is
-    the row of products c . images[x] over x.
+    the row of products c . images[x] over x. p.flat is read first, so its
+    max_tabulate check comes before the products are built.
     """
-    level = prefix_products(images, [row_of] * (p.n - 1))
     want = tuple(map(images.__getitem__, p.flat))
+    level = prefix_products(images, [row_of] * (p.n - 1))
     if level == want:
         return None
     i = _first_difference(level, want)
@@ -243,19 +251,21 @@ def positive_form(w):
     return w.inv() if w.height < 0 else w
 
 
-def presentation_to_group(pres, n):
+def presentation_to_group(pres, n, caps=_caps.DEFAULT):
     """Ordinary presentation of the cover of a presented n-ary group.
 
     Each relation u = v flattens through the cover laws (operation to
     concatenation, skew to the (2-n)-th power) and contributes the
     reduced relator u v^-1. Relator heights are always divisible by n-1.
+    max_tabulate caps the runs a skew's power is built from.
     """
+    check_arity(n, caps=caps)
     if not pres.generators:
         raise EmptyGeneratorSet()
     relators = []
     for u, v in pres.relations:
-        wu = term_to_free_word(u, pres.generators, n)
-        wv = term_to_free_word(v, pres.generators, n)
+        wu = term_to_free_word(u, pres.generators, n, caps)
+        wv = term_to_free_word(v, pres.generators, n, caps)
         r = wu * wv.inv()
         if r.height % (n - 1) != 0:
             raise PolyadicError(f"relator height {r.height} not divisible by {n - 1}")

@@ -393,13 +393,6 @@ class GroupAutomorphism:
             out[y] = x
         return GroupAutomorphism(self.group, out)
 
-    def iterate(self, k):
-        """k-th compositional power, k >= 0."""
-        acc = identity_automorphism(self.group)
-        for _ in range(k):
-            acc = self.compose(acc)
-        return acc
-
     def powers(self, count):
         """theta^0, ..., theta^(count-1) as image tuples."""
         pows = [tuple(self.group.elements())]
@@ -460,11 +453,13 @@ class InducedAutomorphism(GroupAutomorphism):
 
     __getitem__ = __call__
 
-    def iterate(self, k):
-        return InducedAutomorphism(self.theta.iterate(k), self.group)
-
     def powers(self, count):
-        return [self.iterate(k) for k in range(count)]
+        """The powers of theta, each induced: count - 1 compositions."""
+        base = self.theta.group
+        return [
+            InducedAutomorphism(GroupAutomorphism(base, images), self.group)
+            for images in self.theta.powers(count)
+        ]
 
 
 def induced_automorphism(theta, power_group):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
+from . import caps as _caps
 from .core import as_derived
 from .errors import (
     ArityMismatch,
@@ -121,11 +122,12 @@ class TermCompiler:
 
     A compiled term is a closure that takes an assignment (a sequence of
     element indices, one per variable, each bound) and returns the value
-    `eval_term` gives. A derived group with `cheap_steps` is compiled to
-    lookups in its step tables, one per argument; one over a lazy direct
-    power is compiled to calls of its f. Subterms without variables are
-    evaluated once, at compile time, and skew values are tabulated on first
-    use.
+    `eval_term` gives. Over a derived group with `cheap_steps` an f node is
+    one run of `_lookups` in its transposed step tables, one per argument
+    after the first, so its cost and depth do not grow with n; one over a
+    lazy direct power is compiled to calls of its f. Subterms without
+    variables are evaluated once, at compile time, and skew values are
+    tabulated on first use.
 
     `solver` inverts a term in a variable that occurs once in it, along the
     path from the root to that variable. At an f node the child's value is
@@ -137,13 +139,19 @@ class TermCompiler:
     def __init__(self, p):
         p = self.p = as_derived(p)
         if p.cheap_steps:
-            steps = p.steps
+            # cols[k][x][v] = steps[k][v][x]: the lookup of argument k + 1
+            cols = [tuple(zip(*rows)) for rows in p.steps]
 
             def apply(kids):
-                acc = kids[0]
-                for rows, kid in zip(steps, kids[1:]):
-                    acc = _lookup(rows, acc, kid)
-                return acc
+                first = kids[0]
+                if len(kids) == 1:
+                    return first
+                step = _lookups([_bind(c, kid) for c, kid in zip(cols, kids[1:])])
+                if isinstance(first, int):
+                    if all(isinstance(k, int) for k in kids):
+                        return step(None, first)
+                    return lambda a: step(a, first)
+                return lambda a: step(a, first(a))
 
         else:
             f = p.f
@@ -300,22 +308,37 @@ def _bind(tables, kid):
 
 
 def _lookups(ops):
-    """step(a, c) applying the lookups in turn; consecutive ones without a
-    variable are joined into one table first."""
-    joined = []
+    """step(a, c) applying the lookups in turn. A lookup without a variable
+    is folded into the next one, or into the one before when it ends the
+    run, so each step left reads table[kid(a)][c]; one or two steps are a
+    single expression."""
+    joined, pending = [], None  # pending: a table without a variable
     for table, kid in ops:
-        if kid is None and joined and joined[-1][1] is None:
-            table = tuple(table[v] for v in joined.pop()[0])
-        joined.append((table, kid))
-    if len(joined) == 1:
-        table, kid = joined[0]
+        if pending is not None:
+            if kid is None:
+                table = tuple(map(table.__getitem__, pending))
+            else:
+                table = tuple(tuple(map(row.__getitem__, pending)) for row in table)
+            pending = None
         if kid is None:
-            return lambda a, c: table[c]
-        return lambda a, c: table[kid(a)][c]
+            pending = table
+        else:
+            joined.append((table, kid))
+    if pending is not None:
+        if not joined:
+            return lambda a, c: pending[c]
+        table, kid = joined.pop()
+        joined.append((tuple(tuple(map(pending.__getitem__, row)) for row in table), kid))
+    if len(joined) == 1:
+        ((t, k),) = joined
+        return lambda a, c: t[k(a)][c]
+    if len(joined) == 2:
+        (t, k), (u, v) = joined
+        return lambda a, c: u[v(a)][t[k(a)][c]]
 
     def step(a, c):
         for table, kid in joined:
-            c = table[c] if kid is None else table[kid(a)][c]
+            c = table[kid(a)][c]
         return c
 
     return step
@@ -332,19 +355,6 @@ def _callable(node):
     if isinstance(node, int):
         return lambda a: node
     return node
-
-
-def _lookup(rows, left, right):
-    """rows[left][right], with either side a compiled constant."""
-    if isinstance(left, int):
-        if isinstance(right, int):
-            return rows[left][right]
-        row = rows[left]
-        return lambda a: row[right(a)]
-    if isinstance(right, int):
-        col = tuple(r[right] for r in rows)
-        return lambda a: col[left(a)]
-    return lambda a: rows[left(a)][right(a)]
 
 
 def is_coefficient_free(t):
@@ -589,20 +599,23 @@ def _gproduct(factors):
     return out
 
 
-def term_to_free_word(t, generators, n):
+def term_to_free_word(t, generators, n, caps=_caps.DEFAULT):
     """Coefficient-free flattening into the free group on the generator
     names: variables map to generators, the operation to concatenation,
-    skew to the (2-n)-th power."""
+    skew to the (2-n)-th power. A skew's power joins |n-2| copies of its
+    child's runs before it reduces them: max_tabulate caps that count."""
     if isinstance(t, Variable):
         return generator(generators[t.index])
     if isinstance(t, Constant):
         raise PolyadicError("constants are not allowed in presentations")
     if isinstance(t, Skew):
-        return term_to_free_word(t.child, generators, n) ** (2 - n)
+        w = term_to_free_word(t.child, generators, n, caps)
+        _caps.check(caps, "flattened word", len(w.runs) * abs(n - 2), caps.max_tabulate)
+        return w ** (2 - n)
     if len(t.children) != n:
         raise ArityMismatch(n, len(t.children))
     return FreeWord(
-        [r for c in t.children for r in term_to_free_word(c, generators, n).runs]
+        [r for c in t.children for r in term_to_free_word(c, generators, n, caps).runs]
     )
 
 

@@ -79,10 +79,10 @@ def derivation_pairs(g, n):
         if not hom.is_injective():
             continue
         theta = GroupAutomorphism(g, hom.images)
-        top = theta.iterate(n - 1)
+        top = theta.powers(n)[n - 1]
         for b in g.elements():
             if theta(b) == b and all(
-                top(x) == g.conjugate(b, x) for x in g.elements()
+                top[x] == g.conjugate(b, x) for x in g.elements()
             ):
                 pairs.append((theta, b))
     return pairs
@@ -103,3 +103,14 @@ def random_derived():
         return derive(base, theta, b, n)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def every_derived():
+    """every(base, n): the derived n-ary groups over base, one for each
+    (theta, b) meeting both derivation conditions."""
+
+    def every(base, n):
+        return [derive(base, theta, b, n) for theta, b in derivation_pairs(base, n)]
+
+    return every

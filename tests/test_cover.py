@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from polyadic.core import retract, tabulate
+from polyadic.caps import Caps
+from polyadic.core import derive, retract, tabulate
 from polyadic.cover import (
     GroupPresentation,
     PolyadicPresentation,
@@ -17,12 +18,14 @@ from polyadic.errors import (
     EmptyGeneratorSet,
     NotPolyadicHom,
     PropertyFailure,
+    SizeCapExceeded,
 )
 from polyadic.groups import (
     TableGroup,
     are_isomorphic,
     cyclic_group,
     enumerate_homs,
+    identity_automorphism,
     symmetric_group,
 )
 from polyadic.terms import parse_term
@@ -140,6 +143,25 @@ def test_extend_hom_rejects_non_hom(p1):
     z6 = cyclic_group(6)
     with pytest.raises(NotPolyadicHom):
         extend_hom_to_cover(cover, (0, 1, 1), z6)
+
+
+def test_non_hom_checks_the_flat_cap_before_the_products(monkeypatch):
+    """The product check reads the source's flat table, under its cap,
+    before it builds the |G|^n prefix products of the map."""
+    import polyadic.cover as cover_module
+
+    z3 = cyclic_group(3)
+    caps = Caps(max_tabulate=1000)  # the cover's 18^2 entries, not 3^7
+    p = derive(z3, identity_automorphism(z3), 0, 7, caps=caps)
+    cover = build_post_cover(p, caps=caps)
+
+    def no_products(*args):
+        raise AssertionError("products built before the cap check")
+
+    monkeypatch.setattr(cover_module, "prefix_products", no_products)
+    with pytest.raises(SizeCapExceeded) as e:
+        extend_hom_to_cover(cover, (0, 1, 1), cyclic_group(6))
+    assert (e.value.what, e.value.size) == ("n-ary table", 3 ** 7)
 
 
 def test_positive_form():

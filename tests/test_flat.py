@@ -22,10 +22,15 @@ from polyadic.caps import Caps
 from polyadic.core import (
     DerivedPolyadicGroup,
     TablePolyadicGroup,
+    closed_subsets_bruteforce,
     derive,
     dornte_check,
     hosszu_gloskin,
+    is_polyadic_hom,
     nary_identity,
+    polyadic_homs,
+    polyadic_maps_bruteforce,
+    polyadic_subgroups,
     retract,
     skew_search,
     tabulate,
@@ -450,6 +455,62 @@ def test_corrupted_tables_give_the_old_witnesses(seed, small_bases, random_deriv
             assert rep.solvable == (solv is None) and rep.unique == (uniq is None)
     # the flat comparison, not only the retract, must have named tuples
     assert "reconstruction differs a" in kinds
+
+
+def test_identity_criterion_matches_the_scan(small_bases, every_derived):
+    """On a derived group `nary_identity` reads one line per element, the
+    map theta_a when skew(a) = a; it finds what the frozen per-tuple scan
+    finds, on every (theta, b) of the small bases, Z1 and Z6 at n = 3..6,
+    and on the table forms."""
+    bases = [cyclic_group(1), cyclic_group(6)] + small_bases
+    found = set()
+    for base in bases:
+        for n in (3, 4, 5, 6):
+            for p in every_derived(base, n):
+                want = old_nary_identity(p)
+                assert nary_identity(p) == want, (base, n)
+                assert nary_identity(tabulate(p)) == want, (base, n)
+                found.add(want is None)
+    assert found == {True, False}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_oracles_agree_at_arity_7(order, every_derived):
+    """Subgroups, homs, the Dörnte identities and the identity against the
+    brute-force oracles and frozen scans, on both forms of every derived
+    7-ary group over Z2 and Z3."""
+    ps = every_derived(cyclic_group(order), 7)
+    forms = [q for p in ps for q in (p, tabulate(p))]
+    for q in forms:
+        assert polyadic_subgroups(q) == closed_subsets_bruteforce(q), q
+        assert dornte_check(q) == old_dornte_check(q), q
+        assert nary_identity(q) == old_nary_identity(q), q
+    pairs = [(p, r) for p in ps for r in ps] + [(tabulate(p), p) for p in ps]
+    homs = 0
+    for q, r in pairs:
+        got = tuple(h.images for h in polyadic_homs(q, r))
+        assert got == polyadic_maps_bruteforce(q, r), (q, r)
+        assert all(is_polyadic_hom(q, r, images) for images in got)
+        homs += len(got)
+    assert homs > 0
+
+
+def test_oracles_are_capped():
+    """Each oracle checks its maps or subsets and its n-tuples before it
+    enumerates them."""
+    z3 = cyclic_group(3)
+    p = derive(z3, identity_automorphism(z3), 0, 7)
+    cases = [
+        (lambda c: closed_subsets_bruteforce(p, caps=c), "max_power_order", 7, "subset enumeration"),
+        (lambda c: closed_subsets_bruteforce(p, caps=c), "max_axiom_tuples", 2186, "oracle tuples"),
+        (lambda c: polyadic_maps_bruteforce(p, p, caps=c), "max_axiom_tuples", 2186, "oracle tuples"),
+        (lambda c: is_polyadic_hom(p, p, (0, 1, 2), caps=c), "max_axiom_tuples", 2186, "oracle tuples"),
+    ]
+    for call, field, limit, what in cases:
+        with pytest.raises(SizeCapExceeded) as e:
+            call(Caps(**{field: limit}))
+        assert (e.value.what, e.value.cap) == (what, limit)
+        call(Caps(**{field: limit + 1}))
 
 
 @pytest.mark.parametrize("name", ["p1", "p5"])

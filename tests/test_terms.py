@@ -13,7 +13,7 @@ from polyadic.errors import (
     UnboundVariable,
 )
 from polyadic import terms
-from polyadic.groups import cyclic_group, identity_automorphism
+from polyadic.groups import automorphism, cyclic_group, identity_automorphism
 from polyadic.terms import (
     MAX_TERM_DEPTH,
     MAX_TERM_NODES,
@@ -86,7 +86,7 @@ def test_tokenizer_names_the_first_bad_character(text, char, column):
 
 def test_parse_depth_bound_keeps_walkers_inside_the_stack():
     z3 = cyclic_group(3)
-    p = derive(z3, identity_automorphism(z3), 0, 6)  # the default arity cap
+    p = derive(z3, identity_automorphism(z3), 0, 6)
     names = list(p.names())
     # nested in the last argument, the deepest chain in the group
     # translation; the innermost ~x1 is at the bound
@@ -108,6 +108,29 @@ def test_parse_depth_bound_keeps_walkers_inside_the_stack():
             parse_term(text, element_names=names)
     with pytest.raises(ParseError):
         parse_equation("x1 = ~" + skews, element_names=names)
+
+
+def test_compiled_f_nodes_are_one_loop_at_any_arity():
+    """An f node compiles to one run of lookups, not one closure per
+    argument: 1001-ary terms evaluate as eval_term does, within the
+    interpreter's stack, and a variable-free one is a constant at compile
+    time."""
+    z3 = cyclic_group(3)
+    n = 1001
+    p = derive(z3, automorphism(z3, (0, 2, 1)), 0, n)
+    compiler = TermCompiler(p)
+    rng = random.Random(7)
+    leaves = [Variable(0), Variable(1), Constant(1), Constant(2), Skew(Variable(0))]
+    for _ in range(3):
+        inner = Apply(tuple(rng.choice(leaves) for _ in range(n)))
+        kids = [rng.choice(leaves) for _ in range(n)]
+        kids[rng.randrange(n)] = inner
+        t = Apply(tuple(kids))
+        fn = compiler(t)
+        for a in itertools.product(range(3), repeat=2):
+            assert fn(a) == eval_term(t, a, p)
+    constant = Apply(tuple(Constant(rng.randrange(3)) for _ in range(n)))
+    assert compiler.node(constant) == eval_term(constant, (), p)
 
 
 def test_parse_term_generator_mode():
