@@ -18,8 +18,9 @@ class Caps:
     max_table_order: int = 64        # full-table binary groups
     max_power_order: int = 10 ** 6   # enumerated direct powers, hom searches,
                                      # the maps and subsets the oracles try
-    max_tabulate: int = 2 * 10 ** 6  # flat n-ary tables (|G|^n), step tables
-                                     # ((n-1) |G|^2), cover tables, relator
+    max_tabulate: int = 2 * 10 ** 6  # flat n-ary tables (|G|^n), a derived
+                                     # group's theta powers and step tables
+                                     # (about n |G|^2), cover tables, relator
                                      # rotations, flattened skews,
                                      # coordinate-group entries (|H| * points)
     max_axiom_tuples: int = 10 ** 7  # exhaustive associativity (|G|^(2n-1)),

@@ -215,21 +215,24 @@ class TablePolyadicGroup(PolyadicGroup):
         return f"TablePolyadicGroup(order={self.order}, n={self.n})"
 
 
-def check_arity(n, level=0, caps=_caps.DEFAULT):
+def check_arity(n):
     """The one check of an arity n, made by every entry point that takes
-    one before it builds anything of size n. An n below 3 raises
-    PolyadicError; an operation that builds n - 1 levels of `level` table
-    entries each is refused past max_tabulate, as "arity". A derived group
-    passes |G|^2, the entries of one step table. A table form and a
-    presentation pass 0 and bound n by what they build themselves."""
+    one before it builds anything of size n: below 3 raises PolyadicError.
+    Each form bounds n by the tables it builds itself."""
     if n < 3:
         raise PolyadicError("arity must be at least 3")
-    _caps.check(caps, "arity", (n - 1) * level, caps.max_tabulate)
 
 
 def derive(base, theta, b, n, caps=_caps.DEFAULT):
-    """Build the derived n-ary group, checking both derivation conditions."""
-    check_arity(n, base.order ** 2, caps)
+    """Build the derived n-ary group, checking both derivation conditions.
+
+    n is bounded, as "arity", by the tables the group builds: n powers of
+    theta, each a tuple of |G| entries, and n - 1 step tables, each |G|
+    tuples of |G| entries in one more tuple, every tuple counted as one
+    entry of its own."""
+    check_arity(n)
+    g = base.order
+    _caps.check(caps, "arity", n * (g + 1) + (n - 1) * (g * g + g + 1), caps.max_tabulate)
     if theta(b) != b:
         raise ConditionOneFails(b, theta(b))
     d = DerivedPolyadicGroup(base, theta, b, n, caps=caps)
@@ -255,7 +258,7 @@ def polyadic_from_table(element_names, n, flat_table, caps=_caps.DEFAULT):
     carrier counted as two, passes max_tabulate. That table holds at least
     2**n entries, so an n past the cap's bit length is refused before the
     power is taken."""
-    check_arity(n, caps=caps)
+    check_arity(n)
     _caps.check(caps, "arity", n, caps.max_tabulate.bit_length())
     _caps.check(caps, "n-ary table", max(len(element_names), 2) ** n, caps.max_tabulate)
     return TablePolyadicGroup(element_names, n, flat_table)

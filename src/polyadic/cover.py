@@ -259,7 +259,7 @@ def presentation_to_group(pres, n, caps=_caps.DEFAULT):
     reduced relator u v^-1. Relator heights are always divisible by n-1.
     max_tabulate caps the runs a skew's power is built from.
     """
-    check_arity(n, caps=caps)
+    check_arity(n)
     if not pres.generators:
         raise EmptyGeneratorSet()
     relators = []

@@ -139,14 +139,12 @@ class TermCompiler:
     def __init__(self, p):
         p = self.p = as_derived(p)
         if p.cheap_steps:
-            # cols[k][x][v] = steps[k][v][x]: the lookup of argument k + 1
-            cols = [tuple(zip(*rows)) for rows in p.steps]
 
             def apply(kids):
                 first = kids[0]
                 if len(kids) == 1:
                     return first
-                step = _lookups([_bind(c, kid) for c, kid in zip(cols, kids[1:])])
+                step = _lookups([_bind(c, kid) for c, kid in zip(self._cols, kids[1:])])
                 if isinstance(first, int):
                     if all(isinstance(k, int) for k in kids):
                         return step(None, first)
@@ -274,14 +272,19 @@ class TermCompiler:
         return ops
 
     @cached_property
+    def _cols(self):
+        """The step tables transposed: _cols[k][x][v] = steps[k][v][x], the
+        lookup of argument k + 1."""
+        return [tuple(zip(*level)) for level in self.p.steps]
+
+    @cached_property
     def _division(self):
         """Inverses of the step tables, which are bijective in each
         argument (v . theta^(k+1)(x), times b at the last level):
         rows[k][v][w] is the x with steps[k][v][x] = w, and cols[k][x][w]
         the v with steps[k][v][x] = w."""
-        steps = self.p.steps
-        rows = [tuple(map(_inverse, level)) for level in steps]
-        cols = [tuple(map(_inverse, zip(*level))) for level in steps]
+        rows = [tuple(map(_inverse, level)) for level in self.p.steps]
+        cols = [tuple(map(_inverse, level)) for level in self._cols]
         return rows, cols
 
     def _check_arity(self, t):
@@ -310,8 +313,8 @@ def _bind(tables, kid):
 def _lookups(ops):
     """step(a, c) applying the lookups in turn. A lookup without a variable
     is folded into the next one, or into the one before when it ends the
-    run, so each step left reads table[kid(a)][c]; one or two steps are a
-    single expression."""
+    run, so each step left reads table[kid(a)][c]; a single step is one
+    expression."""
     joined, pending = [], None  # pending: a table without a variable
     for table, kid in ops:
         if pending is not None:
@@ -332,9 +335,6 @@ def _lookups(ops):
     if len(joined) == 1:
         ((t, k),) = joined
         return lambda a, c: t[k(a)][c]
-    if len(joined) == 2:
-        (t, k), (u, v) = joined
-        return lambda a, c: u[v(a)][t[k(a)][c]]
 
     def step(a, c):
         for table, kid in joined:

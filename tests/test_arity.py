@@ -13,11 +13,12 @@ import time
 import pytest
 
 from polyadic.cli import main
-from polyadic.core import check_arity, derive
+from polyadic.caps import Caps
+from polyadic.core import check_arity, derive, derive_from_constant
 from polyadic.errors import PolyadicError, SizeCapExceeded
 from polyadic.fileio import polyadic_to_doc
 from polyadic.geometry import coordinate_group
-from polyadic.groups import inner_automorphism, symmetric_group
+from polyadic.groups import cyclic_group, inner_automorphism, symmetric_group
 from polyadic.terms import eval_term, parse_equation
 
 HUGE = 10 ** 12
@@ -127,22 +128,36 @@ def test_freereduce_takes_any_arity_from_3(capsys):
     assert (code, doc["f_pol_member"]) == (0, True)
 
 
+def test_derive_counts_its_powers_and_step_tables():
+    """n powers of theta (|G| entries in a tuple) and n - 1 step tables
+    (|G|^2 entries in |G| + 1 tuples), each tuple counted as an entry."""
+    z1 = cyclic_group(1)
+    caps = Caps(max_tabulate=97)  # 5n - 3 over Z1
+    assert derive_from_constant(z1, 0, 20, caps).n == 20
+    with pytest.raises(SizeCapExceeded) as e:
+        derive_from_constant(z1, 0, 21, caps)
+    assert (e.value.what, e.value.size) == ("arity", 102)
+    s3 = symmetric_group(3)
+    size = lambda n: n * 7 + (n - 1) * 43
+    assert size(40000) <= CAP < size(40001)
+    assert derive_from_constant(s3, s3.identity, 9, Caps(max_tabulate=size(9))).n == 9
+    with pytest.raises(SizeCapExceeded):
+        derive_from_constant(s3, s3.identity, 9, Caps(max_tabulate=size(9) - 1))
+
+
 def test_check_arity():
     for n in (2, 0, -5):
         with pytest.raises(PolyadicError, match="arity must be at least 3"):
             check_arity(n)
+    check_arity(3)
     check_arity(10 ** 12)
-    check_arity(10 ** 6, 2)
-    with pytest.raises(SizeCapExceeded) as e:
-        check_arity(10 ** 6 + 2, 2)
-    assert (e.value.what, e.value.size) == ("arity", 2 * 10 ** 6 + 2)
 
 
 @pytest.mark.parametrize(
     "verb, flag, doc, want",
     [
         ("validate", "--polyadic", {"group": Z3, "theta": {"map": {"0": "0", "1": "1", "2": "2"}}, "b": "0"},
-         ("arity", (HUGE - 1) * 9, CAP)),
+         ("arity", HUGE * 4 + (HUGE - 1) * 13, CAP)),
         ("skew", "--polyadic", {"elements": ["e"], "table": ["e"]}, ("arity", HUGE, 21)),
         ("validate", "--polyadic", {"elements": ["0", "1"], "table": ["0", "1"]}, ("arity", HUGE, 21)),
         ("present2group", "--presentation", PRES, ("flattened word", HUGE - 2, CAP)),
