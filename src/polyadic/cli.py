@@ -367,25 +367,13 @@ def _cmd_solve(args):
 def _cmd_coordgroup(args):
     p, m, pts = _point_set(args)
     cg = coordinate_group(p, AlgebraicSet(m, tuple(pts)))
-    base = cg.source.base
-    if cg.power is None:
-        elements = [[]]
-        projections = [[] for _ in range(m)]
-    else:
-        decode = cg.power.base.decode
-        elements = [
-            [base.name(c) for c in decode(x)] for x in cg.elements
-        ]
-        projections = [
-            [base.name(c) for c in decode(x)] for x in cg.projections
-        ]
     return (
         {
             "order": cg.order,
             "vars": m,
             "points": points_to_names(p, pts),
-            "elements": elements,
-            "projections": projections,
+            "elements": points_to_names(p, cg.elements),
+            "projections": points_to_names(p, cg.projections),
             "polyadic": polyadic_to_doc(cg.as_polyadic()),
         },
         0,

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .groups import (
     GroupAutomorphism,
-    TableGroup,
     enumerate_homs,
     hom_generators,
     identity_automorphism,
@@ -93,27 +92,28 @@ class DerivedPolyadicGroup(PolyadicGroup):
     """Carrier and names are those of the base group; f is computed from
     them, and `flat` is built on first use, under caps.max_tabulate.
 
-    An instance is trusted to be an n-ary group: `derive` checks both
-    derivation conditions, and `coordinate_group` builds its power from
-    data meeting them. So `verify_axioms`, `hosszu_gloskin` and
-    `build_post_cover` decide it from that data (Hosszú–Gluskin; Post),
-    with no order**n table.
+    An instance is trusted to be an n-ary group because `derive`, its one
+    constructor, checks both derivation conditions. So `verify_axioms`,
+    `hosszu_gloskin` and `build_post_cover` decide it from that data
+    (Hosszú–Gluskin; Post), with no order**n table.
 
     `steps` holds n-1 tables with
     f(x_1, ..., x_n) = steps[n-2][...steps[0][x_1][x_2]...][x_n], built on
-    first use. `cheap_steps` tells whether they are small enough to build:
-    false over a lazy direct power, where they would hold (n-1) order**2
-    products."""
+    first use. n is bounded, as "arity", by what the instance builds: n
+    powers of theta, each a tuple of |G| entries, and the n - 1 step
+    tables, each |G| tuples of |G| entries in one more tuple, every tuple
+    counted as one entry of its own, against max_tabulate."""
 
     def __init__(self, base, theta, b, n, caps=_caps.DEFAULT):
+        g = base.order
+        _caps.check(caps, "arity", n * (g + 1) + (n - 1) * (g * g + g + 1), caps.max_tabulate)
         self.base = base
         self.theta = theta
         self.b = b
         self.n = n
-        self.order = base.order
+        self.order = g
         self.caps = caps
         self.theta_pows = theta.powers(n)  # theta_pows[k][x] = theta^k(x)
-        self.cheap_steps = isinstance(base, TableGroup)
 
     @cached_property
     def steps(self):
@@ -159,15 +159,6 @@ class DerivedPolyadicGroup(PolyadicGroup):
         base, tp = self.base, self.theta_pows
         left, right = self._sides(args, pos)
         return tuple(base.mul(base.mul(left, tp[pos][x]), right) for x in base.elements())
-
-    def solve_at(self, args, pos, c):
-        """x = theta^-pos(L^-1 . c . R^-1), in n + 6 base operations and no
-        table. As theta^(n-1) is conjugation by b, theta^-pos(y) is
-        theta^(n-1-pos)(b^-1 . y . b), so no inverse of theta is needed."""
-        base, b = self.base, self.b
-        left, right = self._sides(args, pos)
-        y = base.mul(base.mul(base.inv(left), c), base.inv(right))
-        return self.theta_pows[self.n - 1 - pos][base.mul(base.mul(base.inv(b), y), b)]
 
     def skew(self, x):
         # b^-1 . (theta(x) . theta^2(x) ... theta^(n-2)(x))^-1
@@ -225,17 +216,13 @@ def check_arity(n):
 
 def derive(base, theta, b, n, caps=_caps.DEFAULT):
     """Build the derived n-ary group, checking both derivation conditions.
-
-    n is bounded, as "arity", by the tables the group builds: n powers of
-    theta, each a tuple of |G| entries, and n - 1 step tables, each |G|
-    tuples of |G| entries in one more tuple, every tuple counted as one
-    entry of its own."""
+    The refusals come in order: an arity below 3, an arity past what the
+    group builds (see `DerivedPolyadicGroup`), condition one, condition
+    two."""
     check_arity(n)
-    g = base.order
-    _caps.check(caps, "arity", n * (g + 1) + (n - 1) * (g * g + g + 1), caps.max_tabulate)
+    d = DerivedPolyadicGroup(base, theta, b, n, caps=caps)
     if theta(b) != b:
         raise ConditionOneFails(b, theta(b))
-    d = DerivedPolyadicGroup(base, theta, b, n, caps=caps)
     top = d.theta_pows[n - 1]
     for x in base.elements():
         rhs = base.mul(base.mul(b, x), base.inv(b))

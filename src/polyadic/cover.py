@@ -11,16 +11,10 @@ bounded coset enumeration can then try to realize as a finite table.
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 from . import caps as _caps
-from .core import (
-    _decode,
-    _first_difference,
-    as_derived,
-    check_arity,
-    prefix_products,
-    retract,
-)
+from .core import _first_difference, as_derived, check_arity, retract
 from .errors import (
     CapExceeded,
     EmptyGeneratorSet,
@@ -194,18 +188,47 @@ def _coset_mismatch(d, ret, rows):
 
 def _product_mismatch(p, images, row_of):
     """The least tuple where images[x_1] ... images[x_n] differs from
-    images[f(x_1, ..., x_n)], as (tuple, expected, got), else None.
+    images[f(x_1, ..., x_n)], as (tuple, expected, got), else None. p is a
+    derived group, and row_of(c) is the tuple of products c . images[x]
+    over x.
 
-    The products are the prefix products of images, where row_of(c) is
-    the row of products c . images[x] over x. p.flat is read first, so its
-    max_tabulate check comes before the products are built.
+    The (n-1)-prefixes are walked depth first in lexicographic order,
+    keeping one prefix product per level: in p through its step tables,
+    and in the target. Each prefix compares one row of |G| values, the
+    products over the last argument, and the walk stops at the first row
+    that differs. It visits at most max_axiom_tuples rows of the caps p
+    was derived under and holds O(n |G|) values, where the whole table
+    would hold |G|^n.
     """
-    want = tuple(map(images.__getitem__, p.flat))
-    level = prefix_products(images, [row_of] * (p.n - 1))
-    if level == want:
-        return None
-    i = _first_difference(level, want)
-    return _decode(p.order, p.n, i), want[i], level[i]
+    n, g, steps, caps = p.n, p.order, p.steps, p.caps
+    last = n - 2  # the prefix x_1 .. x_(n-1) at levels 0 .. n-2
+    got_row = cache(row_of)
+    want_row = cache(lambda s: tuple(map(images.__getitem__, steps[last][s])))
+    x = [-1] * (n - 1)
+    src, tgt = [0] * (n - 1), [0] * (n - 1)
+    rows = 0
+    k = 0
+    while k >= 0:
+        x[k] += 1
+        if x[k] == g:
+            x[k] = -1
+            k -= 1
+            continue
+        if k:
+            src[k] = steps[k - 1][src[k - 1]][x[k]]
+            tgt[k] = got_row(tgt[k - 1])[x[k]]
+        else:
+            src[0], tgt[0] = x[0], images[x[0]]
+        if k < last:
+            k += 1
+            continue
+        rows += 1
+        _caps.check(caps, "product rows", rows, caps.max_axiom_tuples)
+        want, got = want_row(src[last]), got_row(tgt[last])
+        if want != got:
+            y = _first_difference(got, want)
+            return tuple(x) + (y,), want[y], got[y]
+    return None
 
 
 def extend_hom_to_cover(cover, beta, target):

@@ -4,10 +4,10 @@ A system of term equations in m variables cuts out an algebraic set
 inside G^m. The radical of a point set Y is the congruence of term pairs
 agreeing everywhere on Y; the coordinate group of Y is the quotient of
 the terms by the radical, realized concretely as the set of term
-functions on Y, a polyadic subgroup of the direct power G^|Y|. Zariski
-closure, irreducibility, minimal subsystems, and the comparison between
-coordinate groups over G and over its cover are all computed exactly by
-enumeration at small scale.
+functions on Y, each the tuple of its values on Y: a polyadic subgroup of
+the derived power G^|Y|. Zariski closure, irreducibility, minimal
+subsystems, and the comparison between coordinate groups over G and over
+its cover are all computed exactly by enumeration at small scale.
 """
 
 from dataclasses import dataclass
@@ -16,11 +16,9 @@ from operator import getitem, itemgetter
 from typing import Optional
 
 from . import caps as _caps
-from .core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived, prefix_products
-from .core import derive_from_constant
+from .core import TablePolyadicGroup, as_derived, derive_from_constant, prefix_products
 from .errors import PolyadicError
-from .groups import DirectPowerGroup, cayley_walk, constant_tuple, induced_automorphism
-from .groups import psi_u
+from .groups import cayley_walk, psi_u
 from .terms import Apply, Skew, TermCompiler, Variable, eval_term, is_coefficient_free
 from .terms import term_variables, validate_term
 
@@ -183,8 +181,23 @@ def _conjunction(pairs):
 def radical_member(p, y, s, t):
     """Whether the pair (s, t) lies in the radical of the point set y:
     true exactly when s and t agree at every point (vacuously for empty y)."""
-    pts = y.points if isinstance(y, AlgebraicSet) else tuple(y)
+    pts, _ = _point_list(y)
     return all(eval_term(s, pt, p) == eval_term(t, pt, p) for pt in pts)
+
+
+def _point_list(y):
+    """(points, m) of an AlgebraicSet or a plain sequence of points, each
+    point a tuple: m is the set's own, or 0 for no plain points. A point
+    with another number of coordinates raises PolyadicError."""
+    if isinstance(y, AlgebraicSet):
+        pts, m = tuple(map(tuple, y.points)), y.m
+    else:
+        pts = tuple(map(tuple, y))
+        m = len(pts[0]) if pts else 0
+    for pt in pts:
+        if len(pt) != m:
+            raise PolyadicError(f"point {pt} has {len(pt)} coordinates, not {m}")
+    return pts, m
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +206,19 @@ def radical_member(p, y, s, t):
 
 @dataclass(frozen=True)
 class CoordinateGroup:
-    """Term functions on a point set Y, inside the direct power G^|Y|.
+    """Term functions on a point set Y: a polyadic subgroup of the derived
+    power (G^|Y|, theta, b), both applied coordinatewise.
 
-    Generated by the m coordinate projections (and, unless coefficient
-    free, the diagonal constant tuples) under the power's operation and
-    skew. For empty Y the group degenerates to a single element.
+    Each function is the tuple of its values at the points of Y, and
+    `elements` lists them sorted. They are generated by the m coordinate
+    projections (and, unless coefficient free, the diagonal constant
+    tuples) under the operation and skew of the source, coordinatewise.
+    For empty Y the group is the one empty tuple.
     """
 
     source: object
     points: tuple
     m: int
-    power: object
     projections: tuple
     constants: tuple
     elements: tuple
@@ -213,25 +228,22 @@ class CoordinateGroup:
         return len(self.elements)
 
     def restrict(self, t):
-        """Image of a term under the natural map onto functions on Y."""
-        if self.power is None:
-            return 0
-        values = tuple(eval_term(t, pt, self.source) for pt in self.points)
-        return self.power.base.encode(values)
+        """Image of a term under the natural map onto functions on Y: its
+        values at the points."""
+        return tuple(eval_term(t, pt, self.source) for pt in self.points)
 
     def as_polyadic(self, caps=_caps.DEFAULT):
-        """The carrier as a standalone polyadic group in table form.
+        """The carrier as a standalone polyadic group in table form, each
+        element named by its values joined with '_', the one element of an
+        empty Y by "1".
 
         The table is the prefix products of the coordinate tuples: level k
         extends a prefix by an element x through column x_i of the source's
         step table k at each coordinate i, and the last level reads off the
         product's position in the carrier."""
-        if self.power is None:
-            return TablePolyadicGroup(("1",), self.source.n, (0,))
         n = self.source.n
         _caps.check(caps, "n-ary table", self.order ** n, caps.max_tabulate)
-        pg = self.power.base
-        tuples = [pg.decode(x) for x in self.elements]
+        tuples = self.elements
         pos = {x: i for i, x in enumerate(tuples)}
         pack = bytes if len(tuples) <= 256 else tuple
 
@@ -246,45 +258,30 @@ class CoordinateGroup:
         flat = prefix_products(
             tuples, [extend(rows, k == n - 2) for k, rows in enumerate(steps)]
         )
-        return TablePolyadicGroup([pg.name(x) for x in self.elements], n, flat)
+        name = self.source.name
+        names = ["_".join(map(name, x)) for x in tuples] if self.points else ["1"]
+        return TablePolyadicGroup(names, n, flat)
 
 
 def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     """Closure of the projections (plus diagonal constants by default)
-    under the power operation and skew; the concrete coordinate group of
-    the point set y."""
+    under the operation and skew of p, coordinatewise; the concrete
+    coordinate group of the point set y."""
     d = as_derived(p, caps)
-    pts = tuple(y.points if isinstance(y, AlgebraicSet) else y)
-    m = y.m if isinstance(y, AlgebraicSet) else (len(pts[0]) if pts else 0)
-    if not pts:
-        return CoordinateGroup(
-            source=d, points=(), m=m, power=None,
-            projections=(0,) * m,
-            constants=(0,) * (d.order if with_constants else 0),
-            elements=(0,),
-        )
+    pts, m = _point_list(y)
     k = len(pts)
+    columns = tuple(tuple(pt[j] for pt in pts) for j in range(m))
+    diagonals = tuple((g,) * k for g in range(d.order)) if with_constants else ()
+    if not pts:
+        return CoordinateGroup(d, (), m, columns, diagonals, ((),))
     # with constants, H holds |G| constant tuples: refused before the walk
     limit = min(caps.max_closure_algebra, caps.max_tabulate // k)
     _caps.check(caps, "closure", d.order if with_constants else 1, limit)
-    columns = [tuple(pt[j] for pt in pts) for j in range(m)]
-    diagonals = [(g,) * k for g in range(d.order)] if with_constants else []
     gens = list(dict.fromkeys(columns + diagonals))
     if not gens:
         raise PolyadicError("no generators: zero variables and no constants")
     _, closed = _term_closure(d, gens, caps, "closure")
-    pg = DirectPowerGroup(d.base, k)
-    theta_hat = induced_automorphism(d.theta, pg)
-    b_hat = constant_tuple(pg, d.b)
-    # d meets both derivation conditions, so they hold coordinatewise
-    power = DerivedPolyadicGroup(pg, theta_hat, b_hat, d.n)
-    projections = tuple(map(pg.encode, columns))
-    constants = tuple(map(pg.encode, diagonals))
-    elements = tuple(pg.encode(x) for x in sorted(closed))
-    return CoordinateGroup(
-        source=d, points=pts, m=m, power=power,
-        projections=projections, constants=constants, elements=elements,
-    )
+    return CoordinateGroup(d, pts, m, columns, diagonals, tuple(sorted(closed)))
 
 
 def _generated(base, identity, gens, caps, what, psi=None):
@@ -357,24 +354,29 @@ def _term_closure(d, gens, caps, what):
 def structural_check(cg):
     """Search for an element u making the coordinate group an ordinary
     subgroup of the power twisted by u, invariant under the twist's
-    canonical automorphism x -> u theta(x) theta(u^-1). Returns the first
-    such u, or None."""
-    if cg.power is None:
-        return cg.elements[0]
-    pg = cg.power.base
-    theta = cg.power.theta
+    canonical automorphism x -> u theta(x) theta(u^-1). The tuples are
+    multiplied and mapped coordinatewise in the source's base group and
+    theta. Returns the first such u, or None."""
+    base, theta = cg.source.base, cg.source.theta
+
+    def mul(x, y):
+        return tuple(map(base.mul, x, y))
+
+    def inv(x):
+        return tuple(map(base.inv, x))
+
     H = set(cg.elements)
     for u in cg.elements:
-        iu = pg.inv(u)
-        tiu = theta(iu)
-        if any(pg.mul(pg.mul(u, pg.inv(a)), u) not in H for a in H):
+        iu = inv(u)
+        tiu = tuple(map(theta, iu))
+        if any(mul(mul(u, inv(a)), u) not in H for a in H):
             continue
-        if any(pg.mul(pg.mul(u, theta(a)), tiu) not in H for a in H):
+        if any(mul(mul(u, tuple(map(theta, a))), tiu) not in H for a in H):
             continue
         ok = True
         for a in H:
-            aiu = pg.mul(a, iu)
-            if any(pg.mul(aiu, b) not in H for b in H):
+            aiu = mul(a, iu)
+            if any(mul(aiu, b) not in H for b in H):
                 ok = False
                 break
         if ok:
@@ -470,8 +472,7 @@ def closure(p, z, m, caps=_caps.DEFAULT):
 
 
 def is_irreducible(p, y, caps=_caps.DEFAULT):
-    pts = y.points if isinstance(y, AlgebraicSet) else tuple(y)
-    m = y.m if isinstance(y, AlgebraicSet) else len(pts[0])
+    pts, m = _point_list(y)
     flag, _ = TermFunctions(p, m, caps=caps).irreducible(pts, caps=caps)
     return flag
 

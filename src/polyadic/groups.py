@@ -6,13 +6,11 @@ and is built only by validate_group, by the certified coset readout
 (`cover._regular_group`, which checks that a closed coset table is a regular
 action) and by `cover.build_post_cover` from checked derivation data
 (Post's theorem), so holding a TableGroup is proof the table satisfies the
-group axioms. TwistedGroup and DirectPowerGroup compute products on demand and
-share the same interface, which keeps direct powers usable far beyond the
-full-table size cap.
+group axioms. TwistedGroup and DirectPowerGroup compute products on demand
+and share the same interface; they store no table.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations, product
 from math import factorial, prod
 from operator import eq
@@ -359,7 +357,7 @@ class GroupAutomorphism:
 
     Multiplicativity is checked by the `automorphism` constructor; internal
     constructions that are automorphisms for structural reasons (identity,
-    inner, componentwise-induced) build instances directly.
+    inner, psi_u) build instances directly.
     """
 
     def __init__(self, group, images):
@@ -432,43 +430,6 @@ def psi_u(base, theta, u):
     tail = theta(base.inv(u))
     images = tuple(base.mul(base.mul(u, theta(x)), tail) for x in base.elements())
     return GroupAutomorphism(tw, images)
-
-
-class InducedAutomorphism(GroupAutomorphism):
-    """theta applied coordinatewise on a direct power of its group, per
-    element: nothing is built over the |G|^k encodings unless `images` is
-    read. Its powers are lookups of the same kind."""
-
-    def __init__(self, theta, power_group):
-        self.theta = theta
-        self.group = power_group
-
-    @cached_property
-    def images(self):
-        return tuple(map(self, self.group.elements()))
-
-    def __call__(self, x):
-        g = self.group
-        return g.encode(tuple(map(self.theta, g.decode(x))))
-
-    __getitem__ = __call__
-
-    def powers(self, count):
-        """The powers of theta, each induced: count - 1 compositions."""
-        base = self.theta.group
-        return [
-            InducedAutomorphism(GroupAutomorphism(base, images), self.group)
-            for images in self.theta.powers(count)
-        ]
-
-
-def induced_automorphism(theta, power_group):
-    """Apply theta coordinatewise on a direct power of its group."""
-    return InducedAutomorphism(theta, power_group)
-
-
-def constant_tuple(power_group, b):
-    return power_group.encode((b,) * power_group.k)
 
 
 # ---------------------------------------------------------------------------

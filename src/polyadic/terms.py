@@ -122,45 +122,20 @@ class TermCompiler:
 
     A compiled term is a closure that takes an assignment (a sequence of
     element indices, one per variable, each bound) and returns the value
-    `eval_term` gives. Over a derived group with `cheap_steps` an f node is
-    one run of `_lookups` in its transposed step tables, one per argument
-    after the first, so its cost and depth do not grow with n; one over a
-    lazy direct power is compiled to calls of its f. Subterms without
-    variables are evaluated once, at compile time, and skew values are
-    tabulated on first use.
+    `eval_term` gives. An f node is one run of `_lookups` in the transposed
+    step tables, one per argument after the first, so its cost and depth
+    do not grow with n. Subterms without variables are evaluated once, at
+    compile time, and skew values are tabulated on first use.
 
     `solver` inverts a term in a variable that occurs once in it, along the
     path from the root to that variable. At an f node the child's value is
     the unique solution in its position, which the inverses of the step
-    tables or `solve_at` give. At a skew node the child's value is each
-    preimage under the skew, which need not be a bijection.
+    tables give. At a skew node the child's value is each preimage under
+    the skew, which need not be a bijection.
     """
 
     def __init__(self, p):
-        p = self.p = as_derived(p)
-        if p.cheap_steps:
-
-            def apply(kids):
-                first = kids[0]
-                if len(kids) == 1:
-                    return first
-                step = _lookups([_bind(c, kid) for c, kid in zip(self._cols, kids[1:])])
-                if isinstance(first, int):
-                    if all(isinstance(k, int) for k in kids):
-                        return step(None, first)
-                    return lambda a: step(a, first)
-                return lambda a: step(a, first(a))
-
-        else:
-            f = p.f
-
-            def apply(kids):
-                if all(isinstance(k, int) for k in kids):
-                    return f(list(kids))
-                fns = [_callable(k) for k in kids]
-                return lambda a: f([fn(a) for fn in fns])
-
-        self._apply = apply
+        self.p = as_derived(p)
 
     def __call__(self, t):
         return _callable(self.node(t))
@@ -192,6 +167,20 @@ class TermCompiler:
             return lambda a: skews[kid(a)]
         self._check_arity(t)
         return self._apply([self.node(c) for c in t.children])
+
+    def _apply(self, kids):
+        """The compiled f node over the compiled kids: one run of lookups
+        in the transposed step tables, folded to an int when every kid is
+        one."""
+        first = kids[0]
+        if len(kids) == 1:
+            return first
+        step = _lookups([_bind(c, kid) for c, kid in zip(self._cols, kids[1:])])
+        if isinstance(first, int):
+            if all(isinstance(k, int) for k in kids):
+                return step(None, first)
+            return lambda a: step(a, first)
+        return lambda a: step(a, first(a))
 
     def solver(self, t, x, target):
         """A closure a -> the values of variable x, which occurs once in t,
@@ -255,18 +244,12 @@ class TermCompiler:
     def _f_step(self, kids, pos):
         """The step solving f(kids) = c in position pos, the kids compiled
         and kids[pos] a placeholder: a list of lookups (table, kid) reading
-        table[c], or table[kid(a)][c] when kid is not None; or a function
-        (a, c) -> the solutions."""
-        p = self.p
-        if not p.cheap_steps:
-            fns = [_callable(k) for k in kids]
-            solve_at = p.solve_at
-            return lambda a, c: (solve_at([fn(a) for fn in fns], pos, c),)
+        table[c], or table[kid(a)][c] when kid is not None."""
         rows, cols = self._division
         # undo the arguments after pos, the last first, through column
         # inverses; what is left is the step value of args[:pos+1], and x
         # is read from it by the row inverse at the step value of args[:pos]
-        ops = [_bind(cols[k - 1], kids[k]) for k in range(p.n - 1, pos, -1)]
+        ops = [_bind(cols[k - 1], kids[k]) for k in range(self.p.n - 1, pos, -1)]
         if pos:
             ops.append(_bind(rows[pos - 1], self._apply(kids[:pos])))
         return ops

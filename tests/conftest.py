@@ -114,3 +114,17 @@ def every_derived():
         return [derive(base, theta, b, n) for theta, b in derivation_pairs(base, n)]
 
     return every
+
+
+@pytest.fixture(scope="session")
+def induced():
+    """induced(theta, pg): theta applied coordinatewise on pg, a direct
+    power of theta's group, as an image array over all its encodings."""
+
+    def induced(theta, pg):
+        images = [0]
+        for _ in range(pg.k):
+            images = [hi * pg.base.order + theta(c) for hi in images for c in pg.base.elements()]
+        return GroupAutomorphism(pg, images)
+
+    return induced

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -343,6 +344,14 @@ def test_table_form_solves_as_its_derived_form(tmp_path, capsys, catalog, name):
         assert [code for _, code, _ in outputs] == [0] * 4
 
 
+# coordgroup's stdout on no points over P2: the one empty tuple, named "1"
+EMPTY_COORDGROUP = (
+    '{\n  "order": 1,\n  "vars": 1,\n  "points": [],\n  "elements": [\n    []\n  ],\n'
+    '  "projections": [\n    []\n  ],\n  "polyadic": {\n    "elements": [\n      "1"\n'
+    '    ],\n    "n": 3,\n    "table": [\n      "1"\n    ]\n  }\n}\n'
+)
+
+
 @pytest.mark.parametrize("verb, want", [
     ("closure", {"vars": 1, "count": 0, "points": []}),
     ("irreducible", {"irreducible": True, "witness": None}),
@@ -356,8 +365,8 @@ def test_explicit_empty_points_are_the_empty_set(tmp_path, capsys, verb, want):
     empty = {"polyadic": "p2.json", "vars": 1, "equations": ["x1 = x1"], "points": []}
     code, doc = run(capsys, verb, "--system", write(tmp_path, "e.json", empty))
     assert (code, doc) == (0, want)
-    code, doc = run(capsys, "coordgroup", "--system", write(tmp_path, "e.json", empty))
-    assert code == 0 and doc["order"] == 1 and doc["points"] == []
+    code = main(["coordgroup", "--system", write(tmp_path, "e.json", empty)])
+    assert (code, capsys.readouterr().out) == (0, EMPTY_COORDGROUP)
     absent = {"polyadic": "p2.json", "vars": 1, "equations": ["x1 = x1"]}
     code, doc = run(capsys, "closure", "--system", write(tmp_path, "a.json", absent))
     assert code == 0 and doc["count"] == 3
@@ -538,6 +547,22 @@ FUZZ_CASES = [
     ("freereduce", None, "x*y^-2*x'*y^3*x^12", []),
 ]
 JUNK = [None, 0, -1, 2.5, True, "", "zz", [], ["0"], [["0"]], {}, {"a": 1}, "f(", "~" * 120 + "x1"]
+
+
+def test_coordgroup_stdout_is_pinned(tmp_path, capsys):
+    """coordgroup's whole stdout on SYSTEM: the 9 term functions on its two
+    points, their names and the 9^3 table, byte for byte (10204 bytes,
+    pinned by digest)."""
+    write(tmp_path, "p2.json", P2)
+    code = main(["coordgroup", "--system", write(tmp_path, "s.json", SYSTEM)])
+    out = capsys.readouterr().out.encode()
+    assert (code, len(out)) == (0, 10204)
+    assert hashlib.sha256(out).hexdigest() == (
+        "7f61348d1fae40dbd1c28ef2426e74b6aa48bbf2bf2b78a1129d0ec1075abbc7"
+    )
+    doc = json.loads(out)
+    assert doc["elements"][:2] == [["0", "0"], ["0", "1"]]
+    assert doc["projections"] == [["0", "2"], ["1", "2"]]
 
 
 def _mutate(rng, doc):

@@ -33,9 +33,6 @@ from polyadic.groups import (
     are_isomorphic,
     automorphism,
     cyclic_group,
-    direct_power,
-    identity_automorphism,
-    induced_automorphism,
     inner_automorphism,
     symmetric_group,
 )
@@ -121,25 +118,6 @@ def test_skew_closed_form_vs_search(catalog):
             assert p.skew(x) == skew_search(p, x), (key, x)
         st = skew_table(p)
         assert list(st) == [p.skew(x) for x in p.elements()]
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_solve_at_is_the_line_inverse(seed, catalog, small_bases, random_derived):
-    """solve_at in every position, on the catalog and on random derived
-    groups, on the derived form and over a lazy direct power: the x where
-    the line takes the value c."""
-    rng = random.Random(seed)
-    groups = list(catalog.values()) + [random_derived(rng, b) for b in small_bases]
-    for p in groups:
-        pg = direct_power(p.base, 1)
-        lazy = derive(pg, induced_automorphism(p.theta, pg), p.b, p.n)
-        for q in (p, lazy):
-            for _ in range(10):
-                args = [rng.randrange(q.order) for _ in range(q.n)]
-                for pos in range(q.n):
-                    line = q.line(args, pos)
-                    for c in q.elements():
-                        assert q.solve_at(args, pos, c) == line.index(c), (q, args, pos, c)
 
 
 def test_skew_identity_on_p2(p2):

@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from polyadic.caps import Caps
-from polyadic.core import derive, retract, tabulate
+from polyadic.core import _decode, _first_difference, derive, prefix_products, retract
+from polyadic.core import tabulate
 from polyadic.cover import (
     GroupPresentation,
     PolyadicPresentation,
+    _product_mismatch,
     build_post_cover,
     coset_enumerate,
     extend_hom_to_cover,
@@ -145,23 +148,95 @@ def test_extend_hom_rejects_non_hom(p1):
         extend_hom_to_cover(cover, (0, 1, 1), z6)
 
 
-def test_non_hom_checks_the_flat_cap_before_the_products(monkeypatch):
-    """The product check reads the source's flat table, under its cap,
-    before it builds the |G|^n prefix products of the map."""
-    import polyadic.cover as cover_module
+def old_product_mismatch(p, images, row_of):
+    """The product check as it was, frozen: the least bad tuple read off
+    p's flat table and the |G|^n prefix products of images."""
+    want = tuple(map(images.__getitem__, p.flat))
+    level = prefix_products(images, [row_of] * (p.n - 1))
+    if level == want:
+        return None
+    i = _first_difference(level, want)
+    return _decode(p.order, p.n, i), want[i], level[i]
 
+
+def target_rows(target, beta):
+    return lambda c: tuple(target.mul(c, y) for y in beta)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_product_walk_matches_the_frozen_check(n, small_bases, every_derived):
+    """Random maps from every derived n-ary group over Z2-Z5, S3 and K4
+    into its cover, and into Z6, get the frozen check's witness, as does
+    `extend_hom_to_cover`; a homomorphism gets None."""
+    rng = random.Random(n)
+    bad = 0
+    for base in small_bases:
+        for p in every_derived(base, n):
+            cover = build_post_cover(p)
+            homs = [tuple(cover.embedded())]
+            maps = [tuple(rng.choice(list(cover.embedded())) for _ in p.elements())
+                    for _ in range(6)]
+            for target, betas in ((cover.group, homs + maps),
+                                  (cyclic_group(6), [tuple(rng.randrange(6) for _ in p.elements())])):
+                for beta in betas:
+                    want = old_product_mismatch(p, beta, target_rows(target, beta))
+                    assert _product_mismatch(p, beta, target_rows(target, beta)) == want
+                    if want is None:
+                        extend_hom_to_cover(cover, beta, target)
+                        continue
+                    bad += 1
+                    with pytest.raises(NotPolyadicHom) as e:
+                        extend_hom_to_cover(cover, beta, target)
+                    assert str(e.value) == str(NotPolyadicHom(*want))
+    assert bad >= 100
+
+
+def test_non_hom_needs_no_flat_table():
+    """A map that is not a homomorphism is answered under a max_tabulate
+    that refuses the source's 3^7 table, with the frozen check's witness."""
     z3 = cyclic_group(3)
     caps = Caps(max_tabulate=1000)  # the cover's 18^2 entries, not 3^7
     p = derive(z3, identity_automorphism(z3), 0, 7, caps=caps)
     cover = build_post_cover(p, caps=caps)
+    z6 = cyclic_group(6)
+    with pytest.raises(NotPolyadicHom) as e:
+        extend_hom_to_cover(cover, (0, 1, 1), z6)
+    assert "flat" not in vars(p)
+    oracle = derive(z3, identity_automorphism(z3), 0, 7)
+    want = old_product_mismatch(oracle, (0, 1, 1), target_rows(z6, (0, 1, 1)))
+    assert str(e.value) == str(NotPolyadicHom(*want))
 
-    def no_products(*args):
-        raise AssertionError("products built before the cap check")
 
-    monkeypatch.setattr(cover_module, "prefix_products", no_products)
+def test_non_hom_on_derived_s4_at_n5():
+    """Derived S4 at n = 5, whose 24^5 table max_tabulate refuses: the
+    embedding with the images of 1 and 2 swapped is not a homomorphism,
+    and every tuple before the witness maps to the product of its images.
+    The walk's second row is the first bad one, so a cap of one row, under
+    which the group is derived, stops it there."""
+    s4 = symmetric_group(4)
+    p = derive(s4, identity_automorphism(s4), s4.identity, 5)
+    cover = build_post_cover(p)
+    target = cover.group
+    beta = list(cover.embedded())
+    beta[1], beta[2] = beta[2], beta[1]
+    with pytest.raises(NotPolyadicHom) as e:
+        extend_hom_to_cover(cover, beta, target)
+    t, expected, got = _product_mismatch(p, beta, target_rows(target, beta))
+    assert str(e.value) == str(NotPolyadicHom(t, expected, got))
+    assert (e.value.expected, e.value.got) == (expected, got) and expected != got
+    for args in itertools.product(range(24), repeat=5):
+        product = beta[args[0]]
+        for x in args[1:]:
+            product = target.mul(product, beta[x])
+        if args == t:
+            assert (beta[p.f(list(args))], product) == (expected, got)
+            break
+        assert product == beta[p.f(list(args))], args
+    assert t[:4] == (0, 0, 0, 1)
+    capped = derive(s4, identity_automorphism(s4), s4.identity, 5, caps=Caps(max_axiom_tuples=1))
     with pytest.raises(SizeCapExceeded) as e:
-        extend_hom_to_cover(cover, (0, 1, 1), cyclic_group(6))
-    assert (e.value.what, e.value.size) == ("n-ary table", 3 ** 7)
+        extend_hom_to_cover(build_post_cover(capped), beta, target)
+    assert (e.value.what, e.value.size, e.value.cap) == ("product rows", 2, 1)
 
 
 def test_positive_form():

@@ -61,7 +61,6 @@ from polyadic.groups import (
     cyclic_group,
     direct_power,
     identity_automorphism,
-    induced_automorphism,
     validate_group,
 )
 from polyadic.terms import Apply, Constant, Equation, Skew, Variable, eval_term
@@ -192,8 +191,7 @@ def old_as_polyadic(cg):
     """The coordinate group's table by per-prefix tuple products over the
     base group's columns, theta's powers and b."""
     d, n = cg.source, cg.source.n
-    pg = cg.power.base
-    tuples = [pg.decode(x) for x in cg.elements]
+    tuples = list(cg.elements)
     pos = {x: i for i, x in enumerate(tuples)}
     els = d.base.elements()
     cols = [tuple(d.base.mul(a, g) for a in els) for g in els]
@@ -205,7 +203,7 @@ def old_as_polyadic(cg):
     last = [tuple(bcol[v] for v in cols[t]) for t in d.theta_pows[n - 1]]
     steps = [[last[c] for c in x] for x in tuples]
     flat = [pos[tuple(map(getitem, s, pre))] for pre in prefixes for s in steps]
-    return [pg.name(x) for x in cg.elements], n, tuple(flat)
+    return ["_".join(map(d.name, x)) for x in tuples], n, tuple(flat)
 
 
 def old_conjugates(relators, generators):
@@ -327,12 +325,12 @@ def test_derived_lines_need_no_flat(seed, small_bases, random_derived):
 
 
 @pytest.mark.parametrize("base", [cyclic_group(2), cyclic_group(3), cyclic_group(4)])
-def test_flat_of_lazy_power_matches_per_tuple_f(base, random_derived):
-    """Over a direct power with a coordinatewise theta, whose powers are
-    per-element lookups rather than image tuples."""
+def test_flat_of_lazy_power_matches_per_tuple_f(base, random_derived, induced):
+    """Over a direct power, which computes its products on demand, with a
+    coordinatewise theta."""
     p = random_derived(random.Random(base.order), base, (3,))
     pg = direct_power(base, 2)
-    lazy = derive(pg, induced_automorphism(p.theta, pg), pg.encode((p.b, p.b)), 3)
+    lazy = derive(pg, induced(p.theta, pg), pg.encode((p.b, p.b)), 3)
     assert lazy.flat == old_tabulate_flat(lazy)
 
 
@@ -342,7 +340,7 @@ def test_steps_match_per_tuple_f(seed, small_bases, random_derived):
     rng = random.Random(seed)
     forms = [random_derived(rng, base, (3, 4, 5)) for base in small_bases]
     for q in forms:
-        assert q.cheap_steps and len(q.steps) == q.n - 1
+        assert len(q.steps) == q.n - 1
         for args in product(q.elements(), repeat=q.n):
             assert through_steps(q.steps, args) == q.f(list(args)), (q, args)
 
@@ -396,7 +394,7 @@ def test_solve_on_tables_that_are_not_groups(seed):
 def test_flat_is_capped_before_it_is_built():
     z2 = cyclic_group(2)
     pg = direct_power(z2, 8)  # order 256: 256^3 entries exceed max_tabulate
-    big = DerivedPolyadicGroup(pg, induced_automorphism(identity_automorphism(z2), pg), 0, 3)
+    big = derive(pg, identity_automorphism(pg), 0, 3)
     with pytest.raises(SizeCapExceeded) as e:
         big.flat
     assert (e.value.what, e.value.size) == ("n-ary table", 256 ** 3)
@@ -409,25 +407,41 @@ def test_flat_is_capped_before_it_is_built():
     assert len(derive(z5, identity_automorphism(z5), 0, 3).flat) == 125
 
 
-def test_power_never_builds_flat(small_bases, random_derived):
-    """Coordinate groups and `solve` on a direct power read the power's f,
-    theta and skew element by element, never its whole table or its step
-    tables."""
+def test_power_never_builds_flat(small_bases, random_derived, induced):
+    """Coordinate groups read the source's step tables coordinatewise, and
+    `solve` over a derived group on a direct power reads its step tables,
+    never the whole table of either."""
     rng = random.Random(5)
     for base in small_bases:
         p = random_derived(rng, base)
         grid = list(product(range(p.order), repeat=2))
         cg = coordinate_group(p, AlgebraicSet(2, tuple(sorted(rng.sample(grid, 2)))))
-        power = cg.power
-        assert not power.cheap_steps
         structural_check(cg)
         cg.as_polyadic()
-        c = cg.elements[-1]
+        assert "flat" not in vars(cg.source), base
+        pg = direct_power(base, 2)
+        power = derive(pg, induced(p.theta, pg), pg.encode((p.b, p.b)), p.n)
+        c = rng.randrange(pg.order)
         eq = Equation(Apply((Variable(0),) * power.n), Skew(Constant(c)))
         sols = solve(power, EquationSystem(power, 1, (eq,)))
         want = [x for x in power.elements() if power.f([x] * power.n) == power.skew(c)]
         assert [s[0] for s in sols] == want
-        assert "flat" not in vars(power) and "steps" not in vars(power), base
+        assert "flat" not in vars(power), base
+
+
+def test_direct_construction_is_bounded_by_its_step_tables():
+    """The arity bound is the constructor's own: a derived group built
+    without `derive` over a power of order 2048 is refused at once, for
+    its 2 * 2048^2 step-table entries, and one of order 512 is built."""
+    z2 = cyclic_group(2)
+    pg = direct_power(z2, 11)
+    g = pg.order
+    with pytest.raises(SizeCapExceeded) as e:
+        DerivedPolyadicGroup(pg, identity_automorphism(pg), pg.identity, 3)
+    assert (e.value.what, e.value.size) == ("arity", 3 * (g + 1) + 2 * (g * g + g + 1))
+    small = direct_power(z2, 9)
+    d = DerivedPolyadicGroup(small, identity_automorphism(small), small.identity, 3)
+    assert len(d.steps) == 2 and len(d.steps[0]) == 512
 
 
 # ---------------------------------------------------------------------------

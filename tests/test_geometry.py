@@ -7,7 +7,7 @@ import pytest
 
 from polyadic import core, geometry
 from polyadic.caps import Caps
-from polyadic.core import DerivedPolyadicGroup, TablePolyadicGroup, as_derived, derive
+from polyadic.core import TablePolyadicGroup, as_derived, derive
 from polyadic.core import tabulate
 from polyadic.cover import build_post_cover
 from polyadic.errors import PolyadicError, SizeCapExceeded
@@ -25,12 +25,10 @@ from polyadic.geometry import (
     theorem63_check,
 )
 from polyadic.groups import (
-    GroupAutomorphism,
     cyclic_group,
     direct_power,
     hom_from_generator_images,
     identity_automorphism,
-    induced_automorphism,
     validate_group,
 )
 from polyadic.terms import (
@@ -45,6 +43,7 @@ from polyadic.terms import (
     parse_term,
     polyadic_to_group,
     TermCompiler,
+    is_coefficient_free,
     term_variables,
 )
 
@@ -108,7 +107,8 @@ def test_coordinate_group_empty_degenerates(p2):
     cg = coordinate_group(p2, AlgebraicSet(1, ()))
     assert cg.order == 1
     assert cg.as_polyadic().order == 1
-    assert structural_check(cg) == 0
+    assert cg.elements == ((),)
+    assert structural_check(cg) == ()
 
 
 def test_coefficient_free_coordinate_groups(p1, p2):
@@ -126,6 +126,50 @@ def test_structural_check_on_catalog_sets(catalog):
         for subset in ((pts[0],), tuple(pts[:2]), tuple(pts)):
             cg = coordinate_group(p, AlgebraicSet(1, subset))
             assert structural_check(cg) is not None, (key, subset)
+
+
+@pytest.mark.parametrize("points", [((0,), (2, 1)), ((0, 1), (2,))])
+def test_ragged_plain_points_are_refused(p2, points):
+    """A plain point of another length than the first is refused, not cut
+    to the first point's length or read past its end."""
+    for call in (
+        lambda: coordinate_group(p2, points),
+        lambda: is_irreducible(p2, points),
+        lambda: radical_member(p2, points, Variable(0), Variable(0)),
+    ):
+        with pytest.raises(PolyadicError, match="coordinates"):
+            call()
+
+
+def test_no_plain_points_have_no_variables(p2):
+    """No plain points: m = 0, and the empty set is irreducible, its
+    coordinate group the one empty tuple."""
+    assert is_irreducible(p2, ())
+    cg = coordinate_group(p2, ())
+    assert (cg.m, cg.elements, cg.projections) == (0, ((),), ())
+    assert radical_member(p2, (), Constant(0), Constant(1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restricted_terms_lie_in_the_coordinate_group(seed, small_bases, random_derived):
+    """The values of a random term on Y are one of Γ(Y)'s tuples, and the
+    twist by any of them works, so `structural_check` answers the first,
+    on 0-3 points, with and without constants."""
+    rng = random.Random(seed)
+    for base in small_bases * 3:
+        p = random_derived(rng, base, (3, 4, 5))
+        m = rng.choice((1, 2))
+        grid = list(itertools.product(range(p.order), repeat=m))
+        pts = tuple(sorted(rng.sample(grid, rng.randrange(min(4, len(grid) + 1)))))
+        with_constants = rng.random() < 0.7
+        cg = coordinate_group(p, AlgebraicSet(m, pts), with_constants)
+        if cg.order <= 600:
+            assert structural_check(cg) == cg.elements[0], (base, pts)
+        members = set(cg.elements)
+        for _ in range(20):
+            t = random_term(rng, m, p.order, 3, p.n)
+            if with_constants or is_coefficient_free(t):
+                assert cg.restrict(t) in members, (base, pts, t)
 
 
 def naive_algebra(p, m):
@@ -513,13 +557,13 @@ def grid_scan(p, system):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_solve_matches_grid_scan(seed, small_bases, random_derived):
+def test_solve_matches_grid_scan(seed, small_bases, random_derived, induced):
     rng = random.Random(seed)
     for base in small_bases:
         p = random_derived(rng, base)
-        # a base without a stored table takes the compiler's p.f path
+        # a base without a stored table builds its step tables through mul
         pg = direct_power(base, 1)
-        lazy = derive(pg, induced_automorphism(p.theta, pg), p.b, p.n)
+        lazy = derive(pg, induced(p.theta, pg), p.b, p.n)
         for q in (p, tabulate(p), lazy):
             for _ in range(3):
                 m = rng.randrange(4)
@@ -635,7 +679,7 @@ def pivot_system(rng, q, m, seen, skews=True):
     return EquationSystem(q, m, tuple(equations))
 
 
-def pivot_groups(rng, small_bases, random_derived):
+def pivot_groups(rng, small_bases, random_derived, induced):
     """A random derived group over each small base, its table form and its
     derivation over a lazy direct power, then Z4 with n = 4, theta = id
     and b = 0, whose skew x -> -2x has the fibres {0, 2} and {1, 3}."""
@@ -643,7 +687,7 @@ def pivot_groups(rng, small_bases, random_derived):
     for base in small_bases:
         p = random_derived(rng, base)
         pg = direct_power(base, 1)
-        groups += [p, tabulate(p), derive(pg, induced_automorphism(p.theta, pg), p.b, p.n)]
+        groups += [p, tabulate(p), derive(pg, induced(p.theta, pg), p.b, p.n)]
     z4 = cyclic_group(4)
     groups.append(derive(z4, identity_automorphism(z4), 0, 4))
     assert [groups[-1].skew(x) for x in z4.elements()] == [0, 2, 0, 2]
@@ -651,13 +695,13 @@ def pivot_groups(rng, small_bases, random_derived):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_solve_with_pivots_matches_old_solve(seed, small_bases, random_derived):
+def test_solve_with_pivots_matches_old_solve(seed, small_bases, random_derived, induced):
     """solve against the frozen search over all of G^m and against the
     eval_term grid scan, on random systems with pivots."""
     rng = random.Random(seed)
     seen = set()
     empty = 0
-    for q in pivot_groups(rng, small_bases, random_derived):
+    for q in pivot_groups(rng, small_bases, random_derived, induced):
         for _ in range(6):
             m = rng.randrange(5 if q.order <= 4 else 4)
             s = pivot_system(rng, q, m, seen)
@@ -770,11 +814,11 @@ def test_table_form_recovered_under_the_callers_caps():
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_minimal_subsystem_matches_old_pass(seed, small_bases, random_derived):
+def test_minimal_subsystem_matches_old_pass(seed, small_bases, random_derived, induced):
     """The early-stopping trials keep the equations that the greedy pass
     over the frozen solve keeps."""
     rng = random.Random(seed)
-    for q in pivot_groups(rng, small_bases, random_derived):
+    for q in pivot_groups(rng, small_bases, random_derived, induced):
         s = pivot_system(rng, q, rng.randrange(4), set())
         target = old_solve(q, s)
         keep = list(s.equations)
@@ -837,22 +881,37 @@ def test_term_functions_match_naive_random(seed, small_bases, random_derived):
     assert compared >= 6
 
 
-def naive_power_closure(power, gens):
-    """f/skew saturation of encoded elements of the direct power, over
-    tuples touching at least one new element."""
+def power_f(p, args):
+    """p's operation on coordinate tuples, coordinatewise."""
+    return tuple(p.f(list(xs)) for xs in zip(*args))
+
+
+def naive_power_closure(p, gens):
+    """f/skew saturation of coordinate tuples, p's operation and skew
+    applied coordinatewise, over tuples touching at least one new
+    element."""
     closed = set(gens)
     frontier = set(gens)
     while frontier:
         snapshot = sorted(closed)
-        fresh = {power.skew(x) for x in frontier} - closed
-        for args in itertools.product(snapshot, repeat=power.n):
+        fresh = {tuple(map(p.skew, x)) for x in frontier} - closed
+        for args in itertools.product(snapshot, repeat=p.n):
             if any(a in frontier for a in args):
-                v = power.f(list(args))
+                v = power_f(p, args)
                 if v not in closed:
                     fresh.add(v)
         closed |= fresh
         frontier = fresh
     return tuple(sorted(closed))
+
+
+def power_flat(cg):
+    """The coordinate group's flat table by coordinatewise f."""
+    pos = {x: i for i, x in enumerate(cg.elements)}
+    return [
+        pos[power_f(cg.source, args)]
+        for args in itertools.product(cg.elements, repeat=cg.source.n)
+    ]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -870,13 +929,8 @@ def test_coordinate_group_matches_saturation(seed, small_bases, random_derived):
                 continue
             cg = coordinate_group(q, AlgebraicSet(m, pts), with_constants)
             gens = list(dict.fromkeys(cg.projections + cg.constants))
-            assert cg.elements == naive_power_closure(cg.power, gens)
-            pos = {x: i for i, x in enumerate(cg.elements)}
-            flat = [
-                pos[cg.power.f(list(args))]
-                for args in itertools.product(cg.elements, repeat=cg.power.n)
-            ]
-            assert list(cg.as_polyadic().flat) == flat
+            assert cg.elements == naive_power_closure(cg.source, gens)
+            assert list(cg.as_polyadic().flat) == power_flat(cg)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -893,7 +947,7 @@ def test_coordinate_group_cap_keyed_on_the_closure(seed, random_derived):
     y = AlgebraicSet(2, tuple(sorted(rng.sample(grid, 12))))
     cg = coordinate_group(p, y, with_constants=False)
     gens = list(dict.fromkeys(cg.projections + cg.constants))
-    assert cg.elements == naive_power_closure(cg.power, gens)
+    assert cg.elements == naive_power_closure(cg.source, gens)
     assert set(cg.elements) <= set(coordinate_group(p, y).elements)
     with pytest.raises(SizeCapExceeded) as e:
         coordinate_group(p, y, caps=Caps(max_closure_algebra=cg.order - 1))
@@ -904,21 +958,11 @@ def test_coordinate_group_cap_keyed_on_the_closure(seed, random_derived):
     assert (e.value.what, e.value.cap) == ("closure", cg.order - 1)
 
 
-def eager_induced(theta, pg):
-    """theta applied coordinatewise as a full image array over all |G|^k
-    encodings of the power, the way it was built before it became lazy."""
-    images = [0]
-    for _ in range(pg.k):
-        images = [hi * pg.base.order + theta(c) for hi in images for c in pg.base.elements()]
-    return GroupAutomorphism(pg, images)
-
-
 @pytest.mark.parametrize("seed", range(2))
 def test_coordinate_group_many_points(seed, random_derived):
     """10-12 points over Z2 (m = 4) and 10 over Z3 (m = 3, no constants),
     where the term-function group stays small enough for the saturation
-    oracle; the power's lazy theta, f and skew must agree with the ones
-    built over every encoding."""
+    oracle."""
     rng = random.Random(seed)
     for base, m, k, with_constants in (
         (cyclic_group(2), 4, rng.randrange(10, 13), rng.random() < 0.5),
@@ -929,20 +973,5 @@ def test_coordinate_group_many_points(seed, random_derived):
         pts = tuple(sorted(rng.sample(grid, k)))
         cg = coordinate_group(p, AlgebraicSet(m, pts), with_constants)
         gens = list(dict.fromkeys(cg.projections + cg.constants))
-        assert cg.elements == naive_power_closure(cg.power, gens)
-        pos = {x: i for i, x in enumerate(cg.elements)}
-        flat = [
-            pos[cg.power.f(list(args))]
-            for args in itertools.product(cg.elements, repeat=cg.power.n)
-        ]
-        assert list(cg.as_polyadic().flat) == flat
-
-        pg = cg.power.base
-        eager_theta = eager_induced(p.theta, pg)
-        assert [cg.power.theta(x) for x in pg.elements()] == list(eager_theta.images)
-        eager = DerivedPolyadicGroup(pg, eager_theta, cg.power.b, cg.power.n)
-        for _ in range(200):
-            args = [rng.randrange(pg.order) for _ in range(cg.power.n)]
-            assert cg.power.f(args) == eager.f(args)
-            assert cg.power.skew(args[0]) == eager.skew(args[0])
-        assert structural_check(cg) == structural_check(replace(cg, power=eager))
+        assert cg.elements == naive_power_closure(cg.source, gens)
+        assert list(cg.as_polyadic().flat) == power_flat(cg)

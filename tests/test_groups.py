@@ -20,7 +20,6 @@ from polyadic.groups import (
     direct_product,
     enumerate_homs,
     hom_from_generator_images,
-    identity_automorphism,
     inner_automorphism,
     psi_u,
     subgroup_closure,

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports at module level is used in it.
+"""Every name a module of the package or of the tests imports at module
+level is used in it.
 
 `__init__.py` imports to re-export, so it is not checked.
 """
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyadic"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "polyadic"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):

@@ -40,7 +40,6 @@ from polyadic.groups import (
     generating_set,
     hom_from_generator_images,
     identity_automorphism,
-    induced_automorphism,
     psi_u,
     subgroup_closure,
     subgroup_table,
@@ -336,7 +335,7 @@ def test_polyadic_subgroups_match_per_twist_lattices(seed, small_bases, random_d
             assert got == closed_subsets_bruteforce(q), q
 
 
-def _order16_and_below():
+def _order16_and_below(induced):
     """Derived groups over twists, lazy powers and tables of order 6-16,
     with identity theta and b the identity, or a coordinatewise theta."""
     z2, z3, z4, s3 = cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3)
@@ -355,13 +354,13 @@ def _order16_and_below():
     ):
         out.append(derive(base, identity_automorphism(base), base.identity, n))
     pg = direct_power(z3, 2)
-    theta = induced_automorphism(automorphism(z3, (0, 2, 1)), pg)
+    theta = induced(automorphism(z3, (0, 2, 1)), pg)
     out.append(derive(pg, theta, pg.identity, 3))
     return out
 
 
-def test_polyadic_subgroups_match_bruteforce_to_order_16():
-    for p in _order16_and_below():
+def test_polyadic_subgroups_match_bruteforce_to_order_16(induced):
+    for p in _order16_and_below(induced):
         got = polyadic_subgroups(p)
         assert got == closed_subsets_bruteforce(p), p
         assert got == old_polyadic_subgroups(p), p
