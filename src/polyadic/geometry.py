@@ -5,9 +5,10 @@ inside G^m. The radical of a point set Y is the congruence of term pairs
 agreeing everywhere on Y; the coordinate group of Y is the quotient of
 the terms by the radical, realized concretely as the set of term
 functions on Y, each the tuple of its values on Y: a polyadic subgroup of
-the derived power G^|Y|. Zariski closure, irreducibility, minimal
-subsystems, and the comparison between coordinate groups over G and over
-its cover are all computed exactly by enumeration at small scale.
+the derived power G^|Y|, itself derived (`CoordinateGroup.as_derived`).
+Zariski closure, irreducibility, minimal subsystems, and the comparison
+between coordinate groups over G and over its cover are all computed
+exactly by enumeration at small scale.
 """
 
 from dataclasses import dataclass
@@ -16,9 +17,9 @@ from operator import getitem, itemgetter
 from typing import Optional
 
 from . import caps as _caps
-from .core import TablePolyadicGroup, as_derived, derive_from_constant, prefix_products
+from .core import as_derived, derive, derive_from_constant, tabulate
 from .errors import PolyadicError
-from .groups import cayley_walk, psi_u
+from .groups import GroupAutomorphism, TableGroup, cayley_walk, psi_u
 from .terms import Apply, Skew, TermCompiler, Variable, eval_term, is_coefficient_free
 from .terms import term_variables, validate_term
 
@@ -181,22 +182,27 @@ def _conjunction(pairs):
 def radical_member(p, y, s, t):
     """Whether the pair (s, t) lies in the radical of the point set y:
     true exactly when s and t agree at every point (vacuously for empty y)."""
-    pts, _ = _point_list(y)
+    pts, _ = _point_list(y, p.order)
     return all(eval_term(s, pt, p) == eval_term(t, pt, p) for pt in pts)
 
 
-def _point_list(y):
+def _point_list(y, order):
     """(points, m) of an AlgebraicSet or a plain sequence of points, each
     point a tuple: m is the set's own, or 0 for no plain points. A point
-    with another number of coordinates raises PolyadicError."""
+    with another number of coordinates, or with a coordinate that is not
+    an element index of a carrier of the given order, raises
+    PolyadicError."""
     if isinstance(y, AlgebraicSet):
         pts, m = tuple(map(tuple, y.points)), y.m
     else:
         pts = tuple(map(tuple, y))
         m = len(pts[0]) if pts else 0
+    carrier = range(order)
     for pt in pts:
         if len(pt) != m:
             raise PolyadicError(f"point {pt} has {len(pt)} coordinates, not {m}")
+        if not all(c in carrier for c in pt):
+            raise PolyadicError(f"point {pt} has a coordinate outside 0..{order - 1}")
     return pts, m
 
 
@@ -206,14 +212,16 @@ def _point_list(y):
 
 @dataclass(frozen=True)
 class CoordinateGroup:
-    """Term functions on a point set Y: a polyadic subgroup of the derived
-    power (G^|Y|, theta, b), both applied coordinatewise.
+    """Term functions on a point set Y: a polyadic subgroup H of the
+    derived power (G^|Y|, theta, b), both applied coordinatewise.
 
     Each function is the tuple of its values at the points of Y, and
     `elements` lists them sorted. They are generated by the m coordinate
     projections (and, unless coefficient free, the diagonal constant
     tuples) under the operation and skew of the source, coordinatewise.
-    For empty Y the group is the one empty tuple.
+    For empty Y the group is the one empty tuple. In the power twisted by
+    any u in H, H is a psi_u-invariant subgroup containing f(u, ..., u),
+    so it is der(psi_u, f(u, ..., u)) of that subgroup: `as_derived`.
     """
 
     source: object
@@ -232,35 +240,38 @@ class CoordinateGroup:
         values at the points."""
         return tuple(eval_term(t, pt, self.source) for pt in self.points)
 
+    def as_derived(self, caps=_caps.DEFAULT):
+        """The group as a `DerivedPolyadicGroup`, through `derive`.
+
+        Its base is a `TableGroup` over `elements`, index i standing for
+        elements[i], named by its values joined with '_' (the one element
+        of an empty Y by "1"). The product is x . u^-1 . y coordinatewise,
+        with u = elements[0] the identity at index 0; theta is psi_u and b
+        the index of f(u, ..., u). The |H|^2 table is refused past
+        max_tabulate, as "coordinate table", before it is built."""
+        h = self.elements
+        _caps.check(caps, "coordinate table", len(h) ** 2, caps.max_tabulate)
+        d = self.source
+        base, u = d.base, h[0]
+        pos = {x: i for i, x in enumerate(h)}
+        els = base.elements()
+        rows = [tuple(base.mul(a, x) for x in els) for a in els]  # rows[a][x] = a . x
+        shift = [base.inv(c) for c in u]
+        table = []
+        for x in h:
+            left = [rows[base.mul(c, s)] for c, s in zip(x, shift)]
+            table.append([pos[tuple(map(getitem, left, y))] for y in h])
+        names = ["_".join(map(d.name, x)) for x in h] if self.points else ["1"]
+        group = TableGroup(names, table, 0, [row.index(0) for row in table], name="Gamma")
+        psi, fu = _twist(d, u)
+        theta = GroupAutomorphism(group, [pos[psi(x)] for x in h])
+        return derive(group, theta, pos[fu], d.n, caps)
+
     def as_polyadic(self, caps=_caps.DEFAULT):
-        """The carrier as a standalone polyadic group in table form, each
-        element named by its values joined with '_', the one element of an
-        empty Y by "1".
-
-        The table is the prefix products of the coordinate tuples: level k
-        extends a prefix by an element x through column x_i of the source's
-        step table k at each coordinate i, and the last level reads off the
-        product's position in the carrier."""
-        n = self.source.n
-        _caps.check(caps, "n-ary table", self.order ** n, caps.max_tabulate)
-        tuples = self.elements
-        pos = {x: i for i, x in enumerate(tuples)}
-        pack = bytes if len(tuples) <= 256 else tuple
-
-        def extend(rows, last):
-            cols = tuple(zip(*rows))  # cols[x][v] = rows[v][x]
-            by = [[cols[c] for c in x] for x in tuples]
-            if last:
-                return lambda pre: pack(pos[tuple(map(getitem, s, pre))] for s in by)
-            return lambda pre: [tuple(map(getitem, s, pre)) for s in by]
-
-        steps = self.source.steps
-        flat = prefix_products(
-            tuples, [extend(rows, k == n - 2) for k, rows in enumerate(steps)]
-        )
-        name = self.source.name
-        names = ["_".join(map(name, x)) for x in tuples] if self.points else ["1"]
-        return TablePolyadicGroup(names, n, flat)
+        """The group in table form: `as_derived` tabulated, its order**n
+        table refused past max_tabulate, as "n-ary table", first."""
+        _caps.check(caps, "n-ary table", self.order ** self.source.n, caps.max_tabulate)
+        return tabulate(self.as_derived(caps), caps)
 
 
 def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
@@ -268,7 +279,7 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     under the operation and skew of p, coordinatewise; the concrete
     coordinate group of the point set y."""
     d = as_derived(p, caps)
-    pts, m = _point_list(y)
+    pts, m = _point_list(y, d.order)
     k = len(pts)
     columns = tuple(tuple(pt[j] for pt in pts) for j in range(m))
     diagonals = tuple((g,) * k for g in range(d.order)) if with_constants else ()
@@ -328,60 +339,44 @@ def _generated(base, identity, gens, caps, what, psi=None):
     return closed
 
 
-def _term_closure(d, gens, caps, what):
+def _twist(d, u):
+    """psi_u and f(u, ..., u) in the power of d twisted by the coordinate
+    tuple u, psi_u read from one image row per distinct u_i."""
+    rows = {c: psi_u(d.base, d.theta, c).images for c in set(u)}
+    maps = [rows[c] for c in u]
+    return lambda x: tuple(map(getitem, maps, x)), tuple(d.f([c] * d.n) for c in u)
+
+
+def _term_closure(d, gens, caps, what, u=None):
     """Closure of coordinate tuples under d's operation and skew, applied
     coordinatewise.
 
-    It is the subgroup of the twist by u = skew(gens[0]) generated by gens
-    and f(u,...,u) and stable under x -> u . theta(x) . theta(u^-1): the
-    subgroup criterion used for polyadic subgroups, cross-checked against
-    direct f/skew saturation in the test suite. Returns (u, the closure).
+    It is the subgroup of the twist by u (by default skew(gens[0]), any
+    element of the closure will do) generated by gens and f(u,...,u) and
+    stable under psi_u: x -> u . theta(x) . theta(u^-1): the subgroup
+    criterion used for polyadic subgroups, cross-checked against direct
+    f/skew saturation in the test suite. Returns (u, the closure).
     """
-    base = d.base
-    skews = [d.skew(x) for x in base.elements()]
-    u = tuple(skews[c] for c in gens[0])
-    fu = tuple(d.f([c] * d.n) for c in u)
-    # psi_u on coordinate i: one row per distinct u_i
-    rows = {c: psi_u(base, d.theta, c).images for c in set(u)}
-    maps = [rows[c] for c in u]
-
-    def psi(x):
-        return tuple(map(getitem, maps, x))
-
-    return u, _generated(base, u, list(gens) + [fu], caps, what, psi)
+    if u is None:
+        skews = [d.skew(x) for x in d.base.elements()]
+        u = tuple(skews[c] for c in gens[0])
+    psi, fu = _twist(d, u)
+    return u, _generated(d.base, u, list(gens) + [fu], caps, what, psi)
 
 
-def structural_check(cg):
-    """Search for an element u making the coordinate group an ordinary
-    subgroup of the power twisted by u, invariant under the twist's
-    canonical automorphism x -> u theta(x) theta(u^-1). The tuples are
-    multiplied and mapped coordinatewise in the source's base group and
-    theta. Returns the first such u, or None."""
-    base, theta = cg.source.base, cg.source.theta
-
-    def mul(x, y):
-        return tuple(map(base.mul, x, y))
-
-    def inv(x):
-        return tuple(map(base.inv, x))
-
-    H = set(cg.elements)
-    for u in cg.elements:
-        iu = inv(u)
-        tiu = tuple(map(theta, iu))
-        if any(mul(mul(u, inv(a)), u) not in H for a in H):
-            continue
-        if any(mul(mul(u, tuple(map(theta, a))), tiu) not in H for a in H):
-            continue
-        ok = True
-        for a in H:
-            aiu = mul(a, iu)
-            if any(mul(aiu, b) not in H for b in H):
-                ok = False
-                break
-        if ok:
-            return u
-    return None
+def structural_check(cg, caps=_caps.DEFAULT):
+    """Certificate that the coordinate group is der(psi_u, f(u, ..., u))
+    in the power twisted by u = elements[0]: u when `_term_closure` from u
+    of the projections and constants is exactly `elements`, else None;
+    () for an empty Y. It walks |H| times the generators, under the
+    closure's cap. If one u in H works every u does, so every group
+    `coordinate_group` builds gets elements[0]; a hand-built group whose
+    `elements` are not the closure of its generators gets None."""
+    if not cg.points:
+        return ()
+    u = cg.elements[0]
+    _, closed = _term_closure(cg.source, cg.projections + cg.constants, caps, "closure", u)
+    return u if closed == set(cg.elements) else None
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +467,7 @@ def closure(p, z, m, caps=_caps.DEFAULT):
 
 
 def is_irreducible(p, y, caps=_caps.DEFAULT):
-    pts, m = _point_list(y)
+    pts, m = _point_list(y, p.order)
     flag, _ = TermFunctions(p, m, caps=caps).irreducible(pts, caps=caps)
     return flag
 

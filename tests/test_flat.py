@@ -364,6 +364,28 @@ def test_as_polyadic_matches_per_prefix_products(n, with_constants, small_bases,
     assert checked >= 8
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("with_constants", [True, False])
+def test_as_derived_matches_per_prefix_products(n, with_constants, small_bases, random_derived):
+    """The derived form of Γ(Y), over its elements twisted by the first,
+    has the names and flat table of the frozen tuple products."""
+    rng = random.Random(10 * n + with_constants)
+    checked = 0
+    for base in small_bases:
+        p = random_derived(rng, base, (n,))
+        grid = list(product(range(p.order), repeat=2))
+        for k in (1, 2, 3):
+            pts = tuple(sorted(rng.sample(grid, k)))
+            cg = coordinate_group(p, AlgebraicSet(2, pts), with_constants=with_constants)
+            if cg.order ** n > 2 * 10 ** 5:
+                continue
+            d = cg.as_derived()
+            assert isinstance(d, DerivedPolyadicGroup)
+            assert (d.names(), d.n, d.flat) == old_as_polyadic(cg), (base, pts)
+            checked += 1
+    assert checked >= 8
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_solve_on_tables_that_are_not_groups(seed):
     """`solve` compiles over the Hosszú–Gluskin recovery of a table form,

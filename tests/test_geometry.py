@@ -7,7 +7,7 @@ import pytest
 
 from polyadic import core, geometry
 from polyadic.caps import Caps
-from polyadic.core import TablePolyadicGroup, as_derived, derive
+from polyadic.core import TablePolyadicGroup, as_derived, derive, hosszu_gloskin, polyadic_homs
 from polyadic.core import tabulate
 from polyadic.cover import build_post_cover
 from polyadic.errors import PolyadicError, SizeCapExceeded
@@ -29,6 +29,7 @@ from polyadic.groups import (
     direct_power,
     hom_from_generator_images,
     identity_automorphism,
+    symmetric_group,
     validate_group,
 )
 from polyadic.terms import (
@@ -117,6 +118,37 @@ def test_coefficient_free_coordinate_groups(p1, p2):
     assert coordinate_group(p1, full, with_constants=False).order == 3
 
 
+def old_structural_check(cg):
+    """The search `structural_check` replaced, frozen: the first u in the
+    carrier making it a subgroup of the power twisted by u, invariant under
+    x -> u theta(x) theta(u^-1), by testing all pairs; or None."""
+    base, theta = cg.source.base, cg.source.theta
+
+    def mul(x, y):
+        return tuple(map(base.mul, x, y))
+
+    def inv(x):
+        return tuple(map(base.inv, x))
+
+    H = set(cg.elements)
+    for u in cg.elements:
+        iu = inv(u)
+        tiu = tuple(map(theta, iu))
+        if any(mul(mul(u, inv(a)), u) not in H for a in H):
+            continue
+        if any(mul(mul(u, tuple(map(theta, a))), tiu) not in H for a in H):
+            continue
+        ok = True
+        for a in H:
+            aiu = mul(a, iu)
+            if any(mul(aiu, b) not in H for b in H):
+                ok = False
+                break
+        if ok:
+            return u
+    return None
+
+
 def test_structural_check_on_catalog_sets(catalog):
     # every computed coordinate group is a twisted subgroup stable under
     # the canonical automorphism, witnessed by some u in the carrier
@@ -125,7 +157,118 @@ def test_structural_check_on_catalog_sets(catalog):
         pts = [tuple(pt) for pt in itertools.product(range(p.order), repeat=1)]
         for subset in ((pts[0],), tuple(pts[:2]), tuple(pts)):
             cg = coordinate_group(p, AlgebraicSet(1, subset))
-            assert structural_check(cg) is not None, (key, subset)
+            want = cg.elements[0]
+            assert structural_check(cg) == old_structural_check(cg) == want, (key, subset)
+
+
+def test_structural_check_refuses_a_dropped_element(catalog):
+    """A hand-built group missing one element of Γ(Y) is no twisted
+    subgroup: |H| - 1 is 2, 8 or 26 here, which divides no power of 3. The
+    frozen search finds no u, and the certificate fails."""
+    seen = set()
+    for key in ("p1", "p2"):
+        p = catalog[key]
+        for pts in (((1,),), ((0,), (2,)), ((0, 1), (1, 2), (2, 2))):
+            cg = coordinate_group(p, pts)
+            seen.add(cg.order)
+            for i in (0, cg.order // 2, cg.order - 1):
+                dropped = replace(cg, elements=cg.elements[:i] + cg.elements[i + 1 :])
+                assert structural_check(dropped) is None, (key, pts, i)
+                assert old_structural_check(dropped) is None, (key, pts, i)
+    assert seen == {3, 9, 27}
+
+
+def derived_s4():
+    s4 = symmetric_group(4)
+    return derive(s4, identity_automorphism(s4), s4.identity, 3)
+
+
+def test_structural_check_on_a_large_coordinate_group():
+    """Three points over derived S4 with constants: |H| = 24^3 = 13824,
+    where the all-pairs search ran for minutes. The certificate walks H
+    once per generator."""
+    cg = coordinate_group(derived_s4(), ((0, 1), (5, 7), (11, 19)))
+    assert cg.order == 13824
+    start = time.perf_counter()
+    assert structural_check(cg) == cg.elements[0]
+    assert time.perf_counter() - start < 20
+    # its 13824^2 table is refused before any of it is built
+    with pytest.raises(SizeCapExceeded) as e:
+        cg.as_derived()
+    assert (e.value.what, e.value.size) == ("coordinate table", 13824 ** 2)
+
+
+def small_coordinate_groups(catalog):
+    """Γ(Y) over each catalog group, on one and two points, with and
+    without constants, where its table has at most 2 * 10^5 entries."""
+    for key, p in catalog.items():
+        for pts, with_constants in itertools.product(
+            (((0,),), ((1,), (p.order - 1,))), (True, False)
+        ):
+            cg = coordinate_group(p, pts, with_constants)
+            if cg.order ** p.n <= 2 * 10 ** 5:
+                yield key, cg
+
+
+def test_as_derived_is_the_coordinatewise_operation(catalog):
+    """`as_derived` has the source's operation applied coordinatewise, and
+    its Hosszú–Gluskin recovery at the first element rebuilds it."""
+    orders = set()
+    for key, cg in small_coordinate_groups(catalog):
+        d = cg.as_derived()
+        assert list(d.flat) == power_flat(cg), key
+        hg = hosszu_gloskin(d, 0)
+        assert (hg.names(), hg.flat) == (d.names(), d.flat), key
+        orders.add(cg.order)
+    assert len(orders) >= 5
+
+
+def test_as_derived_homs_match_the_table_form(catalog):
+    """Polyadic homomorphisms from and into Γ(Y) are the same maps whether
+    Γ(Y) is given derived or as a table."""
+    checked = 0
+    for key, cg in small_coordinate_groups(catalog):
+        d, t, p = cg.as_derived(), cg.as_polyadic(), cg.source
+        for got, want in (
+            (polyadic_homs(d, p), polyadic_homs(t, p)),
+            (polyadic_homs(p, d), polyadic_homs(p, t)),
+        ):
+            assert [h.images for h in got] == [h.images for h in want], key
+            checked += len(want)
+    assert checked > 0
+
+
+def test_as_derived_of_order_576():
+    """Two points over derived S4 with constants: |H| = 576, whose n-ary
+    table is refused, while the derived form is built and answers
+    `polyadic_homs` into S4."""
+    p = derived_s4()
+    cg = coordinate_group(p, ((0, 1), (5, 7)))
+    assert cg.order == 576
+    with pytest.raises(SizeCapExceeded) as e:
+        cg.as_polyadic()
+    assert (e.value.what, e.value.size) == ("n-ary table", 576 ** 3)
+    d = cg.as_derived()
+    assert (d.order, d.n, d.name(0)) == (576, 3, "_".join(map(p.name, cg.elements[0])))
+    rng = random.Random(0)
+    pos = {x: i for i, x in enumerate(cg.elements)}
+    for _ in range(200):
+        args = [rng.randrange(576) for _ in range(3)]
+        assert d.f(args) == pos[power_f(p, [cg.elements[i] for i in args])]
+    assert len(polyadic_homs(d, p)) == 328
+
+
+def test_as_derived_table_is_capped(p7):
+    """The |H|^2 table of `as_derived` is refused past max_tabulate as
+    "coordinate table"; `as_polyadic` keeps its "n-ary table" refusal."""
+    cg = coordinate_group(p7, ((0,), (1,)))
+    g = cg.order
+    with pytest.raises(SizeCapExceeded) as e:
+        cg.as_derived(caps=Caps(max_tabulate=g * g - 1))
+    assert (e.value.what, e.value.size, e.value.cap) == ("coordinate table", g * g, g * g - 1)
+    with pytest.raises(SizeCapExceeded) as e:
+        cg.as_polyadic(caps=Caps(max_tabulate=g ** 3 - 1))
+    assert (e.value.what, e.value.size) == ("n-ary table", g ** 3)
 
 
 @pytest.mark.parametrize("points", [((0,), (2, 1)), ((0, 1), (2,))])
@@ -138,6 +281,18 @@ def test_ragged_plain_points_are_refused(p2, points):
         lambda: radical_member(p2, points, Variable(0), Variable(0)),
     ):
         with pytest.raises(PolyadicError, match="coordinates"):
+            call()
+
+
+def test_points_outside_the_carrier_are_refused(p1):
+    """A coordinate that is no element index of the carrier is refused,
+    not read as an index past the end or from the end."""
+    for call in (
+        lambda: coordinate_group(p1, ((0, 5),)),
+        lambda: coordinate_group(p1, ((0, -1),)),
+        lambda: radical_member(p1, ((5,),), Variable(0), Variable(0)),
+    ):
+        with pytest.raises(PolyadicError, match="outside 0..2"):
             call()
 
 
@@ -165,6 +320,7 @@ def test_restricted_terms_lie_in_the_coordinate_group(seed, small_bases, random_
         cg = coordinate_group(p, AlgebraicSet(m, pts), with_constants)
         if cg.order <= 600:
             assert structural_check(cg) == cg.elements[0], (base, pts)
+            assert old_structural_check(cg) == cg.elements[0], (base, pts)
         members = set(cg.elements)
         for _ in range(20):
             t = random_term(rng, m, p.order, 3, p.n)
