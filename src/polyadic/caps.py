@@ -16,8 +16,8 @@ from .errors import SizeCapExceeded
 @dataclass(frozen=True)
 class Caps:
     max_table_order: int = 64        # full-table binary groups
-    max_power_order: int = 10 ** 6   # enumerated direct powers, hom searches,
-                                     # the maps and subsets the oracles try
+    max_power_order: int = 10 ** 6   # hom searches, the maps and subsets
+                                     # the oracles try
     max_tabulate: int = 2 * 10 ** 6  # flat n-ary tables (|G|^n), a derived
                                      # group's theta powers and step tables
                                      # (about n |G|^2), cover tables, relator

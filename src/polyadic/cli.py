@@ -156,7 +156,7 @@ def _cmd_validate(args):
             {
                 "ok": True,
                 "kind": "group",
-                "name": getattr(g, "group_name", "G"),
+                "name": g.group_name,
                 "order": g.order,
                 "identity": g.name(g.identity),
             },
@@ -273,7 +273,7 @@ def _cmd_homs(args):
     if len(paths) != 2:
         raise PolyadicError("homs needs a source and a target polyadic file")
     p = polyadic_from_doc(load_json(paths[0]), n=args.n)
-    q = polyadic_from_doc(load_json(paths[1]))
+    q = polyadic_from_doc(load_json(paths[1]), n=args.n)
     hs = polyadic_homs(p, q)
     pnames, qnames = p.names(), q.names()
     out = [

@@ -117,14 +117,15 @@ class DerivedPolyadicGroup(PolyadicGroup):
 
     @cached_property
     def steps(self):
-        """Level k-1 holds the rows x -> v . theta^k(x) over v, with b folded
-        into the last level: (n-1) order**2 base multiplications."""
-        base, b, els = self.base, self.b, self.base.elements()
+        """Level k-1 holds the rows x -> v . theta^k(x) over v, each base row
+        mapped through theta^k, with b folded into the last level."""
+        rows = self.base.table
         steps = [
-            tuple(tuple(base.mul(v, tk[x]) for x in els) for v in els)
+            tuple(tuple(map(row.__getitem__, tk)) for row in rows)
             for tk in self.theta_pows[1:]
         ]
-        steps[-1] = tuple(tuple(base.mul(v, b) for v in row) for row in steps[-1])
+        by_b = tuple(row[self.b] for row in rows)  # y -> y . b
+        steps[-1] = tuple(tuple(map(by_b.__getitem__, row)) for row in steps[-1])
         return tuple(steps)
 
     @cached_property
@@ -136,37 +137,32 @@ class DerivedPolyadicGroup(PolyadicGroup):
 
     def f(self, args):
         self._check_arity(args)
-        base = self.base
+        rows, tp = self.base.table, self.theta_pows
         acc = args[0]
         for k in range(1, self.n):
-            acc = base.mul(acc, self.theta_pows[k][args[k]])
-        return base.mul(acc, self.b)
-
-    def _sides(self, args, pos):
-        """L and R with f(args) = L . theta^pos(args[pos]) . R: the products
-        of the factors before and after position pos, b included in R."""
-        base, tp = self.base, self.theta_pows
-        left, right = base.identity, self.b
-        for k in range(pos):
-            left = base.mul(left, tp[k][args[k]])
-        for k in range(self.n - 1, pos, -1):
-            right = base.mul(tp[k][args[k]], right)
-        return left, right
+            acc = rows[acc][tp[k][args[k]]]
+        return rows[acc][self.b]
 
     def line(self, args, pos):
-        """L . theta^pos(x) . R over x: n + order base multiplications,
-        without the flat table."""
-        base, tp = self.base, self.theta_pows
-        left, right = self._sides(args, pos)
-        return tuple(base.mul(base.mul(left, tp[pos][x]), right) for x in base.elements())
+        """L . theta^pos(x) . R over x, L and R the products of the factors
+        before and after position pos, b included in R: n + order row
+        lookups, without the flat table."""
+        rows, tp = self.base.table, self.theta_pows
+        left, right = self.base.identity, self.b
+        for k in range(pos):
+            left = rows[left][tp[k][args[k]]]
+        for k in range(self.n - 1, pos, -1):
+            right = rows[tp[k][args[k]]][right]
+        row = rows[left]
+        return tuple(rows[row[t]][right] for t in tp[pos])
 
     def skew(self, x):
         # b^-1 . (theta(x) . theta^2(x) ... theta^(n-2)(x))^-1
-        base = self.base
-        acc = base.identity
+        rows, inv, tp = self.base.table, self.base.inverses, self.theta_pows
+        acc = self.base.identity
         for k in range(1, self.n - 1):
-            acc = base.mul(acc, self.theta_pows[k][x])
-        return base.mul(base.inv(self.b), base.inv(acc))
+            acc = rows[acc][tp[k][x]]
+        return rows[inv[self.b]][inv[acc]]
 
     def name(self, i):
         return self.base.name(i)
@@ -570,7 +566,7 @@ def polyadic_subgroups(p):
         psi = psi_u(base, theta, u)
         for sub in lattice:
             coset = {base.mul(x, u) for x in sub}
-            if fu in coset and all(psi(x) in coset for x in coset):
+            if fu in coset and all(psi[x] in coset for x in coset):
                 found.add(tuple(sorted(coset)))
     return tuple(sorted(found, key=lambda s: (len(s), s)))
 

@@ -30,16 +30,10 @@ import os
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import caps as _caps
-from .core import (
-    DerivedPolyadicGroup,
-    TablePolyadicGroup,
-    derive,
-    polyadic_from_table,
-    tabulate,
-)
+from .core import DerivedPolyadicGroup, derive, polyadic_from_table
 from .cover import GroupPresentation, PolyadicPresentation
 from .errors import ParseError, PolyadicError
-from .groups import TableGroup, automorphism, validate_group
+from .groups import automorphism, validate_group
 from .terms import parse_equation
 from .words import parse_word
 
@@ -167,15 +161,11 @@ def group_from_doc(doc, caps=_caps.DEFAULT):
 
 
 def group_to_doc(g):
-    names = list(g.names())
-    if isinstance(g, TableGroup):
-        rows = g.table
-    else:
-        rows = [[g.mul(a, b) for b in g.elements()] for a in g.elements()]
+    names = g.names()
     return {
-        "name": getattr(g, "group_name", "G"),
+        "name": g.group_name,
         "elements": names,
-        "table": [list(map(names.__getitem__, row)) for row in rows],
+        "table": [list(map(names.__getitem__, row)) for row in g.table],
     }
 
 
@@ -214,7 +204,7 @@ def polyadic_from_doc(doc, n=None, caps=_caps.DEFAULT):
     raise PolyadicError("polyadic document needs either a group or a table field")
 
 
-def polyadic_to_doc(p, caps=_caps.DEFAULT):
+def polyadic_to_doc(p):
     if isinstance(p, DerivedPolyadicGroup):
         g = p.base
         return {
@@ -223,9 +213,7 @@ def polyadic_to_doc(p, caps=_caps.DEFAULT):
             "b": g.name(p.b),
             "n": p.n,
         }
-    if not isinstance(p, TablePolyadicGroup):
-        p = tabulate(p, caps=caps)
-    names = list(p.names())
+    names = p.names()
     return {
         "elements": names,
         "n": p.n,
@@ -233,8 +221,20 @@ def polyadic_to_doc(p, caps=_caps.DEFAULT):
     }
 
 
+def _generators(doc, where):
+    """The generator names of a presentation: distinct, and none of them
+    "1", which the word grammar reads as the empty word."""
+    gens = tuple(_strings(_require(doc, "generators", where), "generators"))
+    if len(set(gens)) != len(gens):
+        dup = next(s for i, s in enumerate(gens) if s in gens[:i])
+        raise PolyadicError(f"duplicate generator name {dup!r}")
+    if "1" in gens:
+        raise PolyadicError('"1" is the empty word, not a generator name')
+    return gens
+
+
 def polyadic_presentation_from_doc(doc):
-    gens = tuple(_strings(_require(doc, "generators", "presentation"), "generators"))
+    gens = _generators(doc, "presentation")
     relations = []
     for pair in _list(_require(doc, "relations", "presentation"), "relations"):
         if len(_strings(pair, "relation")) != 2:
@@ -252,7 +252,7 @@ def parse_term_over(text, generators):
 
 
 def group_presentation_from_doc(doc):
-    gens = tuple(_strings(_require(doc, "generators", "group presentation"), "generators"))
+    gens = _generators(doc, "group presentation")
     texts = _strings(_require(doc, "relators", "group presentation"), "relators")
     relators = tuple(parse_word(w) for w in texts)
     return GroupPresentation(gens, relators)

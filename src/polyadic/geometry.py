@@ -254,8 +254,7 @@ class CoordinateGroup:
         d = self.source
         base, u = d.base, h[0]
         pos = {x: i for i, x in enumerate(h)}
-        els = base.elements()
-        rows = [tuple(base.mul(a, x) for x in els) for a in els]  # rows[a][x] = a . x
+        rows = base.table
         shift = [base.inv(c) for c in u]
         table = []
         for x in h:
@@ -321,8 +320,7 @@ def _generated(base, identity, gens, caps, what, psi=None):
     limit = min(caps.max_closure_algebra, caps.max_tabulate // len(identity))
     _caps.check(caps, what, len(found), limit)
     # cols[g][a] = a . g: right multiplication by g
-    els = base.elements()
-    cols = [tuple(base.mul(a, g) for a in els) for g in els]
+    cols = tuple(zip(*base.table))
     shift = [base.inv(c) for c in identity]
     steps = [
         [cols[base.mul(shift[i], c)] for i, c in enumerate(t)] for t in found
@@ -342,7 +340,7 @@ def _generated(base, identity, gens, caps, what, psi=None):
 def _twist(d, u):
     """psi_u and f(u, ..., u) in the power of d twisted by the coordinate
     tuple u, psi_u read from one image row per distinct u_i."""
-    rows = {c: psi_u(d.base, d.theta, c).images for c in set(u)}
+    rows = {c: psi_u(d.base, d.theta, c) for c in set(u)}
     maps = [rows[c] for c in u]
     return lambda x: tuple(map(getitem, maps, x)), tuple(d.f([c] * d.n) for c in u)
 

@@ -1,13 +1,15 @@
 """Finite groups with dense integer element indices.
 
 Elements of a group of order N are the integers 0..N-1; names are display
-strings attached to indices. TableGroup stores the full multiplication table
-and is built only by validate_group, by the certified coset readout
-(`cover._regular_group`, which checks that a closed coset table is a regular
-action) and by `cover.build_post_cover` from checked derivation data
-(Post's theorem), so holding a TableGroup is proof the table satisfies the
-group axioms. TwistedGroup and DirectPowerGroup compute products on demand
-and share the same interface; they store no table.
+strings attached to indices. Every binary group is a TableGroup, which
+stores the full multiplication table. It is built only by validate_group,
+by the certified coset readout (`cover._regular_group`, which checks that a
+closed coset table is a regular action) and by `cover.build_post_cover`
+from checked derivation data (Post's theorem), so holding a TableGroup is
+proof the table satisfies the group axioms. A direct product is a table
+too, built through validate_group. The twist x * y = x . u^-1 . y of a
+group is not built here: `psi_u` gives the image tuple of its
+automorphism over the base's indices.
 """
 
 from dataclasses import dataclass, field
@@ -25,29 +27,36 @@ from .errors import (
 )
 
 
-class FiniteGroup:
-    """Common interface: mul, inv, identity, order, element names."""
+class TableGroup:
+    """Group given by a validated multiplication table: `table[a][b]` is the
+    index of a . b, `inverses[a]` that of a^-1."""
 
-    order: int
-    identity: int
+    def __init__(self, element_names, table, identity, inverses, name="G"):
+        self.group_name = name
+        self._names = tuple(element_names)
+        self._index = {s: i for i, s in enumerate(self._names)}
+        self.table = tuple(tuple(row) for row in table)
+        self.order = len(self._names)
+        self.identity = identity
+        self.inverses = tuple(inverses)
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return self.table[a][b]
 
     def inv(self, a):
-        raise NotImplementedError
+        return self.inverses[a]
 
     def name(self, i):
-        raise NotImplementedError
+        return self._names[i]
 
     def index(self, name):
-        raise NotImplementedError
+        return self._index[name]
 
     def elements(self):
         return range(self.order)
 
     def names(self):
-        return [self.name(i) for i in self.elements()]
+        return list(self._names)
 
     def power(self, a, k):
         if k < 0:
@@ -70,40 +79,11 @@ class FiniteGroup:
         return self.mul(self.mul(t, x), self.inv(t))
 
     def is_abelian(self):
-        return all(
-            self.mul(a, b) == self.mul(b, a)
-            for a in self.elements()
-            for b in self.elements()
-        )
+        return self.table == tuple(zip(*self.table))
 
     def order_profile(self):
         """Sorted multiset of element orders; an isomorphism invariant."""
         return tuple(sorted(self.element_order(a) for a in self.elements()))
-
-
-class TableGroup(FiniteGroup):
-    """Group given by a validated multiplication table."""
-
-    def __init__(self, element_names, table, identity, inverses, name="G"):
-        self.group_name = name
-        self._names = tuple(element_names)
-        self._index = {s: i for i, s in enumerate(self._names)}
-        self.table = tuple(tuple(row) for row in table)
-        self.order = len(self._names)
-        self.identity = identity
-        self.inverses = tuple(inverses)
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inv(self, a):
-        return self.inverses[a]
-
-    def name(self, i):
-        return self._names[i]
-
-    def index(self, name):
-        return self._index[name]
 
     def __repr__(self):
         return f"TableGroup({self.group_name}, order={self.order})"
@@ -234,97 +214,8 @@ def direct_product(g, h, name=None):
         table.append(
             [idx[(g.mul(a, c), h.mul(b, d))] for c, d in pairs]
         )
-    label = name or f"{getattr(g, 'group_name', 'G')}x{getattr(h, 'group_name', 'H')}"
+    label = name or f"{g.group_name}x{h.group_name}"
     return validate_group(names, table, name=label)
-
-
-class TwistedGroup(FiniteGroup):
-    """Same carrier, product x*y = x . u^-1 . y; identity u.
-
-    The base group and the twist element are kept so other operations can
-    recognize where the structure came from. x -> x . u is an isomorphism
-    from the base onto the twisted group.
-    """
-
-    def __init__(self, base, u):
-        self.base = base
-        self.u = u
-        self.order = base.order
-        self.identity = u
-        self._uinv = base.inv(u)
-
-    def mul(self, a, b):
-        return self.base.mul(self.base.mul(a, self._uinv), b)
-
-    def inv(self, a):
-        return self.base.mul(self.base.mul(self.u, self.base.inv(a)), self.u)
-
-    def name(self, i):
-        return self.base.name(i)
-
-    def index(self, name):
-        return self.base.index(name)
-
-    def __repr__(self):
-        return f"TwistedGroup(u={self.u}, order={self.order})"
-
-
-def twisted_group(base, u):
-    return TwistedGroup(base, u)
-
-
-class DirectPowerGroup(FiniteGroup):
-    """k-fold componentwise power of a base group, computed lazily.
-
-    Elements are mixed-radix encodings of coordinate tuples, first coordinate
-    most significant; the identity is the encoding of (e,...,e). Nothing is
-    built over the encodings, so the order is not capped here: `direct_power`
-    caps it for callers that enumerate the power.
-    """
-
-    def __init__(self, base, k):
-        self.base = base
-        self.k = k
-        self.order = base.order ** k
-        self.identity = self.encode((base.identity,) * k)
-
-    def encode(self, coords):
-        acc = 0
-        for c in coords:
-            acc = acc * self.base.order + c
-        return acc
-
-    def decode(self, i):
-        out = [0] * self.k
-        for pos in range(self.k - 1, -1, -1):
-            i, out[pos] = divmod(i, self.base.order)
-        return tuple(out)
-
-    def mul(self, a, b):
-        xa, xb = self.decode(a), self.decode(b)
-        return self.encode(tuple(self.base.mul(x, y) for x, y in zip(xa, xb)))
-
-    def inv(self, a):
-        return self.encode(tuple(self.base.inv(x) for x in self.decode(a)))
-
-    def name(self, i):
-        return "_".join(self.base.name(c) for c in self.decode(i))
-
-    def index(self, name):
-        parts = name.split("_")
-        if len(parts) != self.k:
-            raise KeyError(name)
-        return self.encode(tuple(self.base.index(p) for p in parts))
-
-    def __repr__(self):
-        return f"DirectPowerGroup(base order {self.base.order}, k={self.k})"
-
-
-def direct_power(g, k, caps=_caps.DEFAULT):
-    if k < 1:
-        raise PolyadicError("power exponent must be >= 1")
-    _caps.check(caps, "direct power order", g.order ** k, caps.max_power_order)
-    return DirectPowerGroup(g, k)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +226,8 @@ def direct_power(g, k, caps=_caps.DEFAULT):
 class Hom:
     """Map between groups stored as a full image array."""
 
-    source: FiniteGroup = field(compare=False)
-    target: FiniteGroup = field(compare=False)
+    source: TableGroup = field(compare=False)
+    target: TableGroup = field(compare=False)
     images: tuple
 
     def __call__(self, x):
@@ -357,7 +248,7 @@ class GroupAutomorphism:
 
     Multiplicativity is checked by the `automorphism` constructor; internal
     constructions that are automorphisms for structural reasons (identity,
-    inner, psi_u) build instances directly.
+    inner) build instances directly.
     """
 
     def __init__(self, group, images):
@@ -425,11 +316,12 @@ def inner_automorphism(g, t):
 
 
 def psi_u(base, theta, u):
-    """x -> u . theta(x) . theta(u^-1), an automorphism of the twist by u."""
-    tw = twisted_group(base, u)
-    tail = theta(base.inv(u))
-    images = tuple(base.mul(base.mul(u, theta(x)), tail) for x in base.elements())
-    return GroupAutomorphism(tw, images)
+    """The image tuple of x -> u . theta(x) . theta(u^-1). It is an
+    automorphism of the twist of base by u (x * y = x . u^-1 . y, identity
+    u), not of base, so it is not a GroupAutomorphism over base."""
+    rows = base.table
+    urow, tail = rows[u], theta(base.inv(u))
+    return tuple(rows[urow[t]][tail] for t in theta.images)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +377,9 @@ def _extend_along_edges(g, h, gens, gen_images, edges):
     """
     img = [None] * g.order
     img[g.identity] = h.identity
-    rows = h.table if isinstance(h, TableGroup) else None
-    mul = h.mul
+    rows = h.table
     for x, pos, y in edges:
-        a, b = img[x], gen_images[pos]
-        v = rows[a][b] if rows else mul(a, b)
+        v = rows[img[x]][gen_images[pos]]
         w = img[y]
         if w is None:
             img[y] = v

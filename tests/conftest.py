@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 
 from polyadic.core import derive
@@ -10,6 +12,7 @@ from polyadic.groups import (
     identity_automorphism,
     inner_automorphism,
     symmetric_group,
+    validate_group,
 )
 
 
@@ -118,13 +121,28 @@ def every_derived():
 
 @pytest.fixture(scope="session")
 def induced():
-    """induced(theta, pg): theta applied coordinatewise on pg, a direct
-    power of theta's group, as an image array over all its encodings."""
+    """induced(theta, k): theta applied coordinatewise on the k-fold
+    `direct_product` of theta's group, as an automorphism of that power
+    (mixed-radix indices, first coordinate most significant)."""
 
-    def induced(theta, pg):
+    def induced(theta, k):
+        g = theta.group
         images = [0]
-        for _ in range(pg.k):
-            images = [hi * pg.base.order + theta(c) for hi in images for c in pg.base.elements()]
-        return GroupAutomorphism(pg, images)
+        for _ in range(k):
+            images = [hi * g.order + theta(c) for hi in images for c in g.elements()]
+        return GroupAutomorphism(reduce(direct_product, [g] * k), images)
 
     return induced
+
+
+@pytest.fixture(scope="session")
+def twist():
+    """twist(base, u): base with the product x * y = x . u^-1 . y, whose
+    identity is u, as a table through validate_group."""
+
+    def twist(base, u):
+        els, uinv = base.elements(), base.inv(u)
+        table = [[base.mul(base.mul(x, uinv), y) for y in els] for x in els]
+        return validate_group(base.names(), table, name=f"{base.group_name}^{base.name(u)}")
+
+    return twist

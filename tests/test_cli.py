@@ -422,6 +422,21 @@ def test_cosets_cap_exit2(tmp_path, capsys):
     assert doc["error"]["type"] == "CapExceeded"
 
 
+@pytest.mark.parametrize("gens, message", [
+    (["a", "b", "a"], "duplicate generator name 'a'"),
+    (["1", "a"], '"1" is the empty word, not a generator name'),
+], ids=["duplicate", "one"])
+def test_presentation_generators_are_distinct_words(tmp_path, capsys, gens, message):
+    """A repeated generator, or "1", which the word grammar reads as the
+    empty word, is refused before anything is flattened or enumerated."""
+    nary = {"generators": gens, "relations": [["f(a,a,a)", "a"]]}
+    group = {"generators": gens, "relators": ["a^2"]}
+    for verb, doc in (("present2group", nary), ("cosets", nary), ("cosets", group)):
+        path = write(tmp_path, "p.json", doc)
+        code, out = run(capsys, verb, "--presentation", path, "--n", "3")
+        assert (code, out["error"]) == (2, {"type": "PolyadicError", "message": message})
+
+
 def test_freereduce(capsys):
     code, doc = run(capsys, "freereduce", "x*y*y^-1*x")
     assert code == 0
@@ -800,6 +815,16 @@ def test_homs_across_arities_exit2(tmp_path, capsys):
     assert code == 2
     assert doc["error"]["type"] == "ArityMismatch"
     assert doc["error"]["message"] == "expected 3 arguments, got 4"
+
+
+def test_homs_arity_flag_reaches_both_files(tmp_path, capsys):
+    """--n gives the arity of the target too when neither document has one."""
+    bare = {k: v for k, v in P2.items() if k != "n"}
+    a, b = write(tmp_path, "a.json", bare), write(tmp_path, "b.json", bare)
+    code, doc = run(capsys, "homs", a, b, "--n", "3")
+    assert (code, doc["count"]) == (0, 9)
+    code, doc = run(capsys, "homs", a, b)
+    assert code == 2 and doc["error"]["message"].startswith("no arity")
 
 
 @pytest.mark.parametrize("bad, shown", [("7", "'7'"), (["1"], "['1']")],

@@ -13,6 +13,7 @@ frozen here, down to the witnesses and messages on corrupted operations.
 """
 
 import random
+from functools import reduce
 from itertools import product
 from operator import getitem
 
@@ -59,7 +60,7 @@ from polyadic.geometry import (
 from polyadic.groups import (
     GroupAutomorphism,
     cyclic_group,
-    direct_power,
+    direct_product,
     identity_automorphism,
     validate_group,
 )
@@ -326,12 +327,12 @@ def test_derived_lines_need_no_flat(seed, small_bases, random_derived):
 
 @pytest.mark.parametrize("base", [cyclic_group(2), cyclic_group(3), cyclic_group(4)])
 def test_flat_of_lazy_power_matches_per_tuple_f(base, random_derived, induced):
-    """Over a direct power, which computes its products on demand, with a
+    """Over a direct power, the table of base times base, with a
     coordinatewise theta."""
     p = random_derived(random.Random(base.order), base, (3,))
-    pg = direct_power(base, 2)
-    lazy = derive(pg, induced(p.theta, pg), pg.encode((p.b, p.b)), 3)
-    assert lazy.flat == old_tabulate_flat(lazy)
+    theta = induced(p.theta, 2)
+    power = derive(theta.group, theta, p.b * base.order + p.b, 3)
+    assert power.flat == old_tabulate_flat(power)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -415,11 +416,11 @@ def test_solve_on_tables_that_are_not_groups(seed):
 
 def test_flat_is_capped_before_it_is_built():
     z2 = cyclic_group(2)
-    pg = direct_power(z2, 8)  # order 256: 256^3 entries exceed max_tabulate
-    big = derive(pg, identity_automorphism(pg), 0, 3)
+    pg = reduce(direct_product, [z2] * 6)  # order 64: 64^4 entries exceed max_tabulate
+    big = derive(pg, identity_automorphism(pg), 0, 4)
     with pytest.raises(SizeCapExceeded) as e:
         big.flat
-    assert (e.value.what, e.value.size) == ("n-ary table", 256 ** 3)
+    assert (e.value.what, e.value.size) == ("n-ary table", 64 ** 4)
     assert "flat" not in vars(big)
     # the derived group keeps the caps it was derived under
     z5 = cyclic_group(5)
@@ -441,9 +442,9 @@ def test_power_never_builds_flat(small_bases, random_derived, induced):
         structural_check(cg)
         cg.as_polyadic()
         assert "flat" not in vars(cg.source), base
-        pg = direct_power(base, 2)
-        power = derive(pg, induced(p.theta, pg), pg.encode((p.b, p.b)), p.n)
-        c = rng.randrange(pg.order)
+        theta = induced(p.theta, 2)
+        power = derive(theta.group, theta, p.b * base.order + p.b, p.n)
+        c = rng.randrange(power.order)
         eq = Equation(Apply((Variable(0),) * power.n), Skew(Constant(c)))
         sols = solve(power, EquationSystem(power, 1, (eq,)))
         want = [x for x in power.elements() if power.f([x] * power.n) == power.skew(c)]
@@ -453,17 +454,20 @@ def test_power_never_builds_flat(small_bases, random_derived, induced):
 
 def test_direct_construction_is_bounded_by_its_step_tables():
     """The arity bound is the constructor's own: a derived group built
-    without `derive` over a power of order 2048 is refused at once, for
-    its 2 * 2048^2 step-table entries, and one of order 512 is built."""
+    without `derive` over a power of order 64 is refused at once under a
+    cap one short of its 3 * 65 + 2 * (64^2 + 64 + 1) entries, and one of
+    order 32 is built under the same cap."""
     z2 = cyclic_group(2)
-    pg = direct_power(z2, 11)
+    pg = reduce(direct_product, [z2] * 6)
     g = pg.order
+    size = 3 * (g + 1) + 2 * (g * g + g + 1)
+    caps = Caps(max_tabulate=size - 1)
     with pytest.raises(SizeCapExceeded) as e:
-        DerivedPolyadicGroup(pg, identity_automorphism(pg), pg.identity, 3)
-    assert (e.value.what, e.value.size) == ("arity", 3 * (g + 1) + 2 * (g * g + g + 1))
-    small = direct_power(z2, 9)
-    d = DerivedPolyadicGroup(small, identity_automorphism(small), small.identity, 3)
-    assert len(d.steps) == 2 and len(d.steps[0]) == 512
+        DerivedPolyadicGroup(pg, identity_automorphism(pg), pg.identity, 3, caps=caps)
+    assert (e.value.what, e.value.size) == ("arity", size)
+    small = reduce(direct_product, [z2] * 5)
+    d = DerivedPolyadicGroup(small, identity_automorphism(small), small.identity, 3, caps=caps)
+    assert len(d.steps) == 2 and len(d.steps[0]) == 32
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from polyadic.groups import (
     automorphism_from_map,
     cayley_walk,
     cyclic_group,
-    direct_power,
     direct_product,
     enumerate_homs,
     hom_from_generator_images,
@@ -26,7 +25,6 @@ from polyadic.groups import (
     subgroup_table,
     subgroups,
     symmetric_group,
-    twisted_group,
     validate_group,
 )
 
@@ -114,29 +112,17 @@ def test_automorphism_validation():
     assert m.images == neg.images
 
 
-def test_inner_automorphism_and_twist():
+def test_inner_automorphism_and_twist(twist):
     s3 = symmetric_group(3)
     t = s3.index("102")
     inn = inner_automorphism(s3, t)
     assert inn.is_valid()
-    tw = twisted_group(s3, t)
+    tw = twist(s3, t)
     # twisted identity is the twisting element
     assert tw.identity == t
     for x in tw.elements():
         assert tw.mul(x, tw.inv(x)) == t
-    psi = psi_u(s3, inn, t)
-    assert psi.is_valid()
-
-
-def test_direct_power_encode_decode():
-    z3 = cyclic_group(3)
-    pw = direct_power(z3, 3)
-    assert pw.order == 27
-    for i in (0, 5, 13, 26):
-        assert pw.encode(pw.decode(i)) == i
-    x = pw.encode((1, 2, 0))
-    y = pw.encode((2, 2, 1))
-    assert pw.decode(pw.mul(x, y)) == (0, 1, 1)
+    assert automorphism(tw, psi_u(s3, inn, t)).is_valid()
 
 
 def test_cayley_walk_deterministic():

@@ -29,12 +29,10 @@ from polyadic.errors import NotPolyadicHom
 from polyadic.groups import (
     GroupAutomorphism,
     Hom,
-    TwistedGroup,
     are_isomorphic,
     automorphism,
     cayley_walk,
     cyclic_group,
-    direct_power,
     direct_product,
     enumerate_homs,
     generating_set,
@@ -98,15 +96,15 @@ def old_subgroups(g):
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
-def old_polyadic_subgroups(p):
+def old_polyadic_subgroups(p, twist):
     d = as_derived(p)
     base, theta = d.base, d.theta
     found = set()
     for u in base.elements():
         fu = d.f([u] * d.n)
         psi = psi_u(base, theta, u)
-        for sub in old_subgroups(TwistedGroup(base, u)):
-            if fu in sub and all(psi(x) in sub for x in sub):
+        for sub in old_subgroups(twist(base, u)):
+            if fu in sub and all(psi[x] in sub for x in sub):
                 found.add(tuple(sorted(sub)))
     return tuple(sorted(found, key=lambda s: (len(s), s)))
 
@@ -255,8 +253,8 @@ def _relabelled(rng, g):
 
 
 @pytest.fixture(scope="module")
-def zoo():
-    """Table groups, twists and lazy direct powers, all of order at most 9."""
+def zoo(twist):
+    """Table groups, twists and direct powers, all of order at most 9."""
     z2, z3, s3 = cyclic_group(2), cyclic_group(3), symmetric_group(3)
     k4 = direct_product(z2, z2, name="K4")
     return [
@@ -268,11 +266,10 @@ def zoo():
         cyclic_group(6),
         s3,
         direct_product(cyclic_group(4), z2),
-        TwistedGroup(s3, s3.index("120")),
-        TwistedGroup(k4, 3),
-        direct_power(z2, 3),
-        direct_power(z3, 2),
-        direct_power(s3, 1),
+        twist(s3, s3.index("120")),
+        twist(k4, 3),
+        direct_product(k4, z2),
+        direct_product(z3, z3),
     ]
 
 
@@ -325,18 +322,18 @@ def test_subgroups_match_lattice_completion(zoo, s4_and_s4xz2):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_polyadic_subgroups_match_per_twist_lattices(seed, small_bases, random_derived):
+def test_polyadic_subgroups_match_per_twist_lattices(seed, small_bases, random_derived, twist):
     rng = random.Random(seed)
     for base in small_bases:
         p = random_derived(rng, base)
         for q in (p, tabulate(p)):
             got = polyadic_subgroups(q)
-            assert got == old_polyadic_subgroups(q), q
+            assert got == old_polyadic_subgroups(q, twist), q
             assert got == closed_subsets_bruteforce(q), q
 
 
-def _order16_and_below(induced):
-    """Derived groups over twists, lazy powers and tables of order 6-16,
+def _order16_and_below(induced, twist):
+    """Derived groups over twists, direct powers and tables of order 6-16,
     with identity theta and b the identity, or a coordinatewise theta."""
     z2, z3, z4, s3 = cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3)
     d4 = subgroup_table(
@@ -346,24 +343,23 @@ def _order16_and_below(induced):
     )
     out = []
     for base, n in (
-        (TwistedGroup(s3, s3.index("201")), 3),
-        (direct_power(z2, 3), 4),
+        (twist(s3, s3.index("201")), 3),
+        (direct_product(direct_product(z2, z2), z2), 4),
         (d4, 3),
         (direct_product(z4, z4), 3),
         (direct_product(direct_product(z2, z2), cyclic_group(4)), 3),
     ):
         out.append(derive(base, identity_automorphism(base), base.identity, n))
-    pg = direct_power(z3, 2)
-    theta = induced(automorphism(z3, (0, 2, 1)), pg)
-    out.append(derive(pg, theta, pg.identity, 3))
+    theta = induced(automorphism(z3, (0, 2, 1)), 2)
+    out.append(derive(theta.group, theta, theta.group.identity, 3))
     return out
 
 
-def test_polyadic_subgroups_match_bruteforce_to_order_16(induced):
-    for p in _order16_and_below(induced):
+def test_polyadic_subgroups_match_bruteforce_to_order_16(induced, twist):
+    for p in _order16_and_below(induced, twist):
         got = polyadic_subgroups(p)
         assert got == closed_subsets_bruteforce(p), p
-        assert got == old_polyadic_subgroups(p), p
+        assert got == old_polyadic_subgroups(p, twist), p
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +377,8 @@ def test_enumerate_homs_match_all_pairs_check(zoo):
 @pytest.mark.parametrize("seed", range(3))
 def test_are_isomorphic_matches_all_pairs_check(seed, zoo):
     rng = random.Random(seed)
-    tables = [g for g in zoo if hasattr(g, "table")]
     pairs = [(g, h) for g in zoo for h in zoo if g.order == h.order]
-    pairs += [(g, _relabelled(rng, g)) for g in tables]
+    pairs += [(g, _relabelled(rng, g)) for g in zoo]
     for g, h in pairs:
         ok, wit = are_isomorphic(g, h)
         old_ok, old_wit = old_are_isomorphic(g, h)
