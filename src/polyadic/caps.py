@@ -4,8 +4,12 @@ All exhaustive operations check their input against these limits and raise
 SizeCapExceeded instead of silently grinding. Callers can pass a custom Caps
 to any operation that enumerates.
 
+A Caps is an argument, never object state: `tabulate(p, caps)` builds a
+derived group's table under the caps of that call.
+
 The arity n has no limit of its own: `core.check_arity` and the forms
-bound it by the tables they build from it, against max_tabulate.
+bound it by the tables they build from it, against max_tabulate. The
+coset budget is `cover.coset_enumerate`'s `cap` argument (CLI --cap).
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,6 @@ class Caps:
     max_points: int = 10 ** 6        # space solve searches, term-function grids (|G|^m)
     max_closure_algebra: int = 50_000  # generated term-function algebras
     max_irreducible_points: int = 15   # subsets of Y enumerated, 2^|Y|
-    default_coset_cap: int = 10_000    # coset enumeration budget
 
 
 DEFAULT = Caps()

@@ -233,7 +233,7 @@ def _cmd_retract(args):
     a = _anchor_index(args, p)
     try:
         g = retract(p, a)
-    except ReconstructionMismatch as e:
+    except (GroupValidationError, NoSolution, ReconstructionMismatch) as e:
         return {"ok": False, "error": _error_doc(e)}, 1
     return {"anchor": p.name(a), "group": group_to_doc(g)}, 0
 
@@ -243,7 +243,7 @@ def _cmd_hg(args):
     a = _anchor_index(args, p)
     try:
         out = hosszu_gloskin(p, a)
-    except ReconstructionMismatch as e:
+    except (GroupValidationError, NoSolution, ReconstructionMismatch) as e:
         return {"ok": False, "error": _error_doc(e)}, 1
     return {"anchor": p.name(a), "polyadic": polyadic_to_doc(out)}, 0
 
@@ -319,7 +319,7 @@ def _cmd_cosets(args):
     else:
         n = _need(args.n, "--n INT (to flatten an n-ary presentation)")
         gp = presentation_to_group(polyadic_presentation_from_doc(doc), n)
-    g = coset_enumerate(gp, cap=args.cap)
+    g = coset_enumerate(gp) if args.cap is None else coset_enumerate(gp, cap=args.cap)
     return {"order": g.order, "group": group_to_doc(g)}, 0
 
 

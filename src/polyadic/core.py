@@ -1,18 +1,17 @@
 """Polyadic (n-ary) groups, n >= 3.
 
 An n-ary group is a set with one n-ary operation f that is associative in
-every position and uniquely solvable in every position. Two representations
-are supported: derived from a binary group through a twisting automorphism
-theta and a constant b with
+every position and uniquely solvable in every position. Both forms share
+one carrier, `PolyadicGroup`. A derived group is its derivation data: a
+binary group, a twisting automorphism theta and a constant b with
 
     f(x_1,...,x_n) = x_1 . theta(x_2) . theta^2(x_3) ... theta^(n-1)(x_n) . b,
 
-subject to theta(b) = b and theta^(n-1)(x) = b . x . b^(-1); and a direct
-n-dimensional table over named elements. Every operation here works on both.
-One that reads the whole operation reads it as one flat row-major table,
-which the derived form builds from its step tables with `prefix_products`;
-the axioms and the recovery of a derived group come from its derivation
-data instead. Equations are solved over the derived form: a table form over
+subject to theta(b) = b and theta^(n-1)(x) = b . x . b^(-1); a table form
+holds f as a flat row-major table over named elements. A derived group's
+axioms and recovery come from its data. What reads the whole of f reads a
+table, which `tabulate` alone builds for a derived group, under the caps
+of its call. Equations are solved over the derived form: a table form over
 its recovery, `as_derived`, which refuses a table that is not an n-ary group.
 """
 
@@ -27,6 +26,7 @@ from .errors import (
     ArityMismatch,
     ConditionOneFails,
     ConditionTwoFails,
+    NoIdentity,
     NoSolution,
     PolyadicError,
     ReconstructionMismatch,
@@ -43,12 +43,114 @@ from .groups import (
 
 
 class PolyadicGroup:
-    """Both forms expose `flat`: f on every n-tuple of element indices, as
-    one row-major tuple of order**n values."""
+    """The carrier of an n-ary group: element names in index order, the
+    name -> index dict (`index` is given when the caller already holds
+    it), the order and the arity n. Each form defines f, line and skew."""
 
-    n: int
-    order: int
-    flat: tuple
+    def __init__(self, names, n, index=None):
+        self._names = tuple(names)
+        self._index = {s: i for i, s in enumerate(self._names)} if index is None else index
+        self.n = n
+        self.order = len(self._names)
+
+    def name(self, i):
+        return self._names[i]
+
+    def index(self, name):
+        return self._index[name]
+
+    def elements(self):
+        return range(self.order)
+
+    def names(self):
+        return list(self._names)
+
+    def _check_arity(self, args):
+        if len(args) != self.n:
+            raise ArityMismatch(self.n, len(args))
+
+
+class DerivedPolyadicGroup(PolyadicGroup):
+    """Its derivation data: base, theta, b and n, sharing the base's
+    carrier; f is computed from them, and no table of f is held.
+
+    An instance is trusted to be an n-ary group because `derive`, its one
+    constructor, checks both derivation conditions. So `verify_axioms`,
+    `hosszu_gloskin` and `build_post_cover` decide it from that data
+    (Hosszú–Gluskin; Post), with no order**n table.
+
+    `steps` holds n-1 tables with
+    f(x_1, ..., x_n) = steps[n-2][...steps[0][x_1][x_2]...][x_n], built on
+    first use. n is bounded, as "arity", by what the instance builds: n
+    powers of theta, each a tuple of |G| entries, and the n - 1 step
+    tables, each |G| tuples of |G| entries in one more tuple, every tuple
+    counted as one entry of its own, against max_tabulate."""
+
+    def __init__(self, base, theta, b, n, caps=_caps.DEFAULT):
+        g = base.order
+        _caps.check(caps, "arity", n * (g + 1) + (n - 1) * (g * g + g + 1), caps.max_tabulate)
+        super().__init__(base._names, n, base._index)
+        self.base = base
+        self.theta = theta
+        self.b = b
+        self.theta_pows = theta.powers(n)  # theta_pows[k][x] = theta^k(x)
+
+    @cached_property
+    def steps(self):
+        """Level k-1 holds the rows x -> v . theta^k(x) over v, each base row
+        mapped through theta^k, with b folded into the last level."""
+        rows = self.base.table
+        steps = [
+            tuple(tuple(map(row.__getitem__, tk)) for row in rows)
+            for tk in self.theta_pows[1:]
+        ]
+        by_b = tuple(row[self.b] for row in rows)  # y -> y . b
+        steps[-1] = tuple(tuple(map(by_b.__getitem__, row)) for row in steps[-1])
+        return tuple(steps)
+
+    def f(self, args):
+        self._check_arity(args)
+        rows, tp = self.base.table, self.theta_pows
+        acc = args[0]
+        for k in range(1, self.n):
+            acc = rows[acc][tp[k][args[k]]]
+        return rows[acc][self.b]
+
+    def line(self, args, pos):
+        """L . theta^pos(x) . R over x, L and R the products of the factors
+        before and after position pos, b included in R: n + order row
+        lookups, without a table of f."""
+        rows, tp = self.base.table, self.theta_pows
+        left, right = self.base.identity, self.b
+        for k in range(pos):
+            left = rows[left][tp[k][args[k]]]
+        for k in range(self.n - 1, pos, -1):
+            right = rows[tp[k][args[k]]][right]
+        row = rows[left]
+        return tuple(rows[row[t]][right] for t in tp[pos])
+
+    def skew(self, x):
+        # b^-1 . (theta(x) . theta^2(x) ... theta^(n-2)(x))^-1
+        rows, inv, tp = self.base.table, self.base.inverses, self.theta_pows
+        acc = self.base.identity
+        for k in range(1, self.n - 1):
+            acc = rows[acc][tp[k][x]]
+        return rows[inv[self.b]][inv[acc]]
+
+    def __repr__(self):
+        return f"DerivedPolyadicGroup(order={self.order}, n={self.n})"
+
+
+class TablePolyadicGroup(PolyadicGroup):
+    """n-ary operation stored as `flat`: f on every n-tuple of element
+    indices, as one row-major tuple of order**n values."""
+
+    def __init__(self, element_names, n, flat_table):
+        super().__init__(element_names, n)
+        if len(flat_table) != self.order ** n:
+            raise PolyadicError("table size does not match order**n")
+        self.flat = tuple(flat_table)
+        self._skew_cache = {}
 
     def f(self, args):
         self._check_arity(args)
@@ -69,134 +171,9 @@ class PolyadicGroup:
 
     def skew(self, x):
         """The unique y with f(x,...,x,y) = x."""
-        raise NotImplementedError
-
-    def name(self, i):
-        raise NotImplementedError
-
-    def index(self, name):
-        raise NotImplementedError
-
-    def elements(self):
-        return range(self.order)
-
-    def names(self):
-        return [self.name(i) for i in self.elements()]
-
-    def _check_arity(self, args):
-        if len(args) != self.n:
-            raise ArityMismatch(self.n, len(args))
-
-
-class DerivedPolyadicGroup(PolyadicGroup):
-    """Carrier and names are those of the base group; f is computed from
-    them, and `flat` is built on first use, under caps.max_tabulate.
-
-    An instance is trusted to be an n-ary group because `derive`, its one
-    constructor, checks both derivation conditions. So `verify_axioms`,
-    `hosszu_gloskin` and `build_post_cover` decide it from that data
-    (Hosszú–Gluskin; Post), with no order**n table.
-
-    `steps` holds n-1 tables with
-    f(x_1, ..., x_n) = steps[n-2][...steps[0][x_1][x_2]...][x_n], built on
-    first use. n is bounded, as "arity", by what the instance builds: n
-    powers of theta, each a tuple of |G| entries, and the n - 1 step
-    tables, each |G| tuples of |G| entries in one more tuple, every tuple
-    counted as one entry of its own, against max_tabulate."""
-
-    def __init__(self, base, theta, b, n, caps=_caps.DEFAULT):
-        g = base.order
-        _caps.check(caps, "arity", n * (g + 1) + (n - 1) * (g * g + g + 1), caps.max_tabulate)
-        self.base = base
-        self.theta = theta
-        self.b = b
-        self.n = n
-        self.order = g
-        self.caps = caps
-        self.theta_pows = theta.powers(n)  # theta_pows[k][x] = theta^k(x)
-
-    @cached_property
-    def steps(self):
-        """Level k-1 holds the rows x -> v . theta^k(x) over v, each base row
-        mapped through theta^k, with b folded into the last level."""
-        rows = self.base.table
-        steps = [
-            tuple(tuple(map(row.__getitem__, tk)) for row in rows)
-            for tk in self.theta_pows[1:]
-        ]
-        by_b = tuple(row[self.b] for row in rows)  # y -> y . b
-        steps[-1] = tuple(tuple(map(by_b.__getitem__, row)) for row in steps[-1])
-        return tuple(steps)
-
-    @cached_property
-    def flat(self):
-        """Prefix products over `steps`: order**(n-1) row extensions."""
-        caps = self.caps
-        _caps.check(caps, "n-ary table", self.order ** self.n, caps.max_tabulate)
-        return prefix_products(self.elements(), [rows.__getitem__ for rows in self.steps])
-
-    def f(self, args):
-        self._check_arity(args)
-        rows, tp = self.base.table, self.theta_pows
-        acc = args[0]
-        for k in range(1, self.n):
-            acc = rows[acc][tp[k][args[k]]]
-        return rows[acc][self.b]
-
-    def line(self, args, pos):
-        """L . theta^pos(x) . R over x, L and R the products of the factors
-        before and after position pos, b included in R: n + order row
-        lookups, without the flat table."""
-        rows, tp = self.base.table, self.theta_pows
-        left, right = self.base.identity, self.b
-        for k in range(pos):
-            left = rows[left][tp[k][args[k]]]
-        for k in range(self.n - 1, pos, -1):
-            right = rows[tp[k][args[k]]][right]
-        row = rows[left]
-        return tuple(rows[row[t]][right] for t in tp[pos])
-
-    def skew(self, x):
-        # b^-1 . (theta(x) . theta^2(x) ... theta^(n-2)(x))^-1
-        rows, inv, tp = self.base.table, self.base.inverses, self.theta_pows
-        acc = self.base.identity
-        for k in range(1, self.n - 1):
-            acc = rows[acc][tp[k][x]]
-        return rows[inv[self.b]][inv[acc]]
-
-    def name(self, i):
-        return self.base.name(i)
-
-    def index(self, name):
-        return self.base.index(name)
-
-    def __repr__(self):
-        return f"DerivedPolyadicGroup(order={self.order}, n={self.n})"
-
-
-class TablePolyadicGroup(PolyadicGroup):
-    """n-ary operation stored as a flat row-major table of size order**n."""
-
-    def __init__(self, element_names, n, flat_table):
-        self._names = tuple(element_names)
-        self._index = {s: i for i, s in enumerate(self._names)}
-        self.n = n
-        self.order = len(self._names)
-        if len(flat_table) != self.order ** n:
-            raise PolyadicError("table size does not match order**n")
-        self.flat = tuple(flat_table)
-        self._skew_cache = {}
-
-    def skew(self, x):
         if x not in self._skew_cache:
             self._skew_cache[x] = skew_search(self, x)
         return self._skew_cache[x]
-
-    def name(self, i):
-        return self._names[i]
-
-    def index(self, name):
-        return self._index[name]
 
     def __repr__(self):
         return f"TablePolyadicGroup(order={self.order}, n={self.n})"
@@ -240,7 +217,9 @@ def polyadic_from_table(element_names, n, flat_table, caps=_caps.DEFAULT):
     """The table form, refused when its order**n table, a one-element
     carrier counted as two, passes max_tabulate. That table holds at least
     2**n entries, so an n past the cap's bit length is refused before the
-    power is taken."""
+    power is taken. An empty carrier is refused first, as NoIdentity."""
+    if not element_names:
+        raise NoIdentity()
     check_arity(n)
     _caps.check(caps, "arity", n, caps.max_tabulate.bit_length())
     _caps.check(caps, "n-ary table", max(len(element_names), 2) ** n, caps.max_tabulate)
@@ -248,9 +227,14 @@ def polyadic_from_table(element_names, n, flat_table, caps=_caps.DEFAULT):
 
 
 def tabulate(p, caps=_caps.DEFAULT):
-    """Materialize any polyadic group into table form."""
+    """p in table form: a table form as it is; a derived group's table, the
+    prefix products over its step tables, built here and only here, and
+    refused first when its order**n entries pass caps.max_tabulate."""
+    if isinstance(p, TablePolyadicGroup):
+        return p
     _caps.check(caps, "n-ary table", p.order ** p.n, caps.max_tabulate)
-    return TablePolyadicGroup(p.names(), p.n, p.flat)
+    flat = prefix_products(p.elements(), [rows.__getitem__ for rows in p.steps])
+    return TablePolyadicGroup(p._names, p.n, flat)
 
 
 def prefix_products(level, extend):
@@ -339,10 +323,11 @@ def verify_axioms(p, caps=_caps.DEFAULT):
 
 
 def _verify_axioms_exhaustive(p):
-    """Scan every (2n-1)-tuple for associativity and every line of f (one
-    position running over the carrier, the rest fixed) for a repeated
-    value; the oracle behind `verify_axioms`. A line misses a value exactly
-    when it repeats one, so solvability never fails on its own."""
+    """Scan every (2n-1)-tuple of the table p for associativity and every
+    line of f (one position running over the carrier, the rest fixed) for
+    a repeated value; the oracle behind `verify_axioms`. A line misses a
+    value exactly when it repeats one, so solvability never fails on its
+    own."""
     n, g = p.n, p.order
     strides = [g ** (n - 1 - k) for k in range(n)]
     return _report(_assoc_scan_flat(n, g, p.flat, strides), _first_repeat(p))
@@ -362,12 +347,12 @@ def _report(assoc_witness, uniq_witness):
 
 def _first_repeat(p):
     """(position, rest, value, first x, second x) for the first line of
-    p.flat, in position-major order, where two x give the same value;
+    the table p, in position-major order, where two x give the same value;
     else None."""
     g = p.order
     for pos in range(p.n):
         for rest in product(range(g), repeat=p.n - 1):
-            line = PolyadicGroup.line(p, rest[:pos] + (None,) + rest[pos:], pos)
+            line = p.line(rest[:pos] + (None,) + rest[pos:], pos)
             if len(set(line)) < g:
                 x = next(x for x in range(g) if line[x] in line[:x])
                 return (pos, rest, line[x], line.index(line[x]), x)
@@ -514,11 +499,11 @@ def hosszu_gloskin(p, a, caps=_caps.DEFAULT):
     theta_a(x) = f(skew a, x, a^(n-2)) and b_a = f(skew a, ..., skew a).
     The retract, theta_a and the derivation conditions are validated, and
     the data is returned as a derived polyadic group over the retract. On
-    a table, it is also checked to rebuild f exactly, as the derived
-    group's flat table against p's; a mismatch names the least differing
-    tuple. A derived p needs no such check: it is an n-ary group, so its
-    recovery rebuilds f by the Hosszú–Gluskin theorem. The retract is
-    checked against caps, and so is the flat table when it is built.
+    a table, it is also checked to rebuild f exactly, as the recovery's
+    `tabulate` against p's flat table; a mismatch names the least
+    differing tuple. A derived p needs no such check: it is an n-ary
+    group, so its recovery rebuilds f by the Hosszú–Gluskin theorem. The
+    retract and the recovery's table are checked against caps.
     """
     g = retract(p, a, caps=caps)
     sa = p.skew(a)
@@ -530,9 +515,10 @@ def hosszu_gloskin(p, a, caps=_caps.DEFAULT):
     out = derive(g, theta, b, p.n, caps=caps)
     if isinstance(p, DerivedPolyadicGroup):
         return out
-    if out.flat != p.flat:
-        i = _first_difference(out.flat, p.flat)
-        raise ReconstructionMismatch(_decode(p.order, p.n, i), p.flat[i], out.flat[i])
+    flat = tabulate(out, caps).flat
+    if flat != p.flat:
+        i = _first_difference(flat, p.flat)
+        raise ReconstructionMismatch(_decode(p.order, p.n, i), p.flat[i], flat[i])
     return out
 
 

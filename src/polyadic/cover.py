@@ -186,7 +186,7 @@ def _coset_mismatch(d, ret, rows):
     return None
 
 
-def _product_mismatch(p, images, row_of):
+def _product_mismatch(p, images, row_of, caps=_caps.DEFAULT):
     """The least tuple where images[x_1] ... images[x_n] differs from
     images[f(x_1, ..., x_n)], as (tuple, expected, got), else None. p is a
     derived group, and row_of(c) is the tuple of products c . images[x]
@@ -196,11 +196,10 @@ def _product_mismatch(p, images, row_of):
     keeping one prefix product per level: in p through its step tables,
     and in the target. Each prefix compares one row of |G| values, the
     products over the last argument, and the walk stops at the first row
-    that differs. It visits at most max_axiom_tuples rows of the caps p
-    was derived under and holds O(n |G|) values, where the whole table
-    would hold |G|^n.
+    that differs. It visits at most caps.max_axiom_tuples rows and holds
+    O(n |G|) values, where the whole table would hold |G|^n.
     """
-    n, g, steps, caps = p.n, p.order, p.steps, p.caps
+    n, g, steps = p.n, p.order, p.steps
     last = n - 2  # the prefix x_1 .. x_(n-1) at levels 0 .. n-2
     got_row = cache(row_of)
     want_row = cache(lambda s: tuple(map(images.__getitem__, steps[last][s])))
@@ -231,7 +230,7 @@ def _product_mismatch(p, images, row_of):
     return None
 
 
-def extend_hom_to_cover(cover, beta, target):
+def extend_hom_to_cover(cover, beta, target, caps=_caps.DEFAULT):
     """The unique group homomorphism on the cover restricting to beta.
 
     beta maps the n-ary group's carrier into target (a sequence of
@@ -240,13 +239,15 @@ def extend_hom_to_cover(cover, beta, target):
     5). It exists exactly when beta(f(x_1..x_n)) is the product of the
     beta(x_i) in target: the cover is universal for such maps (Post), and
     an extension carries f to that product by property 4. So only a clash
-    runs the product check, which names the least tuple where beta fails.
+    runs the product check, which names the least tuple where beta fails,
+    within caps.
     """
     hom, reason = hom_from_generator_images(cover.group, target, cover.embedded(), beta)
     if reason is None:
         return hom
-    p = cover.polyadic
-    bad = _product_mismatch(p, beta, lambda c: tuple(target.mul(c, y) for y in beta))
+    bad = _product_mismatch(
+        cover.polyadic, beta, lambda c: tuple(target.mul(c, y) for y in beta), caps
+    )
     raise NotPolyadicHom(*bad)
 
 
@@ -332,7 +333,7 @@ def _conjugates(pres, caps):
     return conjugates
 
 
-def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
+def coset_enumerate(pres, cap=10_000, caps=_caps.DEFAULT):
     """Enumerate cosets of the trivial subgroup for a finite presentation.
 
     Felsch strategy driven by a deduction stack (Holt, Eick & O'Brien,
@@ -356,7 +357,6 @@ def coset_enumerate(pres, cap=None, caps=_caps.DEFAULT):
     """
     if not pres.generators:
         raise EmptyGeneratorSet()
-    cap = caps.default_coset_cap if cap is None else cap
     if cap < 1:
         raise PolyadicError("cap must be at least 1")
     ncols = 2 * len(pres.generators)

@@ -186,6 +186,8 @@ def polyadic_from_doc(doc, n=None, caps=_caps.DEFAULT):
         missing = [s for s in g.names() if s not in mapping]
         if missing:
             raise PolyadicError(f"theta map is missing {missing[0]!r}")
+        for s in mapping:
+            _element(g, s)
         theta = automorphism(g, [_element(g, mapping[s]) for s in g.names()])
         b = _element(g, _require(doc, "b", "polyadic"))
         arity = n if n is not None else doc.get("n")
@@ -299,4 +301,5 @@ def system_from_doc(doc, base_dir=".", p=None, n=None, caps=_caps.DEFAULT):
 
 
 def points_to_names(p, points):
-    return [[p.name(c) for c in pt] for pt in points]
+    names = p.names()
+    return [list(map(names.__getitem__, pt)) for pt in points]

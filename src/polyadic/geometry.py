@@ -260,7 +260,8 @@ class CoordinateGroup:
         for x in h:
             left = [rows[base.mul(c, s)] for c, s in zip(x, shift)]
             table.append([pos[tuple(map(getitem, left, y))] for y in h])
-        names = ["_".join(map(d.name, x)) for x in h] if self.points else ["1"]
+        element_names = d.names()
+        names = ["_".join(map(element_names.__getitem__, x)) for x in h] if self.points else ["1"]
         group = TableGroup(names, table, 0, [row.index(0) for row in table], name="Gamma")
         psi, fu = _twist(d, u)
         theta = GroupAutomorphism(group, [pos[psi(x)] for x in h])

@@ -1,7 +1,9 @@
+from contextlib import contextmanager
 from functools import reduce
 
 import pytest
 
+from polyadic import core
 from polyadic.core import derive
 from polyadic.groups import (
     GroupAutomorphism,
@@ -34,6 +36,29 @@ def build_catalog():
         "p6": derive(s3, inner_automorphism(s3, t), t, 4),
         "p7": derive(s3, inner_automorphism(s3, t), s3.identity, 3),
     }
+
+
+@pytest.fixture
+def no_table(monkeypatch):
+    """`no_table(*groups)`: a context in which building the order**n table
+    of a derived group, of any one or of one of groups, fails the test.
+    `tabulate` builds every such table by `core.prefix_products` over the
+    group's step tables, and the context makes that raise on them."""
+    build = core.prefix_products
+
+    @contextmanager
+    def guard(*groups):
+        def refuse(level, extend):
+            used = {id(row_of.__self__) for row_of in extend}
+            if not groups or any(id(rows) in used for g in groups for rows in g.steps):
+                raise AssertionError("an n-ary table was built")
+            return build(level, extend)
+
+        with monkeypatch.context() as m:
+            m.setattr(core, "prefix_products", refuse)
+            yield
+
+    return guard
 
 
 @pytest.fixture(scope="session")

@@ -920,3 +920,104 @@ def test_closed_stdout_is_quiet(tmp_path):
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err and err == ""
+
+
+# ---------------------------------------------------------------------------
+# degenerate documents
+
+EMPTY_TABLE = {"elements": [], "n": 3, "table": []}
+EMPTY_DERIVED = {"group": {"elements": [], "table": []}, "theta": {"map": {}}, "b": "0", "n": 3}
+EXTRA_KEY = dict(P2, theta={"map": {"0": "0", "1": "2", "2": "1", "zz": "q"}})
+LEFT_ZERO = _table_doc(3, 3, lambda args: args[0])
+DEGENERATE = {
+    "empty-table": EMPTY_TABLE,
+    "empty-derived": EMPTY_DERIVED,
+    "one-element-table": {"elements": ["e"], "n": 3, "table": ["e"]},
+    "extra-theta-key": EXTRA_KEY,
+    "left-zero": LEFT_ZERO,
+}
+SWEEP_SYSTEM = {"polyadic": "unused.json", "vars": 1, "equations": ["f(x1,x1,x1) = x1"]}
+
+
+def polyadic_verbs(path, anchor, system):
+    """Every verb that reads a --polyadic file, with the arguments it needs."""
+    return [
+        ["validate"], ["derive"], ["skew"], ["identity"], ["subgroups"], ["postcover"],
+        ["retract", "--anchor", anchor], ["hg", "--anchor", anchor], ["homs", path],
+        ["translate", "g2p", "x1 = x1", "--anchor", anchor],
+        ["translate", "p2g", "f(x1,x1,x1) = x1"],
+        *([verb, "--system", system] for verb in (
+            "solve", "coordgroup", "closure", "irreducible", "minsys", "thm63")),
+    ]
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_documents_exit_cleanly(tmp_path, capsys, name):
+    path = write(tmp_path, "p.json", DEGENERATE[name])
+    system = write(tmp_path, "sys.json", SWEEP_SYSTEM)
+    for argv in polyadic_verbs(path, "0", system):
+        code = main([argv[0], "--polyadic", path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert isinstance(json.loads(captured.out), dict), argv
+        assert captured.err == "", argv
+
+
+def test_empty_carrier_is_refused_alike_in_both_forms(tmp_path, capsys):
+    """An empty carrier has no identity: `validate` reports NoIdentity with
+    exit 1, and every other verb refuses it as NoIdentity with exit 2, in
+    the table form as in the derived form."""
+    system = write(tmp_path, "sys.json", SWEEP_SYSTEM)
+    seen = []
+    for doc in (EMPTY_TABLE, EMPTY_DERIVED):
+        path = write(tmp_path, "p.json", doc)
+        got = []
+        for argv in polyadic_verbs(path, "0", system):
+            if argv[0] == "derive":  # it reads only the derived form
+                continue
+            code, out = run(capsys, argv[0], "--polyadic", path, *argv[1:])
+            assert out["error"]["type"] == "NoIdentity", (doc, argv)
+            got.append((argv[0], code))
+        seen.append(got)
+    assert seen[0] == seen[1]
+    assert {code for verb, code in seen[0] if verb != "validate"} == {2}
+    assert dict(seen[0])["validate"] == 1
+
+
+def test_theta_map_refuses_an_unknown_key(tmp_path, capsys):
+    path = write(tmp_path, "p.json", EXTRA_KEY)
+    for verb in ("derive", "validate", "skew"):
+        code, out = run(capsys, verb, "--polyadic", path)
+        assert code == 2, verb
+        assert out["error"]["message"] == "unknown element name 'zz'"
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (LEFT_ZERO, "NotLatinSquare"),
+        # f(1, 1, y) = 0 for both y: 1 has no skew element
+        ({"elements": ["0", "1"], "n": 3, "table": ["0", "1", "0", "0", "1", "0", "0", "0"]},
+         "NoSolution"),
+    ],
+)
+def test_failed_reconstruction_exits_1(tmp_path, capsys, doc, error):
+    """`retract` and `hg` on a table that is not an n-ary group print the
+    failure as a negative verdict, as `validate` does."""
+    path = write(tmp_path, "p.json", doc)
+    code, out = run(capsys, "validate", "--polyadic", path)
+    assert code == 1 and not out["ok"]
+    for verb in ("retract", "hg"):
+        code, out = run(capsys, verb, "--polyadic", path, "--anchor", "0")
+        assert code == 1, verb
+        assert out["ok"] is False and out["error"]["type"] == error, verb
+
+
+def test_retract_past_the_table_order_cap_exits_2(tmp_path, capsys):
+    """A blown cap is not a verdict: the retract of a 65-element table
+    passes max_table_order, and `retract` and `hg` exit 2."""
+    path = write(tmp_path, "p.json", _table_doc(65, 3, lambda args: sum(args) % 65))
+    for verb in ("retract", "hg"):
+        code, out = run(capsys, verb, "--polyadic", path, "--anchor", "0")
+        assert code == 2, verb
+        assert out["error"]["type"] == "SizeCapExceeded", verb

@@ -59,7 +59,7 @@ def test_verify_axioms_matches_exhaustive(seed, small_bases, random_derived):
         for q in (p, t):
             rep = verify_axioms(q)
             assert rep.ok, (base, q)
-            assert rep == _verify_axioms_exhaustive(q)
+            assert rep == _verify_axioms_exhaustive(tabulate(q))
         for _ in range(2):
             bad = _corrupt(rng, t)
             assert verify_axioms(bad) == _verify_axioms_exhaustive(bad)

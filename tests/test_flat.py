@@ -1,7 +1,7 @@
 """Seeded differential tests: the step and flat tables against per-tuple f.
 
 A derived group factors f into step tables, one lookup per argument, and
-its `flat` is their prefix products; a table form is compiled and solved
+`tabulate` builds its table as their prefix products; a table form is compiled and solved
 through its Hosszú–Gluskin recovery. Every reader of the whole
 operation reads it: `tabulate`, the Hosszú–Gluskin check of a table,
 `retract`, `skew_search`, `nary_identity`, `dornte_check`, the exhaustive
@@ -25,6 +25,7 @@ from polyadic.core import (
     TablePolyadicGroup,
     closed_subsets_bruteforce,
     derive,
+    derive_from_constant,
     dornte_check,
     hosszu_gloskin,
     is_polyadic_hom,
@@ -62,6 +63,7 @@ from polyadic.groups import (
     cyclic_group,
     direct_product,
     identity_automorphism,
+    symmetric_group,
     validate_group,
 )
 from polyadic.terms import Apply, Constant, Equation, Skew, Variable, eval_term
@@ -288,9 +290,8 @@ def test_flat_matches_per_tuple_f(seed, small_bases, random_derived):
     rng = random.Random(seed)
     for base in small_bases:
         p = random_derived(rng, base, (3, 4, 5))
-        assert p.flat == old_tabulate_flat(p), (base, p.n)
         t = tabulate(p)
-        assert t.flat == old_tabulate_flat(p)
+        assert t.flat == old_tabulate_flat(p), (base, p.n)
         assert tabulate(t).flat == t.flat
         for q in (p, t):
             a = rng.randrange(q.order)
@@ -306,7 +307,7 @@ def test_flat_matches_per_tuple_f(seed, small_bases, random_derived):
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_derived_lines_need_no_flat(seed, small_bases, random_derived):
+def test_derived_lines_need_no_flat(seed, small_bases, random_derived, no_table):
     """A derived group's lines come from its base group: they are the
     slices of its flat table, and the row readers never build that table."""
     rng = random.Random(seed)
@@ -314,11 +315,11 @@ def test_derived_lines_need_no_flat(seed, small_bases, random_derived):
         p = random_derived(rng, base, (3, 4, 5))
         q = derive(p.base, p.theta, p.b, p.n)
         a = rng.randrange(q.order)
-        assert retract(q, a).table == old_retract(q, a).table
-        assert nary_identity(q) == old_nary_identity(q)
-        assert dornte_check(q) == old_dornte_check(q)
-        assert [skew_search(q, x) for x in q.elements()] == [q.skew(x) for x in q.elements()]
-        assert "flat" not in vars(q), base
+        with no_table():
+            assert retract(q, a).table == old_retract(q, a).table
+            assert nary_identity(q) == old_nary_identity(q)
+            assert dornte_check(q) == old_dornte_check(q)
+            assert [skew_search(q, x) for x in q.elements()] == [q.skew(x) for x in q.elements()]
         t = tabulate(p)
         for pos in range(p.n):
             args = [rng.randrange(p.order) for _ in range(p.n)]
@@ -332,7 +333,7 @@ def test_flat_of_lazy_power_matches_per_tuple_f(base, random_derived, induced):
     p = random_derived(random.Random(base.order), base, (3,))
     theta = induced(p.theta, 2)
     power = derive(theta.group, theta, p.b * base.order + p.b, 3)
-    assert power.flat == old_tabulate_flat(power)
+    assert tabulate(power).flat == old_tabulate_flat(power)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -382,7 +383,7 @@ def test_as_derived_matches_per_prefix_products(n, with_constants, small_bases, 
                 continue
             d = cg.as_derived()
             assert isinstance(d, DerivedPolyadicGroup)
-            assert (d.names(), d.n, d.flat) == old_as_polyadic(cg), (base, pts)
+            assert (d.names(), d.n, tabulate(d).flat) == old_as_polyadic(cg), (base, pts)
             checked += 1
     assert checked >= 8
 
@@ -414,23 +415,35 @@ def test_solve_on_tables_that_are_not_groups(seed):
     assert refused >= 4
 
 
-def test_flat_is_capped_before_it_is_built():
+def test_flat_is_capped_before_it_is_built(no_table):
     z2 = cyclic_group(2)
     pg = reduce(direct_product, [z2] * 6)  # order 64: 64^4 entries exceed max_tabulate
     big = derive(pg, identity_automorphism(pg), 0, 4)
-    with pytest.raises(SizeCapExceeded) as e:
-        big.flat
+    with no_table(), pytest.raises(SizeCapExceeded) as e:
+        tabulate(big)
     assert (e.value.what, e.value.size) == ("n-ary table", 64 ** 4)
-    assert "flat" not in vars(big)
-    # the derived group keeps the caps it was derived under
+    # tabulate honours the caps it is given
     z5 = cyclic_group(5)
-    small = derive(z5, identity_automorphism(z5), 0, 3, caps=Caps(max_tabulate=124))
-    with pytest.raises(SizeCapExceeded):
-        small.flat
-    assert len(derive(z5, identity_automorphism(z5), 0, 3).flat) == 125
+    small = derive(z5, identity_automorphism(z5), 0, 3)
+    with no_table(), pytest.raises(SizeCapExceeded):
+        tabulate(small, caps=Caps(max_tabulate=124))
+    assert len(tabulate(small, caps=Caps(max_tabulate=125)).flat) == 125
+    # and not those the group was derived under: derived S4 at n = 5 is
+    # derived under the default caps, which refuse its 24^5 table
+    s4 = symmetric_group(4)
+    p = derive_from_constant(s4, s4.identity, 5)
+    with no_table(), pytest.raises(SizeCapExceeded) as e:
+        tabulate(p)
+    assert (e.value.what, e.value.size, e.value.cap) == ("n-ary table", 24 ** 5, 2 * 10 ** 6)
+    t = tabulate(p, caps=Caps(max_tabulate=10 ** 8))
+    assert len(t.flat) == 24 ** 5
+    rng = random.Random(5)
+    for _ in range(200):
+        args = [rng.randrange(24) for _ in range(5)]
+        assert t.f(args) == p.f(args), args
 
 
-def test_power_never_builds_flat(small_bases, random_derived, induced):
+def test_power_never_builds_flat(small_bases, random_derived, induced, no_table):
     """Coordinate groups read the source's step tables coordinatewise, and
     `solve` over a derived group on a direct power reads its step tables,
     never the whole table of either."""
@@ -438,18 +451,19 @@ def test_power_never_builds_flat(small_bases, random_derived, induced):
     for base in small_bases:
         p = random_derived(rng, base)
         grid = list(product(range(p.order), repeat=2))
-        cg = coordinate_group(p, AlgebraicSet(2, tuple(sorted(rng.sample(grid, 2)))))
-        structural_check(cg)
-        cg.as_polyadic()
-        assert "flat" not in vars(cg.source), base
+        with no_table(p):  # Γ's own table is what as_polyadic builds
+            cg = coordinate_group(p, AlgebraicSet(2, tuple(sorted(rng.sample(grid, 2)))))
+            structural_check(cg)
+            cg.as_polyadic()
+        assert cg.source is p
         theta = induced(p.theta, 2)
         power = derive(theta.group, theta, p.b * base.order + p.b, p.n)
         c = rng.randrange(power.order)
         eq = Equation(Apply((Variable(0),) * power.n), Skew(Constant(c)))
-        sols = solve(power, EquationSystem(power, 1, (eq,)))
+        with no_table():
+            sols = solve(power, EquationSystem(power, 1, (eq,)))
         want = [x for x in power.elements() if power.f([x] * power.n) == power.skew(c)]
         assert [s[0] for s in sols] == want
-        assert "flat" not in vars(power), base
 
 
 def test_direct_construction_is_bounded_by_its_step_tables():
@@ -482,7 +496,7 @@ def test_corrupted_tables_give_the_old_witnesses(seed, small_bases, random_deriv
     kinds = set()
     for base in small_bases:
         p = random_derived(rng, base, (3, 4))
-        for flat in corruptions(rng, p.flat, p.order, 4):
+        for flat in corruptions(rng, tabulate(p).flat, p.order, 4):
             bad = TablePolyadicGroup(p.names(), p.n, flat)
             a = rng.randrange(p.order)
             got = outcome(hosszu_gloskin, bad, a)
