@@ -338,7 +338,9 @@ def _cmd_translate(args):
     if len(args.rest) != 2 or args.rest[0] not in ("g2p", "p2g"):
         raise PolyadicError("translate needs a direction (g2p or p2g) and an equation")
     direction, text = args.rest
-    p = _load_polyadic(args)
+    # read as the equation verbs read it: a table that is not an n-ary
+    # group is refused by its recovery
+    p = as_derived(_load_polyadic(args))
     if direction == "g2p":
         a = _anchor_index(args, p)
         left, right = parse_group_equation(text, list(p.names()))

@@ -197,8 +197,9 @@ def derive(base, theta, b, n, caps=_caps.DEFAULT):
     if theta(b) != b:
         raise ConditionOneFails(b, theta(b))
     top = d.theta_pows[n - 1]
-    for x in base.elements():
-        rhs = base.mul(base.mul(b, x), base.inv(b))
+    rows, binv = base.table, base.inv(b)
+    for x, y in enumerate(rows[b]):  # y = b . x
+        rhs = rows[y][binv]
         if top[x] != rhs:
             raise ConditionTwoFails(x, top[x], rhs)
     return d
@@ -533,7 +534,7 @@ def as_derived(p, caps=_caps.DEFAULT):
 # subobjects and morphisms
 
 
-def polyadic_subgroups(p):
+def polyadic_subgroups(p, caps=_caps.DEFAULT):
     """All carriers of polyadic subgroups, via the twisted-group criterion.
 
     In the twist of the base by u the operation satisfies
@@ -542,16 +543,20 @@ def polyadic_subgroups(p):
     psi_u-invariant subgroup of the twist containing f(u,...,u). The twist's
     subgroups are the translates K . u of the base's subgroups K, as
     x -> x . u is an isomorphism. Returns sorted tuples of element indices.
+    An order past max_table_order is refused, as "group order", before the
+    base's lattice is built.
     """
-    d = as_derived(p)
+    d = as_derived(p, caps)
+    _caps.check(caps, "group order", d.order, caps.max_table_order)
     base, theta = d.base, d.theta
-    lattice = subgroups(base)
+    lattice = subgroups(base, caps)
     found = set()
     for u in base.elements():
         fu = d.f([u] * d.n)
         psi = psi_u(base, theta, u)
+        by_u = base.right(u)
         for sub in lattice:
-            coset = {base.mul(x, u) for x in sub}
+            coset = set(map(by_u, sub))
             if fu in coset and all(psi[x] in coset for x in coset):
                 found.add(tuple(sorted(coset)))
     return tuple(sorted(found, key=lambda s: (len(s), s)))
@@ -626,7 +631,7 @@ def polyadic_homs(p, q, caps=_caps.DEFAULT):
         im = phi.images
         for a in anchors.get(im[dp.b], ()):
             if all(im[tx] == hb.conjugate(a, dq.theta(im[x])) for x, tx in pairs):
-                images = tuple(hb.mul(y, a) for y in im)
+                images = tuple(map(hb.right(a), im))
                 out.append(PolyadicHom(images=images, a=a, phi=im))
     return tuple(sorted(out, key=attrgetter("images")))
 

@@ -89,11 +89,12 @@ def build_post_cover(p, caps=_caps.DEFAULT):
 
     names = [f"{base.name(g)}_{i}" for i in range(m) for g in range(q)]
     table = []
+    by_b = base.column(d.b)  # x -> x . b
     for i in range(m):
-        for g in range(q):
-            # g . theta^i(h) over h, times b where the grades carry
-            plain = [base.mul(g, d.theta_pows[i][h]) for h in range(q)]
-            carry = [base.mul(x, d.b) for x in plain]
+        for row in base.table:
+            # row g: g . theta^i(h) over h, times b where the grades carry
+            plain = list(map(row.__getitem__, d.theta_pows[i]))
+            carry = list(map(by_b.__getitem__, plain))
             table.append([(i + j) % m * q + x for j in range(m)
                           for x in (carry if i + j >= m else plain)])
     e = base.identity  # (e, 0)

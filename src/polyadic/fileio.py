@@ -48,35 +48,46 @@ def load_json(path):
 
 def dump_json(doc):
     """`json.dumps(doc, indent=2)`, byte for byte. With `indent` set, json
-    encodes in Python generators; here each str is one C-level quote, each
+    encodes in Python generators; here each container is one join, each
     list of only str or only int and each str -> str dict one C-level
-    join, and everything else (floats, bools, None, subclasses, non-str
-    keys) is `json.dumps` itself."""
-    return _dump(doc, "\n")
+    pass, and everything else (floats, bools, None, subclasses, non-str
+    keys) is `json.dumps` itself. Each distinct str is quoted once per
+    document, through `_Quotes`."""
+    return _dump(doc, "\n", _Quotes())
 
 
-def _dump(x, nl):
+class _Quotes(dict):
+    """str -> its JSON quoting, filled on first lookup; a key that is not
+    a str raises TypeError from the quoting and is not stored."""
+
+    def __missing__(self, s):
+        q = self[s] = _quote(s)
+        return q
+
+
+def _dump(x, nl, quotes):
     t = type(x)
     if t is str:
-        return _quote(x)
+        return quotes[x]
     inner = nl + "  "
     if t is list or t is tuple:
         if not x:
             return "[]"
         try:  # most lists in a document hold only str
-            items = list(map(_quote, x))
+            items = list(map(quotes.__getitem__, x))
         except TypeError:
             if set(map(type, x)) == {int}:
                 items = map(int.__repr__, x)
             else:
-                items = [_dump(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+                items = [_dump(v, inner, quotes) for v in x]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
     if t is dict and set(map(type, x)) == {str}:
+        keys = map(quotes.__getitem__, x)
         if set(map(type, x.values())) == {str}:
-            items = map(": ".join, zip(map(_quote, x), map(_quote, x.values())))
+            items = map(": ".join, zip(keys, map(quotes.__getitem__, x.values())))
         else:
-            items = [_quote(k) + ": " + _dump(v, inner) for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+            items = [f"{k}: {_dump(v, inner, quotes)}" for k, v in zip(keys, x.values())]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
     if isinstance(x, (list, tuple, dict)):
         # an empty dict, a subclass or non-str keys: indent=2 output has no
         # raw newline but those between lines, so it nests by re-indenting
@@ -219,7 +230,7 @@ def polyadic_to_doc(p):
     return {
         "elements": names,
         "n": p.n,
-        "table": [names[v] for v in p.flat],
+        "table": list(map(names.__getitem__, p.flat)),
     }
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 from . import caps as _caps
 from .core import as_derived, derive, derive_from_constant, tabulate
 from .errors import PolyadicError
-from .groups import GroupAutomorphism, TableGroup, cayley_walk, psi_u
+from .groups import GroupAutomorphism, TableGroup, cayley_walk, dimino, psi_u
 from .terms import Apply, Skew, TermCompiler, Variable, eval_term, is_coefficient_free
 from .terms import term_variables, validate_term
 
@@ -298,17 +298,19 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
 def _generated(base, identity, gens, caps, what, psi=None):
     """Subgroup generated by gens in the coordinatewise power of base,
     twisted so that `identity` is its identity (x * y = x . identity^-1 . y)
-    and closed under the automorphism psi of that twist when given.
+    and closed under the automorphism psi of that twist when given, as a
+    list of coordinate tuples.
 
-    Elements are coordinate tuples. The psi-orbits of gens are generators
-    too; a breadth-first search from the identity then right-multiplies
-    only by the steps identity^-1 . t for each generator t, one column
-    lookup per coordinate, so the work is |H| times the number of
-    generators, and a finite monoid generated that way is the subgroup.
-    Unlike `groups.cayley_walk` it records no edges, |H| * |gens| tuples
-    that nothing would read. As H grows it is capped at
+    The psi-orbits of gens are generators too, and `groups.dimino` grows
+    the subgroup from the identity by cosets, skipping each generator
+    already inside. Right multiplication by a kept generator t is the step
+    identity^-1 . t, one column lookup per coordinate, built only for the
+    generators kept; each new tuple costs one step, plus one per coset
+    representative and kept generator. The closure is capped at
     min(max_closure_algebra, max_tabulate // len(identity)), so its tuples
-    hold at most max_tabulate entries, like a flat table.
+    hold at most max_tabulate entries, like a flat table; cosets are
+    disjoint, so each is refused before it is built, with the size the
+    closure would reach.
     """
     found = list(dict.fromkeys(gens))
     if psi is not None:
@@ -320,22 +322,17 @@ def _generated(base, identity, gens, caps, what, psi=None):
                 found.append(y)
     limit = min(caps.max_closure_algebra, caps.max_tabulate // len(identity))
     _caps.check(caps, what, len(found), limit)
-    # cols[g][a] = a . g: right multiplication by g
-    cols = tuple(zip(*base.table))
-    shift = [base.inv(c) for c in identity]
-    steps = [
-        [cols[base.mul(shift[i], c)] for i, c in enumerate(t)] for t in found
-    ]
-    closed = {identity}
-    queue = [identity]
-    for x in queue:
-        for s in steps:
-            y = tuple(map(getitem, s, x))
-            if y not in closed:
-                closed.add(y)
-                queue.append(y)
-        _caps.check(caps, what, len(closed), limit)
-    return closed
+    rows = base.table
+    shift = [rows[base.inv(c)] for c in identity]
+
+    def step(t):  # x -> x . identity^-1 . t, coordinatewise
+        s = list(map(base.column, map(getitem, shift, t)))
+        return lambda x: tuple(map(getitem, s, x))
+
+    def check(size):
+        _caps.check(caps, what, size, limit)
+
+    return dimino([identity], [], found, step, check)[0]
 
 
 def _twist(d, u):
@@ -354,7 +351,8 @@ def _term_closure(d, gens, caps, what, u=None):
     element of the closure will do) generated by gens and f(u,...,u) and
     stable under psi_u: x -> u . theta(x) . theta(u^-1): the subgroup
     criterion used for polyadic subgroups, cross-checked against direct
-    f/skew saturation in the test suite. Returns (u, the closure).
+    f/skew saturation in the test suite. Returns (u, the closure as a
+    list).
     """
     if u is None:
         skews = [d.skew(x) for x in d.base.elements()]
@@ -367,7 +365,8 @@ def structural_check(cg, caps=_caps.DEFAULT):
     """Certificate that the coordinate group is der(psi_u, f(u, ..., u))
     in the power twisted by u = elements[0]: u when `_term_closure` from u
     of the projections and constants is exactly `elements`, else None;
-    () for an empty Y. It walks |H| times the generators, under the
+    () for an empty Y. It costs one step per element of H, plus one per
+    coset representative and kept generator (`_generated`), under the
     closure's cap. If one u in H works every u does, so every group
     `coordinate_group` builds gets elements[0]; a hand-built group whose
     `elements` are not the closure of its generators gets None."""
@@ -375,7 +374,7 @@ def structural_check(cg, caps=_caps.DEFAULT):
         return ()
     u = cg.elements[0]
     _, closed = _term_closure(cg.source, cg.projections + cg.constants, caps, "closure", u)
-    return u if closed == set(cg.elements) else None
+    return u if set(closed) == set(cg.elements) else None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ automorphism over the base's indices.
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import factorial, prod
-from operator import eq
+from operator import eq, itemgetter
 
 from . import caps as _caps
 from .errors import (
@@ -39,9 +39,23 @@ class TableGroup:
         self.order = len(self._names)
         self.identity = identity
         self.inverses = tuple(inverses)
+        self._columns = [None] * self.order
 
     def mul(self, a, b):
         return self.table[a][b]
+
+    def column(self, b):
+        """Column b of the table: `column(b)[a]` is the index of a . b. It
+        is built on first use, so a closure by a few generators builds
+        only their columns."""
+        col = self._columns[b]
+        if col is None:
+            col = self._columns[b] = tuple(map(itemgetter(b), self.table))
+        return col
+
+    def right(self, b):
+        """Right multiplication by b, a -> a . b, as one column lookup."""
+        return self.column(b).__getitem__
 
     def inv(self, a):
         return self.inverses[a]
@@ -148,8 +162,8 @@ def _light_associative(rows, cols):
     generator is the least element outside the closure of the earlier ones
     under all products of its members. Over a group that closure is a
     subgroup and at least doubles with each generator, so at most log2(N)
-    of them are tested. Before associativity is known, `cayley_walk`'s right
-    multiplications by generators need not reach all products of members.
+    of them are tested. Before associativity is known, right multiplications
+    by generators, as `dimino` makes, need not reach all products of members.
     """
     members, inside = [], set()
     for g in range(len(rows)):
@@ -328,24 +342,71 @@ def psi_u(base, theta, u):
 # generation, homomorphisms, isomorphisms
 
 
+def dimino(start, kept, gens, step, check=None):
+    """The subgroup generated by a subgroup H and gens, grown by whole
+    right cosets (Dimino's algorithm: Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991; Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory, 2005).
+
+    `start` lists H's elements and `kept` generates H; `step(y)` is right
+    multiplication by y, x -> x . y, a one-argument function. A generator
+    t already inside is skipped. Otherwise the elements so far are kept as
+    H0, and for each coset representative r in turn, H0's own first, and
+    each kept generator s, if r . s lies outside, the coset H0 . (r . s),
+    the image of r's coset under s, is added; from H0 only t leads
+    outside, so the first coset added is H0 . t. The cosets of H0 are
+    disjoint, so that is one product per new element, plus one per
+    representative and kept generator, and `step` is called once per
+    kept generator. The union is closed under right multiplication by the
+    kept generators, so it is the subgroup.
+
+    `check(size)`, when given, is called before each coset is built with
+    the size the closure reaches with it, and may raise to refuse it.
+    Returns (elements, kept): new lists, the elements H's first and then
+    each coset in the order added, and the generators kept.
+    """
+    members, kept = list(start), list(kept)
+    inside = set(members)
+    moves = list(map(step, kept))
+    for t in gens:
+        if t in inside:
+            continue
+        kept.append(t)
+        moves.append(step(t))
+        width = len(members)
+        pos = 0  # H0's own representative: only t leads outside
+        while pos < len(members):  # grows as cosets are added
+            r = members[pos]
+            for move in moves:
+                y = move(r)
+                if y in inside:
+                    continue
+                if check is not None:
+                    check(len(members) + width)
+                if width == 1:  # H0 is trivial: the coset is y alone
+                    members.append(y)
+                    inside.add(y)
+                    continue
+                coset = list(map(move, members[pos:pos + width]))
+                members += coset
+                inside.update(coset)
+            pos += width
+    return members, kept
+
+
 def subgroup_closure(g, seed):
-    """Smallest subgroup containing seed (set of indices): the elements a
-    breadth-first search from the identity reaches by right multiplication
-    with the seed. A finite monoid is a group, so that is the subgroup."""
-    return frozenset(cayley_walk(g, list(seed))[0])
+    """Smallest subgroup containing seed (set of indices), by `dimino`
+    from the trivial subgroup."""
+    return frozenset(dimino([g.identity], [], seed, g.right)[0])
 
 
 def generating_set(g, key=None):
     """Greedy small generating set, deterministic: one pass in index order
     (stably sorted by key, if given) keeps each element outside the
-    subgroup the earlier ones generate."""
-    gens = []
-    closed = {g.identity}
-    for x in sorted(g.elements(), key=key) if key else g.elements():
-        if x not in closed:
-            gens.append(x)
-            closed = subgroup_closure(g, gens)
-    return gens
+    subgroup the earlier ones generate, which is one growing `dimino`
+    closure."""
+    order = sorted(g.elements(), key=key) if key else g.elements()
+    return dimino([g.identity], [], order, g.right)[1]
 
 
 def cayley_walk(g, gens):
@@ -353,11 +414,14 @@ def cayley_walk(g, gens):
     subgroup gens generate: (order, edges), the elements in visit order
     and every edge (x, position, x . gens[position]), x in that order and
     the generators in turn. The first edge reaching an element defines it,
-    as a Schreier tree edge (Holt, Eick and O'Brien, 2005, 4.1)."""
+    as a Schreier tree edge (Holt, Eick and O'Brien, 2005, 4.1). The hom
+    checks read these edges; a subgroup alone comes from `dimino`."""
+    rows = g.table
     order, seen, edges = [g.identity], {g.identity}, []
     for x in order:  # grows as the walk reaches new elements
+        row = rows[x]
         for pos, gen in enumerate(gens):
-            y = g.mul(x, gen)
+            y = row[gen]
             edges.append((x, pos, y))
             if y not in seen:
                 seen.add(y)
@@ -474,27 +538,32 @@ def are_isomorphic(g, h):
     return False, None
 
 
-def subgroups(g):
+def subgroups(g, caps=_caps.DEFAULT):
     """All subgroups, as a sorted tuple of frozensets.
 
     Cyclic extension (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005): each subgroup H, kept with the generators that
-    reached it, is extended by each outside element x, skipping the rest of
-    the coset H.x since <H, x> = <H, h.x>.
+    Group Theory, 2005): each subgroup H, kept with its elements in
+    `dimino` order and the generators that reached it, is extended by
+    each outside element x, skipping the rest of the coset H.x, read off
+    x's column, since <H, x> = <H, h.x>. <H, x> grows from H's own
+    elements by cosets of H. An order past max_table_order is refused, as
+    "group order", before the lattice is built.
     """
-    trivial = frozenset([g.identity])
-    found = {trivial: []}
-    queue = [trivial]
+    _caps.check(caps, "group order", g.order, caps.max_table_order)
+    trivial = [g.identity]
+    found = {frozenset(trivial): (trivial, [])}
+    queue = list(found)
     for sub in queue:
-        gens = found[sub]
+        members, gens = found[sub]
         tried = set(sub)
         for x in g.elements():
             if x in tried:
                 continue
-            tried.update(g.mul(y, x) for y in sub)
-            bigger = subgroup_closure(g, gens + [x])
+            tried.update(map(g.right(x), members))
+            elements, kept = dimino(members, gens, [x], g.right)
+            bigger = frozenset(elements)
             if bigger not in found:
-                found[bigger] = gens + [x]
+                found[bigger] = (elements, kept)
                 queue.append(bigger)
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 

@@ -963,6 +963,24 @@ def test_degenerate_documents_exit_cleanly(tmp_path, capsys, name):
         assert captured.err == "", argv
 
 
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_translate_reads_the_group_alike_in_both_directions(tmp_path, capsys, name):
+    """Both directions read the group through its recovery, as the
+    equation verbs do: each answers exactly when the other does, and on a
+    table that is not an n-ary group (left-zero) both refuse it with the
+    recovery's error."""
+    doc = DEGENERATE[name]
+    path = write(tmp_path, "p.json", doc)
+    anchor = (doc.get("elements") or doc.get("group", {}).get("elements") or ["0"])[0]
+    got = []
+    for rest in (["g2p", "x1 = x1", "--anchor", anchor], ["p2g", "f(x1,x1,x1) = x1"]):
+        code, out = run(capsys, "translate", "--polyadic", path, *rest)
+        got.append((code, out.get("error", {}).get("type")))
+    assert got[0] == got[1], got
+    if name == "left-zero":
+        assert got[0] == (2, "NotLatinSquare")
+
+
 def test_empty_carrier_is_refused_alike_in_both_forms(tmp_path, capsys):
     """An empty carrier has no identity: `validate` reports NoIdentity with
     exit 1, and every other verb refuses it as NoIdentity with exit 2, in

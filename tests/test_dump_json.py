@@ -146,3 +146,32 @@ def test_matches_json_dumps_on_every_catalog_document(tmp_path, monkeypatch, cat
                                  ["a", 1], [1, "a"], {"a": "b", "c": 1}, {1: "a"}])
 def test_matches_json_dumps_at_fast_path_borders(doc):
     assert dump_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_matches_json_dumps_on_long_lists_of_repeated_names():
+    """A table form's flat table and a homs document's image dicts: a few
+    names, each quoted once per document and repeated many times."""
+    rng = random.Random(27)
+    names = ["e", "a\"b", "é", "\U0001f600", "x_1"]
+    flat = [rng.choice(names) for _ in range(5000)]
+    images = [{s: rng.choice(names) for s in names} for _ in range(300)]
+    for doc in (flat, {"elements": names, "table": flat}, {"homs": images},
+                [flat[:50], flat[50:100]], [images, flat]):
+        assert dump_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_a_mixed_list_after_a_str_list_takes_the_fallback():
+    """The quotes of the first list are reused by the second, whose int and
+    nested list send it to the per-item path halfway through."""
+    for doc in (
+        [["a", "b"], ["b", 1, "a"]],
+        [["a", "b"], ["a", ["b"], None]],
+        {"x": ["a", "b"], "y": ["b", "a", 2.5], "z": {"a": "b"}},
+        [["a"], ["a", True], ["a", ("b",)]],
+    ):
+        assert dump_json(doc) == json.dumps(doc, indent=2), doc
+
+
+def test_str_subclass_items_quote_as_their_value():
+    doc = [["a", _Str("a"), _Str("b")], [_Str("b"), "b"], {"k": [_Str("k"), "k"]}]
+    assert dump_json(doc) == json.dumps(doc, indent=2)

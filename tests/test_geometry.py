@@ -1,11 +1,13 @@
 import itertools
+import operator
 import random
 import time
 from dataclasses import replace
 
 import pytest
 
-from polyadic import core, geometry
+from polyadic import caps as _caps
+from polyadic import core, geometry, groups
 from polyadic.caps import Caps
 from polyadic.core import TablePolyadicGroup, as_derived, derive, hosszu_gloskin, polyadic_homs
 from polyadic.core import tabulate
@@ -184,8 +186,8 @@ def derived_s4():
 
 def test_structural_check_on_a_large_coordinate_group():
     """Three points over derived S4 with constants: |H| = 24^3 = 13824,
-    where the all-pairs search ran for minutes. The certificate walks H
-    once per generator."""
+    where the all-pairs search ran for minutes. The certificate closes
+    the generators once, by cosets."""
     cg = coordinate_group(derived_s4(), ((0, 1), (5, 7), (11, 19)))
     assert cg.order == 13824
     start = time.perf_counter()
@@ -1127,3 +1129,165 @@ def test_coordinate_group_many_points(seed, random_derived):
         gens = list(dict.fromkeys(cg.projections + cg.constants))
         assert cg.elements == naive_power_closure(cg.source, gens)
         assert list(cg.as_polyadic().flat) == power_flat(cg)
+
+
+# ---------------------------------------------------------------------------
+# generated subgroups of coordinate tuples: the Dimino kernel against the
+# breadth-first search it replaced
+
+
+def old_generators(gens, psi):
+    """The distinct generators and the psi-orbits of each, in the old
+    search's order."""
+    found = list(dict.fromkeys(gens))
+    if psi is not None:
+        seen = set(found)
+        for t in found:
+            y = psi(t)
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return found
+
+
+def old_generated(base, identity, gens, caps, what, psi=None):
+    """`_generated` as it was: a breadth-first search from the identity
+    that right-multiplies every element by every generator and every
+    member of its psi-orbit, checking the cap after each element."""
+    found = old_generators(gens, psi)
+    limit = min(caps.max_closure_algebra, caps.max_tabulate // len(identity))
+    _caps.check(caps, what, len(found), limit)
+    cols = tuple(zip(*base.table))
+    shift = [base.inv(c) for c in identity]
+    steps = [[cols[base.mul(shift[i], c)] for i, c in enumerate(t)] for t in found]
+    closed = {identity}
+    queue = [identity]
+    for x in queue:
+        for s in steps:
+            y = tuple(map(operator.getitem, s, x))
+            if y not in closed:
+                closed.add(y)
+                queue.append(y)
+        _caps.check(caps, what, len(closed), limit)
+    return closed
+
+
+def random_generated_case(rng, small_bases, random_derived):
+    """(base, u, gens, psi) for `_generated`: a derived group over a small
+    base, k points, u a random tuple and gens random tuples, among them
+    repeats, u itself, products of two earlier ones and psi-images, with
+    psi_u of the twist by u or None."""
+    base = rng.choice(small_bases)
+    d = random_derived(rng, base)
+    k = rng.randrange(1, 5)
+    tup = lambda: tuple(rng.randrange(base.order) for _ in range(k))
+    u = tup()
+    psi, _ = geometry._twist(d, u)
+    gens = [tup() for _ in range(rng.randrange(1, 4))]
+    rows, shift = base.table, [base.inv(c) for c in u]
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            gens.append(rng.choice(gens))
+        elif kind == 1:
+            gens.append(u)
+        elif kind == 2:  # x * y = x . u^-1 . y, coordinatewise: redundant
+            x, y = rng.choice(gens), rng.choice(gens)
+            gens.append(tuple(rows[rows[a][s]][b] for a, s, b in zip(x, shift, y)))
+        else:
+            gens.append(psi(rng.choice(gens)))
+    rng.shuffle(gens)
+    return d.base, u, gens, psi if rng.random() < 0.7 else None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_matches_old_bfs(seed, small_bases, random_derived):
+    """The same subgroup, each element once, on random derived groups,
+    point counts and generator lists with redundant generators and psi."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        base, u, gens, psi = random_generated_case(rng, small_bases, random_derived)
+        got = geometry._generated(base, u, gens, Caps(), "closure", psi)
+        want = old_generated(base, u, gens, Caps(), "closure", psi)
+        assert len(got) == len(set(got)) and set(got) == want, (base, u, gens)
+        assert got[0] == u
+
+
+def test_generated_steps_only_the_kept_generators(monkeypatch):
+    """The kernel builds right multiplication for the generators it keeps
+    and for no other: on a term algebra, far fewer than the distinct
+    generators and their psi-orbits."""
+    steps = []
+    real = groups.dimino
+
+    def spy(start, kept, gens, step, check=None):
+        def counted(t):
+            steps.append(t)
+            return step(t)
+
+        out = real(start, kept, gens, counted, check)
+        assert steps == out[1]
+        return out
+
+    monkeypatch.setattr(geometry, "dimino", spy)
+    s3 = symmetric_group(3)
+    p = derive(s3, identity_automorphism(s3), s3.identity, 3)
+    tf = TermFunctions(p, 1)
+    assert len(tf.functions) == 324
+    assert 0 < len(steps) <= 5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_generated_cap_refuses_before_the_coset(seed, monkeypatch, small_bases, random_derived):
+    """Under a cap below the closure, `_generated` is refused with the
+    old search's what and cap, and with the size the closure would reach
+    with the refused coset; every tuple built lies in the cosets accepted,
+    but for the one representative found outside."""
+    rng = random.Random(seed)
+    made = set()
+    real = groups.dimino
+
+    def spy(start, kept, gens, step, check=None):
+        def recorded(t):
+            move = step(t)
+
+            def apply(x):
+                y = move(x)
+                made.add(y)
+                return y
+
+            return apply
+
+        return real(start, kept, gens, recorded, check)
+
+    monkeypatch.setattr(geometry, "dimino", spy)
+    checked = 0
+    while checked < 10:
+        base, u, gens, psi = random_generated_case(rng, small_bases, random_derived)
+        full = old_generated(base, u, gens, Caps(), "closure", psi)
+        low = max(len(old_generators(gens, psi)), len(full) // 3)
+        if low >= len(full):
+            continue
+        cap = rng.randrange(low, len(full))
+        for caps in (Caps(max_closure_algebra=cap), Caps(max_tabulate=cap * len(u))):
+            with pytest.raises(SizeCapExceeded) as old:
+                old_generated(base, u, gens, caps, "closure", psi)
+            made.clear()
+            with pytest.raises(SizeCapExceeded) as e:
+                geometry._generated(base, u, gens, caps, "closure", psi)
+            assert (e.value.what, e.value.cap) == (old.value.what, old.value.cap) == ("closure", cap)
+            assert cap < e.value.size <= 2 * cap
+            assert made <= full and len(made) <= cap + 1
+        checked += 1
+
+
+def test_term_algebra_refused_at_the_coset_past_the_cap():
+    """Closure of derived S3 at m = 2: the term algebra is refused at the
+    coset that would take it past max_closure_algebra."""
+    s3 = symmetric_group(3)
+    p = derive(s3, identity_automorphism(s3), s3.identity, 3)
+    cap = Caps().max_closure_algebra
+    with pytest.raises(SizeCapExceeded) as e:
+        TermFunctions(p, 2)
+    assert (e.value.what, e.value.cap) == ("term algebra", cap)
+    assert cap < e.value.size <= 2 * cap

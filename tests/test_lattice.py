@@ -24,8 +24,10 @@ from polyadic.core import (
     retract,
     tabulate,
 )
+from polyadic.caps import Caps
 from polyadic.cover import build_post_cover, extend_hom_to_cover
-from polyadic.errors import NotPolyadicHom
+from polyadic.errors import NotPolyadicHom, SizeCapExceeded
+from polyadic.geometry import coordinate_group
 from polyadic.groups import (
     GroupAutomorphism,
     Hom,
@@ -33,6 +35,7 @@ from polyadic.groups import (
     automorphism,
     cayley_walk,
     cyclic_group,
+    dimino,
     direct_product,
     enumerate_homs,
     generating_set,
@@ -93,6 +96,28 @@ def old_subgroups(g):
                     if bigger not in found:
                         found.add(bigger)
                         changed = True
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+
+def old_cyclic_subgroups(g):
+    """`subgroups` before it grew <H, x> from H by cosets: the same cyclic
+    extension, with each <gens + [x]> a breadth-first search from the
+    identity. It stands in for `old_subgroups` on groups past order 64,
+    where the pairwise closure takes minutes."""
+    trivial = frozenset([g.identity])
+    found = {trivial: []}
+    queue = [trivial]
+    for sub in queue:
+        gens = found[sub]
+        tried = set(sub)
+        for x in g.elements():
+            if x in tried:
+                continue
+            tried.update(g.mul(y, x) for y in sub)
+            bigger = frozenset(old_bfs_words(g, gens + [x])[0])
+            if bigger not in found:
+                found[bigger] = gens + [x]
+                queue.append(bigger)
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
@@ -315,6 +340,58 @@ def test_subgroup_closure_matches_pairwise(seed, zoo, s4_and_s4xz2):
             assert subgroup_closure(g, seed_set) == old_subgroup_closure(g, seed_set)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_lattice_matches_old_on_relabellings(seed, zoo, s4_and_s4xz2):
+    """The same answers when the elements are renamed at random, so the
+    identity and the generators sit at other indices."""
+    rng = random.Random(seed)
+    for g in zoo + [s4_and_s4xz2[0]]:
+        h = _relabelled(rng, g)
+        assert generating_set(h) == old_generating_set(h), g
+        for _ in range(4):
+            seed_set = rng.sample(range(h.order), rng.randrange(min(4, h.order) + 1))
+            assert subgroup_closure(h, seed_set) == old_subgroup_closure(h, seed_set)
+        assert subgroups(h) == old_subgroups(h), g
+
+
+def test_dimino_grows_by_whole_cosets(zoo, s4_and_s4xz2):
+    """From the trivial group and from a subgroup H, `dimino` gives the
+    subgroup its generators generate, each element once and H's first;
+    it keeps exactly the generators outside the subgroup so far, builds
+    right multiplication once for each, and makes one product per new
+    element plus one per coset representative and kept generator."""
+    rng = random.Random(5)
+    for g in zoo + s4_and_s4xz2:
+        lattice = subgroups(g)
+        for _ in range(8):
+            sub = rng.choice(lattice)
+            start, kept = dimino([g.identity], [], sorted(sub), g.right)
+            assert set(start) == sub
+            gens = [rng.randrange(g.order) for _ in range(rng.randrange(5))]
+            steps, products = [], [0]
+
+            def step(y):
+                steps.append(y)
+                move = g.right(y)
+
+                def apply(x):
+                    products[0] += 1
+                    return move(x)
+
+                return apply
+
+            elements, got = dimino(start, kept, gens, step)
+            assert elements[:len(start)] == start
+            assert len(elements) == len(set(elements))
+            assert frozenset(elements) == old_subgroup_closure(g, list(sub) + gens)
+            assert steps == got == kept + [
+                x for i, x in enumerate(gens)
+                if x not in old_subgroup_closure(g, list(sub) + gens[:i])
+            ]
+            new = len(elements) - len(start)
+            assert new <= products[0] <= new + (new // len(start) + 1) * len(got)
+
+
 def test_subgroups_match_lattice_completion(zoo, s4_and_s4xz2):
     for g in zoo + s4_and_s4xz2:
         assert subgroups(g) == old_subgroups(g), g
@@ -360,6 +437,33 @@ def test_polyadic_subgroups_match_bruteforce_to_order_16(induced, twist):
         got = polyadic_subgroups(p)
         assert got == closed_subsets_bruteforce(p), p
         assert got == old_polyadic_subgroups(p, twist), p
+
+
+def test_lattice_of_a_coordinate_group_of_order_108():
+    """Γ of derived S3 (theta = id, b = e, n = 3) at the points (1), (3),
+    (4) has order 108: past max_table_order, so the lattice and the
+    polyadic subgroups are refused before any work under the default caps,
+    and under caps raised to 108 the lattice is the old one."""
+    s3 = symmetric_group(3)
+    d = derive(s3, identity_automorphism(s3), s3.identity, 3)
+    gamma = coordinate_group(d, [(1,), (3,), (4,)]).as_derived()
+    assert gamma.order == 108
+    for call in (lambda: subgroups(gamma.base), lambda: polyadic_subgroups(gamma)):
+        with pytest.raises(SizeCapExceeded) as e:
+            call()
+        assert (e.value.what, e.value.size, e.value.cap) == ("group order", 108, 64)
+    raised = Caps(max_table_order=108)
+    lattice = subgroups(gamma.base, raised)
+    assert len(lattice) == 368
+    assert lattice == old_cyclic_subgroups(gamma.base)
+    carriers = polyadic_subgroups(gamma, raised)
+    assert len(carriers) == 884
+    rng = random.Random(108)
+    for carrier in carriers:
+        inside = set(carrier)
+        assert all(gamma.skew(x) in inside for x in carrier)
+        for _ in range(5):
+            assert gamma.f([rng.choice(carrier) for _ in range(3)]) in inside
 
 
 # ---------------------------------------------------------------------------
