@@ -52,6 +52,7 @@ from .geometry import (
     AlgebraicSet,
     EquationSystem,
     TermFunctions,
+    closure,
     coordinate_group,
     minimal_subsystem,
     solve,
@@ -196,26 +197,26 @@ def _cmd_derive(args):
     try:
         p = polyadic_from_doc(raw, n=args.n)
     except ConditionOneFails as e:
-        g = group_from_doc(raw["group"])
+        names = raw["group"]["elements"]  # validated, in index order
         return (
             {
                 "ok": False,
                 "condition": 1,
-                "b": g.name(e.b),
-                "theta_of_b": g.name(e.image),
+                "b": names[e.b],
+                "theta_of_b": names[e.image],
                 "message": str(e),
             },
             1,
         )
     except ConditionTwoFails as e:
-        g = group_from_doc(raw["group"])
+        names = raw["group"]["elements"]
         return (
             {
                 "ok": False,
                 "condition": 2,
-                "x": g.name(e.x),
-                "lhs": g.name(e.lhs),
-                "rhs": g.name(e.rhs),
+                "x": names[e.x],
+                "lhs": names[e.lhs],
+                "rhs": names[e.rhs],
                 "message": str(e),
             },
             1,
@@ -225,7 +226,11 @@ def _cmd_derive(args):
 
 def _cmd_skew(args):
     p = _load_polyadic(args)
-    return {"skew": {p.name(x): p.name(p.skew(x)) for x in p.elements()}}, 0
+    try:
+        skew = {p.name(x): p.name(p.skew(x)) for x in p.elements()}
+    except NoSolution as e:
+        return {"ok": False, "error": _error_doc(e)}, 1
+    return {"skew": skew}, 0
 
 
 def _cmd_retract(args):
@@ -383,10 +388,8 @@ def _cmd_coordgroup(args):
 
 
 def _cmd_closure(args):
-    from .geometry import closure as _closure
-
     p, m, pts = _point_set(args)
-    c = _closure(p, pts, m)
+    c = closure(p, pts, m)
     return (
         {"vars": m, "count": len(c.points), "points": points_to_names(p, c.points)},
         0,

@@ -32,6 +32,7 @@ from .errors import (
     ReconstructionMismatch,
 )
 from .groups import (
+    Carrier,
     GroupAutomorphism,
     enumerate_homs,
     hom_generators,
@@ -42,28 +43,13 @@ from .groups import (
 )
 
 
-class PolyadicGroup:
-    """The carrier of an n-ary group: element names in index order, the
-    name -> index dict (`index` is given when the caller already holds
-    it), the order and the arity n. Each form defines f, line and skew."""
+class PolyadicGroup(Carrier):
+    """An n-ary group: its carrier (see `groups.Carrier`) and the arity n.
+    Each form defines f, line and skew."""
 
     def __init__(self, names, n, index=None):
-        self._names = tuple(names)
-        self._index = {s: i for i, s in enumerate(self._names)} if index is None else index
+        super().__init__(names, index)
         self.n = n
-        self.order = len(self._names)
-
-    def name(self, i):
-        return self._names[i]
-
-    def index(self, name):
-        return self._index[name]
-
-    def elements(self):
-        return range(self.order)
-
-    def names(self):
-        return list(self._names)
 
     def _check_arity(self, args):
         if len(args) != self.n:
@@ -543,13 +529,16 @@ def polyadic_subgroups(p, caps=_caps.DEFAULT):
     psi_u-invariant subgroup of the twist containing f(u,...,u). The twist's
     subgroups are the translates K . u of the base's subgroups K, as
     x -> x . u is an isomorphism. Returns sorted tuples of element indices.
-    An order past max_table_order is refused, as "group order", before the
-    base's lattice is built.
+    The translates hold N * sum(|K|) elements over the base's lattice, and
+    past max_axiom_tuples they are refused, as "subgroup translates",
+    before the first is built.
     """
     d = as_derived(p, caps)
-    _caps.check(caps, "group order", d.order, caps.max_table_order)
     base, theta = d.base, d.theta
     lattice = subgroups(base, caps)
+    _caps.check(
+        caps, "subgroup translates", d.order * sum(map(len, lattice)), caps.max_axiom_tuples
+    )
     found = set()
     for u in base.elements():
         fu = d.f([u] * d.n)

@@ -353,8 +353,8 @@ def coset_enumerate(pres, cap=10_000, caps=_caps.DEFAULT):
     TableGroup with elements named c0, c1, ... in breadth-first order from
     c0 = 1, read off that search's spanning tree by `_regular_group`: a
     complete coset table of the trivial subgroup is the regular action,
-    which a certificate checks in place of validate_group, so only `cap`
-    bounds the order, not max_table_order.
+    which a certificate checks in place of validate_group, so `cap`
+    bounds the order.
     """
     if not pres.generators:
         raise EmptyGeneratorSet()

@@ -34,7 +34,7 @@ from .core import DerivedPolyadicGroup, derive, polyadic_from_table
 from .cover import GroupPresentation, PolyadicPresentation
 from .errors import ParseError, PolyadicError
 from .groups import automorphism, validate_group
-from .terms import parse_equation
+from .terms import parse_equation, parse_term
 from .words import parse_word
 
 
@@ -252,16 +252,10 @@ def polyadic_presentation_from_doc(doc):
     for pair in _list(_require(doc, "relations", "presentation"), "relations"):
         if len(_strings(pair, "relation")) != 2:
             raise PolyadicError("each relation must be a pair of terms")
-        left = parse_term_over(pair[0], gens)
-        right = parse_term_over(pair[1], gens)
+        left = parse_term(pair[0], generators=gens)
+        right = parse_term(pair[1], generators=gens)
         relations.append((left, right))
     return PolyadicPresentation(gens, tuple(relations))
-
-
-def parse_term_over(text, generators):
-    from .terms import parse_term
-
-    return parse_term(text, generators=list(generators))
 
 
 def group_presentation_from_doc(doc):

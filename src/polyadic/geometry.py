@@ -18,6 +18,7 @@ from typing import Optional
 
 from . import caps as _caps
 from .core import as_derived, derive, derive_from_constant, tabulate
+from .cover import build_post_cover
 from .errors import PolyadicError
 from .groups import GroupAutomorphism, TableGroup, cayley_walk, dimino, psi_u
 from .terms import Apply, Skew, TermCompiler, Variable, eval_term, is_coefficient_free
@@ -533,8 +534,6 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
     of a map, and then it is onto, as the projections on V* generate W.
     Its first part, the cover, has n-1 elements over each element of
     Γ(V_G), which gives |Γ(V_G)|."""
-    from .cover import build_post_cover
-
     for eq in system.equations:
         if not (is_coefficient_free(eq.left) and is_coefficient_free(eq.right)):
             raise PolyadicError("the comparison requires a coefficient-free system")

@@ -27,16 +27,37 @@ from .errors import (
 )
 
 
-class TableGroup:
+class Carrier:
+    """Element names in index order, the name -> index dict (`index` is
+    given when the caller already holds it) and the order: the carrier
+    that binary and n-ary groups share."""
+
+    def __init__(self, names, index=None):
+        self._names = tuple(names)
+        self._index = {s: i for i, s in enumerate(self._names)} if index is None else index
+        self.order = len(self._names)
+
+    def name(self, i):
+        return self._names[i]
+
+    def index(self, name):
+        return self._index[name]
+
+    def elements(self):
+        return range(self.order)
+
+    def names(self):
+        return list(self._names)
+
+
+class TableGroup(Carrier):
     """Group given by a validated multiplication table: `table[a][b]` is the
     index of a . b, `inverses[a]` that of a^-1."""
 
     def __init__(self, element_names, table, identity, inverses, name="G"):
+        super().__init__(element_names)
         self.group_name = name
-        self._names = tuple(element_names)
-        self._index = {s: i for i, s in enumerate(self._names)}
         self.table = tuple(tuple(row) for row in table)
-        self.order = len(self._names)
         self.identity = identity
         self.inverses = tuple(inverses)
         self._columns = [None] * self.order
@@ -59,18 +80,6 @@ class TableGroup:
 
     def inv(self, a):
         return self.inverses[a]
-
-    def name(self, i):
-        return self._names[i]
-
-    def index(self, name):
-        return self._index[name]
-
-    def elements(self):
-        return range(self.order)
-
-    def names(self):
-        return list(self._names)
 
     def power(self, a, k):
         if k < 0:
@@ -107,10 +116,11 @@ def validate_group(element_names, table, name="G", caps=_caps.DEFAULT):
     """Check the group axioms on a table of element indices.
 
     Raises NotLatinSquare / NoIdentity / NoInverse / NotAssociative with the
-    first violation in scan order, or SizeCapExceeded for oversized input.
-    Returns a TableGroup on success. Associativity is proved by Light's test
-    over a generating set (|S|*N^2 work); only when that fails does the full
-    N^3 scan run, to find the least non-associative triple.
+    first violation in scan order, or SizeCapExceeded: N^2 entries past
+    max_tabulate, as "group table", before any is read. Returns a TableGroup
+    on success. Associativity is proved by Light's test over a generating
+    set (|S|*N^2 work); only when that fails does the full N^3 scan run, to
+    find the least non-associative triple, capped by max_axiom_tuples.
     """
     names = list(element_names)
     n = len(names)
@@ -118,7 +128,7 @@ def validate_group(element_names, table, name="G", caps=_caps.DEFAULT):
         raise NoIdentity()
     if len(set(names)) != n:
         raise PolyadicError("duplicate element names")
-    _caps.check(caps, "group order", n, caps.max_table_order)
+    _caps.check(caps, "group table", n * n, caps.max_tabulate)
     if len(table) != n or any(len(row) != n for row in table):
         raise PolyadicError("table is not square")
     rows = [tuple(row) for row in table]
@@ -141,6 +151,7 @@ def validate_group(element_names, table, name="G", caps=_caps.DEFAULT):
         if rows[y][x] != identity:
             raise NoInverse(x)
     if not _light_associative(rows, cols):
+        _caps.check(caps, "associativity triples", n ** 3, caps.max_axiom_tuples)
         for a in range(n):
             ta = rows[a]
             for b in range(n):
@@ -191,9 +202,9 @@ def _light_associative(rows, cols):
 
 
 def _refuse_past_cap(order):
-    """validate_group refuses this order under the default caps anyway;
-    checking first spares building its order**2 table."""
-    _caps.check(_caps.DEFAULT, "group order", order, _caps.DEFAULT.max_table_order)
+    """validate_group refuses this order's table under the default caps
+    anyway; checking first spares building it."""
+    _caps.check(_caps.DEFAULT, "group table", order * order, _caps.DEFAULT.max_tabulate)
 
 
 def cyclic_group(k):
@@ -546,13 +557,13 @@ def subgroups(g, caps=_caps.DEFAULT):
     `dimino` order and the generators that reached it, is extended by
     each outside element x, skipping the rest of the coset H.x, read off
     x's column, since <H, x> = <H, h.x>. <H, x> grows from H's own
-    elements by cosets of H. An order past max_table_order is refused, as
-    "group order", before the lattice is built.
+    elements by cosets of H. Past max_axiom_tuples elements added by the
+    extensions, the lattice is refused as "subgroup lattice".
     """
-    _caps.check(caps, "group order", g.order, caps.max_table_order)
     trivial = [g.identity]
     found = {frozenset(trivial): (trivial, [])}
     queue = list(found)
+    added = 0
     for sub in queue:
         members, gens = found[sub]
         tried = set(sub)
@@ -561,6 +572,8 @@ def subgroups(g, caps=_caps.DEFAULT):
                 continue
             tried.update(map(g.right(x), members))
             elements, kept = dimino(members, gens, [x], g.right)
+            added += len(elements) - len(members)
+            _caps.check(caps, "subgroup lattice", added, caps.max_axiom_tuples)
             bigger = frozenset(elements)
             if bigger not in found:
                 found[bigger] = (elements, kept)

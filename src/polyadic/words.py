@@ -11,7 +11,7 @@ the embedding x -> x, ~x -> x^(2-n).
 
 import re
 
-from .errors import HeightViolation, LengthViolation, ParseError
+from .errors import ArityMismatch, HeightViolation, LengthViolation, ParseError
 
 
 class FreeWord:
@@ -135,8 +135,6 @@ def f_free(operands, n):
     """n-ary operation on free polyadic words: concatenate, then reduce
     once."""
     if len(operands) != n:
-        from .errors import ArityMismatch
-
         raise ArityMismatch(n, len(operands))
     runs = []
     for i, w in enumerate(operands):
@@ -245,8 +243,6 @@ def mp_equal(m1, m2):
 def mp_f(operands, n):
     """n-ary operation in the letter model: concatenation."""
     if len(operands) != n:
-        from .errors import ArityMismatch
-
         raise ArityMismatch(n, len(operands))
     letters = ()
     for m in operands:

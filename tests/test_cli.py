@@ -132,6 +132,23 @@ def test_derive_condition_failure_exit1(tmp_path, capsys):
     code, doc = run(capsys, "derive", "--polyadic", path)
     assert code == 1
     assert doc["condition"] == 1
+    assert (doc["b"], doc["theta_of_b"]) == ("1", "2")
+
+
+def test_derive_condition_two_failure_names_the_elements(tmp_path, capsys):
+    """Z3 with theta(x) = 2x, b = 0 and n = 4: theta^3 = theta is not
+    conjugation by b, the identity, first at x = 1; the document's own
+    element names are printed, not indices."""
+    names = {"0": "e", "1": "g", "2": "h"}
+    group = {
+        "elements": ["e", "g", "h"],
+        "table": [[names[v] for v in row] for row in Z3["table"]],
+    }
+    doc = {"group": group, "theta": {"map": {"e": "e", "g": "h", "h": "g"}}, "b": "e", "n": 4}
+    code, out = run(capsys, "derive", "--polyadic", write(tmp_path, "c2.json", doc))
+    assert code == 1
+    assert out["ok"] is False and out["condition"] == 2
+    assert (out["x"], out["lhs"], out["rhs"]) == ("g", "h", "g")
 
 
 def test_skew_and_identity(tmp_path, capsys):
@@ -951,6 +968,12 @@ def polyadic_verbs(path, anchor, system):
     ]
 
 
+# on a table that is not an n-ary group, the verbs that read one property
+# of the operation answer; `derive` reads only the derived form, and the
+# verbs that compute inside the group refuse it
+READS_THE_OPERATION = {"validate", "skew", "retract", "hg", "identity"}
+
+
 @pytest.mark.parametrize("name", DEGENERATE)
 def test_degenerate_documents_exit_cleanly(tmp_path, capsys, name):
     path = write(tmp_path, "p.json", DEGENERATE[name])
@@ -959,8 +982,20 @@ def test_degenerate_documents_exit_cleanly(tmp_path, capsys, name):
         code = main([argv[0], "--polyadic", path, *argv[1:]])
         captured = capsys.readouterr()
         assert code in (0, 1, 2), argv
-        assert isinstance(json.loads(captured.out), dict), argv
+        out = json.loads(captured.out)
+        assert isinstance(out, dict), argv
         assert captured.err == "", argv
+        if name != "left-zero":
+            continue
+        if argv[0] in READS_THE_OPERATION:
+            assert code in (0, 1), argv
+        else:
+            assert code == 2 and "error" in out, argv
+        if argv[0] == "skew":  # no skew element: a verdict, as in retract and hg
+            assert code == 1 and out["ok"] is False, argv
+            assert out["error"]["type"] == "NoSolution"
+        if argv[0] == "identity":
+            assert (code, out) == (0, {"identity": None})
 
 
 @pytest.mark.parametrize("name", DEGENERATE)
@@ -1031,11 +1066,14 @@ def test_failed_reconstruction_exits_1(tmp_path, capsys, doc, error):
         assert out["ok"] is False and out["error"]["type"] == error, verb
 
 
-def test_retract_past_the_table_order_cap_exits_2(tmp_path, capsys):
-    """A blown cap is not a verdict: the retract of a 65-element table
-    passes max_table_order, and `retract` and `hg` exit 2."""
+def test_retract_of_a_65_element_table_answers(tmp_path, capsys):
+    """The retract of a 65-element table at n = 3 holds 65^2 entries, under
+    max_tabulate, so `retract` and `hg` answer: Z65 with identity 0."""
     path = write(tmp_path, "p.json", _table_doc(65, 3, lambda args: sum(args) % 65))
-    for verb in ("retract", "hg"):
-        code, out = run(capsys, verb, "--polyadic", path, "--anchor", "0")
-        assert code == 2, verb
-        assert out["error"]["type"] == "SizeCapExceeded", verb
+    code, out = run(capsys, "retract", "--polyadic", path, "--anchor", "0")
+    assert code == 0
+    assert out["group"]["elements"] == [str(i) for i in range(65)]
+    assert out["group"]["table"][1][64] == "0"
+    code, out = run(capsys, "hg", "--polyadic", path, "--anchor", "0")
+    assert code == 0
+    assert (out["anchor"], out["polyadic"]["b"], out["polyadic"]["n"]) == ("0", "0", 3)

@@ -21,7 +21,6 @@ import random
 
 import pytest
 
-from polyadic.caps import Caps
 from polyadic.cover import GroupPresentation, _regular_group, coset_enumerate
 from polyadic.errors import CapExceeded, NotRegular
 from polyadic.groups import validate_group
@@ -220,13 +219,10 @@ PSL27 = GroupPresentation(
 CAP = 120
 
 
-ORACLE_CAPS = Caps(max_table_order=10_000)
-
-
 def _check_readout(g):
-    """validate_group, with its order cap raised, accepts the group read
-    out and agrees on its table, identity and inverses."""
-    want = validate_group(g.names(), g.table, name=g.group_name, caps=ORACLE_CAPS)
+    """validate_group accepts the group read out and agrees on its table,
+    identity and inverses."""
+    want = validate_group(g.names(), g.table, name=g.group_name)
     assert (g.table, g.identity, g.inverses) == (want.table, want.identity, want.inverses)
 
 
@@ -268,6 +264,20 @@ def test_random_presentations_match_rescan():
     assert closed >= 30
 
 
+@pytest.mark.parametrize(
+    "gens, rels, order",
+    [("ab", ["b", "a^5"], 5), ("a", ["a"], 1), ("ab", ["a^-1", "b^3"], 3), ("ab", ["a*b", "b"], 1)],
+)
+def test_one_letter_relators_match_rescan(gens, rels, order):
+    """A one-letter relator is scanned at every new coset, before the
+    deductions: the table and its numbering are the oracle's."""
+    pres = _pres(gens, rels)
+    want, k, lost = _rescan_enumerate(pres, CAP)
+    assert len(want) == order and not lost
+    assert _enumerate(pres, k) == want
+    assert _enumerate(pres, CAP) == want
+
+
 def test_fewer_definitions_where_rescan_loses_a_deduction():
     # the oracle scans c*a at a coset merged away by a^3 in the same pass,
     # writes 0.c^-1 = 0 but loses 0.c = 0, and later defines 0.c anyway
@@ -280,7 +290,7 @@ def test_fewer_definitions_where_rescan_loses_a_deduction():
 
 @pytest.mark.parametrize("order", [300, 600])
 def test_dihedral_readout_matches_validate_group(order):
-    # past the default max_table_order of 64, which the readout never consults
+    # the readout is bounded by the coset cap alone, not by validate_group's
     pres = _pres("ab", [f"a^{order // 2}", "b^2", "a*b*a*b"])
     g = coset_enumerate(pres)
     assert g.order == order

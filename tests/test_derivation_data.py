@@ -49,14 +49,11 @@ from polyadic.groups import (
     validate_group,
 )
 
-RAISED = Caps(max_table_order=200)
-
-
 # ---------------------------------------------------------------------------
 # the replaced proofs, frozen
 
 
-def flat_hosszu_gloskin(p, a, caps=RAISED):
+def flat_hosszu_gloskin(p, a, caps=Caps()):
     """The recovery at anchor a, checked to rebuild f as the derived
     group's flat table against p's, on either form."""
     g = retract(p, a, caps=caps)
@@ -74,7 +71,7 @@ def flat_hosszu_gloskin(p, a, caps=RAISED):
     return out
 
 
-def validated_cover(p, caps=RAISED):
+def validated_cover(p, caps=Caps()):
     """(derived group, cover group) as the cover was proved before: its
     table through validate_group, property 4 by `_product_mismatch` over
     all |G|^n tuples."""
@@ -274,7 +271,7 @@ def test_postcover_on_derived_s4_at_n4(tmp_path, capsys):
     gd = out["group"]
     pos = {s: i for i, s in enumerate(gd["elements"])}
     table = [[pos[v] for v in row] for row in gd["table"]]
-    g = validate_group(gd["elements"], table, caps=Caps(max_table_order=72))
+    g = validate_group(gd["elements"], table)
     embed = [pos[out["embed"][p.name(x)]] for x in range(24)]
     rng = random.Random(4)
     for _ in range(300):

@@ -260,6 +260,29 @@ def test_as_derived_of_order_576():
     assert len(polyadic_homs(d, p)) == 328
 
 
+def test_retract_and_cover_of_order_576():
+    """The same Γ: its retract holds 576^2 entries and its Post cover
+    1152^2, both under max_tabulate, so `retract`, `hosszu_gloskin` and
+    `build_post_cover` answer under the default caps, and the recovery
+    rebuilds Γ's operation."""
+    p = derived_s4()
+    d = coordinate_group(p, ((0, 1), (5, 7))).as_derived()
+    ret = core.retract(d, 0)
+    assert (ret.order, ret.identity) == (576, d.skew(0))
+    hg = hosszu_gloskin(d, 0)
+    assert hg.base.table == ret.table
+    rng = random.Random(576)
+    for _ in range(200):
+        args = [rng.randrange(576) for _ in range(3)]
+        assert hg.f(args) == d.f(args)
+    cover = build_post_cover(d)
+    assert cover.order == 1152
+    for _ in range(50):
+        args = [rng.randrange(576) for _ in range(3)]
+        x, y, z = map(cover.embed_index, args)
+        assert cover.group.table[cover.group.table[x][y]][z] == cover.embed_index(d.f(args))
+
+
 def test_as_derived_table_is_capped(p7):
     """The |H|^2 table of `as_derived` is refused past max_tabulate as
     "coordinate table"; `as_polyadic` keeps its "n-ary table" refusal."""
@@ -602,9 +625,8 @@ def old_theorem63_check(p, system, caps=Caps()):
         [pos[tuple(cg.mul(a, b) for a, b in zip(x, y))] for y in star_elements]
         for x in star_elements
     ]
-    relaxed = replace(caps, max_table_order=max(caps.max_table_order, len(table)))
     names = [f"w{i}" for i in range(len(star_elements))]
-    star_group = validate_group(names, table, name="word functions", caps=relaxed)
+    star_group = validate_group(names, table, name="word functions", caps=caps)
     gens = [cov.embed_index(gamma.elements.index(x)) for x in gamma.projections]
     images = [pos[proj] for proj in star_projections]
     hom, _ = hom_from_generator_images(cov.group, star_group, gens, images)
@@ -686,7 +708,7 @@ def test_theorem63_identity_system_in_two_variables(p2, p7):
     assert report_counts(rep)[:1] + report_counts(rep)[2:] == (False, 3, 6, 36, 972)
     assert rep.reason == "no homomorphism: 162 word functions lie over the cover's identity"
     # the coordinate group of p7's plane has 486 elements: its n-ary table
-    # was past max_tabulate, and its cover past max_table_order
+    # is past max_tabulate
     system = EquationSystem(p7, 2, eqs(p7, ["x1 = x1"]))
     with pytest.raises(SizeCapExceeded):
         old_theorem63_check(p7, system)
@@ -930,41 +952,38 @@ def test_table_form_recovered_once_per_call(monkeypatch, catalog):
         assert rep.v_g.system is system
 
 
-def test_table_form_past_max_table_order_is_refused():
-    """Z65 at n = 3 has a table of 65^3 entries, under max_tabulate, but its
-    retract is a group table past max_table_order, so `solve` refuses the
-    table form, as `coordinate_group` does. A derived form over Z65, which
-    only raised caps build, answers."""
-    table = [[(i + j) % 65 for j in range(65)] for i in range(65)]
-    z65 = validate_group(list(map(str, range(65))), table, caps=Caps(max_table_order=65))
+def test_table_form_of_z65_answers_under_the_default_caps():
+    """Z65 at n = 3 has a table of 65^3 entries and a retract of 65^2, both
+    under max_tabulate, so `solve` and `coordinate_group` answer on the
+    table form as on the derived form."""
+    z65 = cyclic_group(65)
     p = derive(z65, identity_automorphism(z65), 0, 3)
     t = tabulate(p)
-    for q, fn in ((t, solve), (t, coordinate_group), (p, solve)):
+    for q in (t, p):
         system = EquationSystem(q, 1, eqs(q, ["f(x1,x1,x1) = 1"]))
-        if q is p:
-            assert fn(q, system).points == ((22,),)  # 3 * 22 = 1 mod 65
-            continue
-        with pytest.raises(SizeCapExceeded) as info:
-            fn(q, system if fn is solve else AlgebraicSet(1, ((0,),)))
-        assert (info.value.what, info.value.size, info.value.cap) == ("group order", 65, 64)
+        assert solve(q, system).points == ((22,),)  # 3 * 22 = 1 mod 65
+        assert coordinate_group(q, AlgebraicSet(1, ((0,),))).order == 65
 
 
 def test_table_form_recovered_under_the_callers_caps():
     """The caller's caps reach the recovery of a table form and its retract:
-    raising max_table_order lets `solve`, `minimal_subsystem` and
-    `coordinate_group` take the Z65 table form at n = 3, which the default
-    caps refuse on its retract."""
-    table = [[(i + j) % 65 for j in range(65)] for i in range(65)]
-    raised = Caps(max_table_order=100)
-    z65 = validate_group(list(map(str, range(65))), table, caps=raised)
+    under max_tabulate = 4000, `solve`, `minimal_subsystem` and
+    `coordinate_group` refuse the Z65 table form at n = 3 on its retract's
+    65^2 entries, which the default caps admit."""
+    z65 = cyclic_group(65)
     t = tabulate(derive(z65, identity_automorphism(z65), 0, 3))
     system = EquationSystem(t, 1, eqs(t, ["f(x1,x1,x1) = 1"]))
-    assert solve(t, system, caps=raised).points == ((22,),)
-    assert minimal_subsystem(t, system, caps=raised).equations == system.equations
-    assert coordinate_group(t, AlgebraicSet(1, ((0,),)), caps=raised).order == 65
-    with pytest.raises(SizeCapExceeded) as info:
-        solve(t, system)
-    assert (info.value.what, info.value.size, info.value.cap) == ("group order", 65, 64)
+    assert solve(t, system).points == ((22,),)
+    assert minimal_subsystem(t, system).equations == system.equations
+    tight = Caps(max_tabulate=4000)
+    for call in (
+        lambda: solve(t, system, caps=tight),
+        lambda: minimal_subsystem(t, system, caps=tight),
+        lambda: coordinate_group(t, AlgebraicSet(1, ((0,),)), caps=tight),
+    ):
+        with pytest.raises(SizeCapExceeded) as info:
+            call()
+        assert (info.value.what, info.value.size, info.value.cap) == ("group table", 4225, 4000)
 
 
 @pytest.mark.parametrize("seed", range(2))

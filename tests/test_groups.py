@@ -2,9 +2,8 @@ import random
 
 import pytest
 
+from polyadic.caps import Caps
 from polyadic.errors import (
-    NoIdentity,
-    NoInverse,
     NotAssociative,
     NotLatinSquare,
     PolyadicError,
@@ -42,17 +41,20 @@ def test_validate_group_rejects_broken_row():
         validate_group(["a", "b"], [[0, 0], [1, 0]])
 
 
+# a loop: 0 is its identity and every element its own inverse, but it
+# is not associative
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_validate_group_rejects_non_associative():
-    # this Latin square (a quasigroup) is not associative
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    with pytest.raises((NotAssociative, NoIdentity, NoInverse)):
-        validate_group(list("abcde"), table)
+    with pytest.raises(NotAssociative):
+        validate_group(list("abcde"), LOOP5)
 
 
 def test_cyclic_and_symmetric_shapes():
@@ -238,21 +240,41 @@ def test_random_product_closure_sanity():
 
 
 def test_constructions_refuse_past_the_cap(monkeypatch):
-    """S5 (order 120), Z65 and Z8 x Z9 are past the default max_table_order
-    of 64; each construction refuses before it builds and validates a table."""
+    """A construction refuses, as "group table", an order whose order**2
+    table is past the default max_tabulate, before it builds and validates
+    that table: Z1415, S7 and Z40 x Z40. S5 is built."""
     import polyadic.groups as groups
 
-    z8, z9 = cyclic_group(8), cyclic_group(9)
+    s5 = symmetric_group(5)
+    assert s5.order == 120 and s5.name(s5.identity) == "01234"
+    z40 = cyclic_group(40)
 
     def no_table(*args, **kwargs):
         raise AssertionError("table built past the cap")
 
     monkeypatch.setattr(groups, "validate_group", no_table)
     for build, order in (
-        (lambda: symmetric_group(5), 120),
-        (lambda: cyclic_group(65), 65),
-        (lambda: direct_product(z8, z9), 72),
+        (lambda: cyclic_group(1415), 1415),
+        (lambda: symmetric_group(7), 5040),
+        (lambda: direct_product(z40, z40), 1600),
     ):
         with pytest.raises(SizeCapExceeded) as info:
             build()
-        assert (info.value.what, info.value.size, info.value.cap) == ("group order", order, 64)
+        got = (info.value.what, info.value.size, info.value.cap)
+        assert got == ("group table", order * order, 2 * 10 ** 6)
+
+
+def test_validate_group_caps_its_table_and_its_scan():
+    """validate_group refuses a table whose N**2 entries pass max_tabulate
+    before it reads a row, and the N**3 scan for the least non-associative
+    triple, which runs only when Light's test fails, past max_axiom_tuples."""
+    z3 = cyclic_group(3)
+    with pytest.raises(SizeCapExceeded) as info:
+        validate_group(z3.names(), [[0]], caps=Caps(max_tabulate=8))
+    assert (info.value.what, info.value.size, info.value.cap) == ("group table", 9, 8)
+    assert validate_group(z3.names(), z3.table, caps=Caps(max_tabulate=9, max_axiom_tuples=1))
+    with pytest.raises(SizeCapExceeded) as info:
+        validate_group(list("abcde"), LOOP5, caps=Caps(max_axiom_tuples=124))
+    assert (info.value.what, info.value.size, info.value.cap) == ("associativity triples", 125, 124)
+    with pytest.raises(NotAssociative):
+        validate_group(list("abcde"), LOOP5, caps=Caps(max_axiom_tuples=125))

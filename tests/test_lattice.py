@@ -441,22 +441,17 @@ def test_polyadic_subgroups_match_bruteforce_to_order_16(induced, twist):
 
 def test_lattice_of_a_coordinate_group_of_order_108():
     """Γ of derived S3 (theta = id, b = e, n = 3) at the points (1), (3),
-    (4) has order 108: past max_table_order, so the lattice and the
-    polyadic subgroups are refused before any work under the default caps,
-    and under caps raised to 108 the lattice is the old one."""
+    (4) has order 108. Under the default caps its lattice is the old one
+    and its polyadic subgroups are closed; a lattice whose extensions add
+    more elements than max_axiom_tuples is refused as "subgroup lattice"."""
     s3 = symmetric_group(3)
     d = derive(s3, identity_automorphism(s3), s3.identity, 3)
     gamma = coordinate_group(d, [(1,), (3,), (4,)]).as_derived()
     assert gamma.order == 108
-    for call in (lambda: subgroups(gamma.base), lambda: polyadic_subgroups(gamma)):
-        with pytest.raises(SizeCapExceeded) as e:
-            call()
-        assert (e.value.what, e.value.size, e.value.cap) == ("group order", 108, 64)
-    raised = Caps(max_table_order=108)
-    lattice = subgroups(gamma.base, raised)
+    lattice = subgroups(gamma.base)
     assert len(lattice) == 368
     assert lattice == old_cyclic_subgroups(gamma.base)
-    carriers = polyadic_subgroups(gamma, raised)
+    carriers = polyadic_subgroups(gamma)
     assert len(carriers) == 884
     rng = random.Random(108)
     for carrier in carriers:
@@ -464,6 +459,25 @@ def test_lattice_of_a_coordinate_group_of_order_108():
         assert all(gamma.skew(x) in inside for x in carrier)
         for _ in range(5):
             assert gamma.f([rng.choice(carrier) for _ in range(3)]) in inside
+    small = Caps(max_axiom_tuples=10 ** 5)
+    for call in (lambda: subgroups(gamma.base, small), lambda: polyadic_subgroups(gamma, small)):
+        with pytest.raises(SizeCapExceeded) as e:
+            call()
+        assert e.value.what == "subgroup lattice" and e.value.cap == 10 ** 5
+
+
+def test_polyadic_subgroups_cap_the_translates():
+    """The translates K . u of the base's subgroups hold N * sum(|K|)
+    elements, 6 * 16 = 96 for derived S3, checked against max_axiom_tuples
+    before the first is built, after the lattice itself passed."""
+    s3 = symmetric_group(3)
+    d = derive(s3, identity_automorphism(s3), s3.identity, 3)
+    tight = Caps(max_axiom_tuples=95)
+    assert len(subgroups(s3, tight)) == 6
+    with pytest.raises(SizeCapExceeded) as e:
+        polyadic_subgroups(d, tight)
+    assert (e.value.what, e.value.size, e.value.cap) == ("subgroup translates", 96, 95)
+    assert polyadic_subgroups(d, Caps(max_axiom_tuples=96)) == polyadic_subgroups(d)
 
 
 # ---------------------------------------------------------------------------
