@@ -556,7 +556,7 @@ def closed_subsets_bruteforce(p, caps=_caps.DEFAULT):
     The subsets are the maps into a two-element set, capped as
     `polyadic_maps_bruteforce` caps maps, and each enumerates up to |G|^n
     tuples, capped as an axiom scan."""
-    _caps.check(caps, "subset enumeration", 2 ** p.order, caps.max_power_order)
+    _caps.check(caps, "subset enumeration", 2 ** p.order, caps.max_points)
     _caps.check(caps, "oracle tuples", p.order ** p.n, caps.max_axiom_tuples)
     out = []
     els = list(p.elements())
@@ -627,7 +627,7 @@ def polyadic_homs(p, q, caps=_caps.DEFAULT):
 
 def polyadic_maps_bruteforce(p, q, caps=_caps.DEFAULT):
     """Oracle: all f-preserving maps by enumerating every function."""
-    _caps.check(caps, "map enumeration", q.order ** p.order, caps.max_power_order)
+    _caps.check(caps, "map enumeration", q.order ** p.order, caps.max_points)
     _caps.check(caps, "oracle tuples", p.order ** p.n, caps.max_axiom_tuples)
     tuples = list(product(p.elements(), repeat=p.n))
     out = []

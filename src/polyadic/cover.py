@@ -354,7 +354,7 @@ def coset_enumerate(pres, cap=10_000, caps=_caps.DEFAULT):
     c0 = 1, read off that search's spanning tree by `_regular_group`: a
     complete coset table of the trivial subgroup is the regular action,
     which a certificate checks in place of validate_group, so `cap`
-    bounds the order.
+    bounds the order, and max_tabulate the table's N^2 entries.
     """
     if not pres.generators:
         raise EmptyGeneratorSet()
@@ -463,10 +463,10 @@ def coset_enumerate(pres, cap=10_000, caps=_caps.DEFAULT):
             deductions.append((a, c))
             close(b)
 
-    return _regular_group(table)
+    return _regular_group(table, caps)
 
 
-def _regular_group(table):
+def _regular_group(table, caps=_caps.DEFAULT):
     """The group whose regular action is the closed coset table, certified.
 
     table[x][c] is coset x times column c (2i for generator i, 2i+1 for
@@ -485,7 +485,8 @@ def _regular_group(table):
     The centraliser of a transitive group is semiregular, so it is regular,
     hence so is P, and the table read out is the Cayley table of P. It
     costs O(N * ncols^2), where validate_group costs O(N^2 * ncols). A
-    failure raises NotRegular.
+    failure raises NotRegular. Its N^2 entries are refused past
+    max_tabulate, as "group table", before any row is built.
     """
     order = [0]
     label = {0: 0}
@@ -496,8 +497,9 @@ def _regular_group(table):
                 tree.append((label[x], c))
                 label[y] = len(order)
                 order.append(y)
-    act = [[label[y] for y in table[x]] for x in order]
     size = len(order)
+    _caps.check(caps, "group table", size * size, caps.max_tabulate)
+    act = [[label[y] for y in table[x]] for x in order]
     cols = list(zip(*act))
     ident = tuple(range(size))
     for c, col in enumerate(cols):

@@ -287,8 +287,7 @@ def coordinate_group(p, y, with_constants=True, caps=_caps.DEFAULT):
     if not pts:
         return CoordinateGroup(d, (), m, columns, diagonals, ((),))
     # with constants, H holds |G| constant tuples: refused before the walk
-    limit = min(caps.max_closure_algebra, caps.max_tabulate // k)
-    _caps.check(caps, "closure", d.order if with_constants else 1, limit)
+    _caps.check(caps, "closure", d.order if with_constants else 1, caps.max_tabulate // k)
     gens = list(dict.fromkeys(columns + diagonals))
     if not gens:
         raise PolyadicError("no generators: zero variables and no constants")
@@ -308,10 +307,9 @@ def _generated(base, identity, gens, caps, what, psi=None):
     identity^-1 . t, one column lookup per coordinate, built only for the
     generators kept; each new tuple costs one step, plus one per coset
     representative and kept generator. The closure is capped at
-    min(max_closure_algebra, max_tabulate // len(identity)), so its tuples
-    hold at most max_tabulate entries, like a flat table; cosets are
-    disjoint, so each is refused before it is built, with the size the
-    closure would reach.
+    max_tabulate // len(identity), so its tuples hold at most max_tabulate
+    entries, like a flat table; cosets are disjoint, so each is refused
+    before it is built, with the size the closure would reach.
     """
     found = list(dict.fromkeys(gens))
     if psi is not None:
@@ -321,7 +319,7 @@ def _generated(base, identity, gens, caps, what, psi=None):
             if y not in seen:
                 seen.add(y)
                 found.append(y)
-    limit = min(caps.max_closure_algebra, caps.max_tabulate // len(identity))
+    limit = caps.max_tabulate // len(identity)
     _caps.check(caps, what, len(found), limit)
     rows = base.table
     shift = [rows[base.inv(c)] for c in identity]
@@ -390,8 +388,7 @@ class TermFunctions:
     The saturation is `_term_closure` of the projections and diagonal
     constants: the subgroup of the pointwise power twisted by `identity`
     that they generate. The grid is capped by max_points before it is
-    built, and the functions, |G|^m entries each, by
-    min(max_closure_algebra, max_tabulate // |G|^m).
+    built, and the functions, |G|^m entries each, by max_tabulate // |G|^m.
     """
 
     def __init__(self, p, m, caps=_caps.DEFAULT):
@@ -439,13 +436,17 @@ class TermFunctions:
         Enumerates closures of all subsets of y, keeps the proper
         algebraic ones contained in y, reduces to maximal members, and
         looks for a covering pair. Returns (flag, witness pair or None).
+        Each closure reads every function, so the (2^|y| - 1) |functions|
+        reads are refused past max_axiom_tuples, as "irreducibility scan",
+        before the first.
         """
         ypts = sorted({tuple(pt) for pt in y})
         k = len(ypts)
-        _caps.check(caps, "irreducibility points", k, caps.max_irreducible_points)
         yset = frozenset(ypts)
         if k <= 1:
             return True, None
+        reads = (2 ** k - 1) * len(self.functions)
+        _caps.check(caps, "irreducibility scan", reads, caps.max_axiom_tuples)
         candidates = set()
         for mask in range(1, 2 ** k):
             sub = [ypts[i] for i in range(k) if mask >> i & 1]

@@ -514,7 +514,7 @@ def enumerate_homs(g, h, caps=_caps.DEFAULT, gens=None):
         gens = hom_generators(g)
     candidates = _candidates(g, h, gens, lambda a, b: a % b == 0)
     _caps.check(
-        caps, "hom search space", prod(map(len, candidates)), caps.max_power_order
+        caps, "hom search space", prod(map(len, candidates)), caps.max_points
     )
     homs = _homs_on_generators(g, h, gens, candidates)
     return [Hom(g, h, images) for images in sorted(homs)]
@@ -537,15 +537,20 @@ def hom_from_generator_images(g, h, gens, images):
     return Hom(g, h, tuple(img)), None
 
 
-def are_isomorphic(g, h):
+def are_isomorphic(g, h, caps=_caps.DEFAULT):
     """(bool, witness Hom or None): the first bijective homomorphism sending
-    the generators to elements of the same orders."""
+    the generators to elements of the same orders. The tuples of generator
+    images are counted as they are tried, and refused past max_points as
+    "isomorphism search"."""
     if g.order != h.order or g.order_profile() != h.order_profile():
         return False, None
     gens = generating_set(g)
-    for images in _homs_on_generators(g, h, gens, _candidates(g, h, gens, eq)):
-        if len(set(images)) == g.order:
-            return True, Hom(g, h, images)
+    edges = cayley_walk(g, gens)[1]
+    for tried, choice in enumerate(product(*_candidates(g, h, gens, eq)), 1):
+        _caps.check(caps, "isomorphism search", tried, caps.max_points)
+        img, _ = _extend_along_edges(g, h, gens, choice, edges)
+        if img is not None and len(set(img)) == g.order:
+            return True, Hom(g, h, tuple(img))
     return False, None
 
 

@@ -21,8 +21,9 @@ import random
 
 import pytest
 
+from polyadic.caps import Caps
 from polyadic.cover import GroupPresentation, _regular_group, coset_enumerate
-from polyadic.errors import CapExceeded, NotRegular
+from polyadic.errors import CapExceeded, NotRegular, SizeCapExceeded
 from polyadic.groups import validate_group
 from polyadic.words import parse_word
 
@@ -290,11 +291,22 @@ def test_fewer_definitions_where_rescan_loses_a_deduction():
 
 @pytest.mark.parametrize("order", [300, 600])
 def test_dihedral_readout_matches_validate_group(order):
-    # the readout is bounded by the coset cap alone, not by validate_group's
+    # the readout needs no validate_group: the coset cap bounds the order,
+    # and 600^2 entries fit max_tabulate
     pres = _pres("ab", [f"a^{order // 2}", "b^2", "a*b*a*b"])
     g = coset_enumerate(pres)
     assert g.order == order
     _check_readout(g)
+
+
+def test_readout_caps_its_table():
+    """The dihedral group of order 12 read out holds 144 entries, checked
+    against max_tabulate as validate_group checks a table."""
+    pres = _pres("ab", ["a^6", "b^2", "a*b*a*b"])
+    with pytest.raises(SizeCapExceeded) as e:
+        coset_enumerate(pres, caps=Caps(max_tabulate=143))
+    assert (e.value.what, e.value.size, e.value.cap) == ("group table", 144, 143)
+    assert coset_enumerate(pres, caps=Caps(max_tabulate=144)).order == 12
 
 
 def _action_table(perms, cosets):

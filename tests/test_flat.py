@@ -555,7 +555,7 @@ def test_oracles_are_capped():
     z3 = cyclic_group(3)
     p = derive(z3, identity_automorphism(z3), 0, 7)
     cases = [
-        (lambda c: closed_subsets_bruteforce(p, caps=c), "max_power_order", 7, "subset enumeration"),
+        (lambda c: closed_subsets_bruteforce(p, caps=c), "max_points", 7, "subset enumeration"),
         (lambda c: closed_subsets_bruteforce(p, caps=c), "max_axiom_tuples", 2186, "oracle tuples"),
         (lambda c: polyadic_maps_bruteforce(p, p, caps=c), "max_axiom_tuples", 2186, "oracle tuples"),
         (lambda c: is_polyadic_hom(p, p, (0, 1, 2), caps=c), "max_axiom_tuples", 2186, "oracle tuples"),

@@ -447,7 +447,7 @@ def test_closure_matches_buckets(seed, catalog, small_bases, random_derived):
     for p in groups:
         for m in (1, 2):
             # an abelian base gives the |G|^(m+1) affine functions; S3 gives
-            # 324 in one variable and more than max_closure_algebra in two
+            # 324 in one variable and more than max_tabulate // 36 in two
             if p.order ** (m + 1) > 400 or m == 2 and not as_derived(p).base.is_abelian():
                 continue
             tf = TermFunctions(p, m)
@@ -497,6 +497,19 @@ def test_irreducibility_against_naive(p2, p4):
                     z1, z2 = wit
                     assert set(z1) | set(z2) == set(sub)
                     assert set(z1) != set(sub) and set(z2) != set(sub)
+
+
+def test_irreducibility_scan_is_capped(p2):
+    """Z3 at m = 2 has 27 term functions, and the 63 nonempty subsets of
+    6 points each take a closure that reads all of them: 1701 reads."""
+    tf = TermFunctions(p2, 2)
+    pts = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]
+    assert len(tf.functions) == 27
+    with pytest.raises(SizeCapExceeded) as e:
+        tf.irreducible(pts, caps=Caps(max_axiom_tuples=1700))
+    assert (e.value.what, e.value.size, e.value.cap) == ("irreducibility scan", 1701, 1700)
+    assert tf.irreducible(pts, caps=Caps(max_axiom_tuples=1701)) == (
+        False, (((0, 0), (1, 1), (2, 2)), ((0, 1), (1, 2), (2, 0))))
 
 
 def test_is_irreducible_wrapper(p2):
@@ -580,10 +593,13 @@ def test_theorem63_rejects_coefficients(p2):
 
 def test_theorem63_keeps_caller_caps(p2):
     system = EquationSystem(p2, 1, eqs(p2, ["x1 = x1"]))
-    # the word-function group over the cover's six solutions has order 6
+    # in two variables the span's tuples hold 9 + 1 + 36 entries, one per
+    # solution over G, the grade and one per solution in the cover: 46 * 5
+    # entries allow 5 of them
     with pytest.raises(SizeCapExceeded) as info:
-        theorem63_check(p2, system, caps=Caps(max_closure_algebra=5))
-    assert info.value.what == "word functions"
+        theorem63_check(p2, EquationSystem(p2, 2, system.equations),
+                        caps=Caps(max_tabulate=46 * 5))
+    assert (info.value.what, info.value.cap) == ("word functions", 5)
     # the caller's max_points reaches the cover's solve: G^1 has 3 points,
     # the cover's grid 6
     with pytest.raises(SizeCapExceeded) as info:
@@ -1109,12 +1125,12 @@ def test_coordinate_group_matches_saturation(seed, small_bases, random_derived):
 @pytest.mark.parametrize("seed", range(2))
 def test_coordinate_group_cap_keyed_on_the_closure(seed, random_derived):
     """12 points over Z4: the power has 4^12 encodings, more than
-    max_power_order, but only the closure is enumerated, so the
-    coordinate group is built and agrees with the saturation oracle, while
-    max_closure_algebra bounds the closure, and max_tabulate its entries."""
+    max_points, but only the closure is enumerated, so the coordinate
+    group is built and agrees with the saturation oracle, while
+    max_tabulate bounds the entries of the closure's tuples, 12 each."""
     rng = random.Random(seed)
     z4 = cyclic_group(4)
-    assert z4.order ** 12 > Caps().max_power_order
+    assert z4.order ** 12 > Caps().max_points
     p = random_derived(rng, z4, (3,))
     grid = list(itertools.product(range(4), repeat=2))
     y = AlgebraicSet(2, tuple(sorted(rng.sample(grid, 12))))
@@ -1123,7 +1139,7 @@ def test_coordinate_group_cap_keyed_on_the_closure(seed, random_derived):
     assert cg.elements == naive_power_closure(cg.source, gens)
     assert set(cg.elements) <= set(coordinate_group(p, y).elements)
     with pytest.raises(SizeCapExceeded) as e:
-        coordinate_group(p, y, caps=Caps(max_closure_algebra=cg.order - 1))
+        coordinate_group(p, y, caps=Caps(max_tabulate=12 * cg.order - 1))
     assert e.value.what == "closure"
     coordinate_group(p, y, with_constants=False, caps=Caps(max_tabulate=12 * cg.order))
     with pytest.raises(SizeCapExceeded) as e:
@@ -1174,7 +1190,7 @@ def old_generated(base, identity, gens, caps, what, psi=None):
     that right-multiplies every element by every generator and every
     member of its psi-orbit, checking the cap after each element."""
     found = old_generators(gens, psi)
-    limit = min(caps.max_closure_algebra, caps.max_tabulate // len(identity))
+    limit = caps.max_tabulate // len(identity)
     _caps.check(caps, what, len(found), limit)
     cols = tuple(zip(*base.table))
     shift = [base.inv(c) for c in identity]
@@ -1288,7 +1304,7 @@ def test_generated_cap_refuses_before_the_coset(seed, monkeypatch, small_bases, 
         if low >= len(full):
             continue
         cap = rng.randrange(low, len(full))
-        for caps in (Caps(max_closure_algebra=cap), Caps(max_tabulate=cap * len(u))):
+        for caps in (Caps(max_tabulate=cap * len(u)), Caps(max_tabulate=(cap + 1) * len(u) - 1)):
             with pytest.raises(SizeCapExceeded) as old:
                 old_generated(base, u, gens, caps, "closure", psi)
             made.clear()
@@ -1302,10 +1318,11 @@ def test_generated_cap_refuses_before_the_coset(seed, monkeypatch, small_bases, 
 
 def test_term_algebra_refused_at_the_coset_past_the_cap():
     """Closure of derived S3 at m = 2: the term algebra is refused at the
-    coset that would take it past max_closure_algebra."""
+    coset that would take it past max_tabulate // 36, its functions'
+    tuples holding one entry per point of S3^2."""
     s3 = symmetric_group(3)
     p = derive(s3, identity_automorphism(s3), s3.identity, 3)
-    cap = Caps().max_closure_algebra
+    cap = Caps().max_tabulate // 36
     with pytest.raises(SizeCapExceeded) as e:
         TermFunctions(p, 2)
     assert (e.value.what, e.value.cap) == ("term algebra", cap)

@@ -189,7 +189,7 @@ def test_enumerate_homs_search_size_ignores_numbering(monkeypatch):
 
 def test_enumerate_homs_s4xz2_within_cap():
     """Index order gives S4 x Z2 four generators, and the search space
-    48^4 passes max_power_order; by decreasing order it takes three."""
+    48^4 passes max_points; by decreasing order it takes three."""
     g = direct_product(symmetric_group(4), cyclic_group(2))
     hs = enumerate_homs(g, g)
     assert len(hs) == 400
@@ -227,6 +227,19 @@ def test_are_isomorphic():
     k4 = direct_product(cyclic_group(2), cyclic_group(2))
     ok2, wit2 = are_isomorphic(cyclic_group(4), k4)
     assert not ok2 and wit2 is None
+
+
+def test_are_isomorphic_counts_the_tuples_it_tries():
+    """Z2^4 vs itself: 15^4 tuples of involutions for its four generators,
+    and the first bijective one is the 278th tried. The cap counts the
+    tuples tried, not the space."""
+    z2 = cyclic_group(2)
+    z2_4 = direct_product(direct_product(z2, z2), direct_product(z2, z2))
+    ok, wit = are_isomorphic(z2_4, z2_4, caps=Caps(max_points=278))
+    assert ok and wit.is_valid() and wit.is_injective()
+    with pytest.raises(SizeCapExceeded) as info:
+        are_isomorphic(z2_4, z2_4, caps=Caps(max_points=277))
+    assert (info.value.what, info.value.size) == ("isomorphism search", 278)
 
 
 def test_random_product_closure_sanity():
