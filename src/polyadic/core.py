@@ -37,6 +37,7 @@ from .groups import (
     enumerate_homs,
     hom_generators,
     identity_automorphism,
+    picker,
     psi_u,
     subgroups,
     validate_group,
@@ -86,12 +87,9 @@ class DerivedPolyadicGroup(PolyadicGroup):
         """Level k-1 holds the rows x -> v . theta^k(x) over v, each base row
         mapped through theta^k, with b folded into the last level."""
         rows = self.base.table
-        steps = [
-            tuple(tuple(map(row.__getitem__, tk)) for row in rows)
-            for tk in self.theta_pows[1:]
-        ]
+        steps = [tuple(map(picker(tk), rows)) for tk in self.theta_pows[1:]]
         by_b = tuple(row[self.b] for row in rows)  # y -> y . b
-        steps[-1] = tuple(tuple(map(by_b.__getitem__, row)) for row in steps[-1])
+        steps[-1] = tuple(picker(row)(by_b) for row in steps[-1])
         return tuple(steps)
 
     def f(self, args):
@@ -376,7 +374,7 @@ def _assoc_scan_flat(n, g, flat, strides):
             return tuple(chain.from_iterable(parts))
 
         def translate(block, row):
-            return tuple(map(row.__getitem__, block))
+            return picker(block)(row)
     else:
         table, pad = bytes(flat), bytes(256 - g)
         join, translate = b"".join, bytes.translate

@@ -23,7 +23,7 @@ from .errors import (
     PolyadicError,
     PropertyFailure,
 )
-from .groups import Hom, TableGroup, hom_from_generator_images, subgroup_closure
+from .groups import Hom, TableGroup, hom_from_generator_images, picker, subgroup_closure
 from .terms import term_to_free_word
 
 
@@ -91,10 +91,11 @@ def build_post_cover(p, caps=_caps.DEFAULT):
     table = []
     by_b = base.column(d.b)  # x -> x . b
     for i in range(m):
+        twist = picker(d.theta_pows[i])
         for row in base.table:
             # row g: g . theta^i(h) over h, times b where the grades carry
-            plain = list(map(row.__getitem__, d.theta_pows[i]))
-            carry = list(map(by_b.__getitem__, plain))
+            plain = twist(row)
+            carry = picker(plain)(by_b)
             table.append([(i + j) % m * q + x for j in range(m)
                           for x in (carry if i + j >= m else plain)])
     e = base.identity  # (e, 0)
@@ -113,10 +114,11 @@ def build_post_cover(p, caps=_caps.DEFAULT):
     ret = retract(d, 0, caps)
     s = ret.identity
     images = tuple(base.mul(x, s) for x in range(q))
+    by_image = picker(images)
     for x in range(q):
         row = ret.table[images[x]]
-        got = tuple(map(images.__getitem__, table[x][:q]))
-        if got != tuple(map(row.__getitem__, images)):
+        got = picker(table[x][:q])(images)
+        if got != by_image(row):
             y = next(y for y in range(q) if got[y] != row[images[y]])
             raise PropertyFailure(2, f"x -> x.s not multiplicative onto the retract at {x},{y}")
 
@@ -203,7 +205,7 @@ def _product_mismatch(p, images, row_of, caps=_caps.DEFAULT):
     n, g, steps = p.n, p.order, p.steps
     last = n - 2  # the prefix x_1 .. x_(n-1) at levels 0 .. n-2
     got_row = cache(row_of)
-    want_row = cache(lambda s: tuple(map(images.__getitem__, steps[last][s])))
+    want_row = cache(lambda s: picker(steps[last][s])(images))
     x = [-1] * (n - 1)
     src, tgt = [0] * (n - 1), [0] * (n - 1)
     rows = 0
@@ -501,9 +503,10 @@ def _regular_group(table, caps=_caps.DEFAULT):
     _caps.check(caps, "group table", size * size, caps.max_tabulate)
     act = [[label[y] for y in table[x]] for x in order]
     cols = list(zip(*act))
+    col_picks = list(map(picker, cols))
     ident = tuple(range(size))
-    for c, col in enumerate(cols):
-        if tuple(map(cols[c ^ 1].__getitem__, col)) != ident:
+    for c, pick in enumerate(col_picks):
+        if pick(cols[c ^ 1]) != ident:
             raise NotRegular(f"column {c ^ 1} does not invert column {c}")
 
     def row_of(g):
@@ -514,9 +517,10 @@ def _regular_group(table, caps=_caps.DEFAULT):
         return row
 
     gen_rows = [row_of(g) for g in act[0]]
+    picks = list(map(picker, gen_rows))
     for c, row in enumerate(gen_rows):
         for d, col in enumerate(cols):
-            if list(map(row.__getitem__, col)) != list(map(col.__getitem__, row)):
+            if col_picks[d](row) != picks[c](col):
                 raise NotRegular(f"generator row {c} does not commute with column {d}")
 
     # x * y = parent(x) * (col(x) * y): compose rows with generator rows, and
@@ -524,7 +528,7 @@ def _regular_group(table, caps=_caps.DEFAULT):
     mul_table = [ident]
     inverses = [0]
     for p, c in tree:
-        mul_table.append(tuple(map(mul_table[p].__getitem__, gen_rows[c])))
+        mul_table.append(picks[c](mul_table[p]))
         inverses.append(gen_rows[c ^ 1][inverses[p]])
     names = [f"c{i}" for i in range(size)]
     return TableGroup(names, mul_table, 0, inverses, name="presented")

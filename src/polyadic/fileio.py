@@ -33,7 +33,7 @@ from . import caps as _caps
 from .core import DerivedPolyadicGroup, derive, polyadic_from_table
 from .cover import GroupPresentation, PolyadicPresentation
 from .errors import ParseError, PolyadicError
-from .groups import automorphism, validate_group
+from .groups import automorphism, picker, validate_group
 from .terms import parse_equation, parse_term
 from .words import parse_word
 
@@ -176,7 +176,7 @@ def group_to_doc(g):
     return {
         "name": g.group_name,
         "elements": names,
-        "table": [list(map(names.__getitem__, row)) for row in g.table],
+        "table": [list(picker(row)(names)) for row in g.table],
     }
 
 

@@ -27,6 +27,16 @@ from .errors import (
 )
 
 
+def picker(idx):
+    """seq -> tuple(seq[i] for i in idx), in one C call: the kernel that
+    composes table rows. `itemgetter` needs an index and returns a scalar
+    for one, so those two cases build the tuple in Python."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    idx = tuple(idx)
+    return lambda seq: tuple(seq[i] for i in idx)
+
+
 class Carrier:
     """Element names in index order, the name -> index dict (`index` is
     given when the caller already holds it) and the order: the carrier
@@ -180,17 +190,18 @@ def _light_associative(rows, cols):
     for g in range(len(rows)):
         if g in inside:
             continue
-        rg = rows[g]
+        by_g = picker(rows[g])
         for row in rows:
-            if tuple(map(row.__getitem__, rg)) != rows[row[g]]:
+            if by_g(row) != rows[row[g]]:
                 return False
         inside.add(g)
         queue = [g]
         while queue:
             z = queue.pop()
             members.append(z)
-            fresh = set(map(rows[z].__getitem__, members))
-            fresh.update(map(cols[z].__getitem__, members))
+            pick = picker(members)
+            fresh = set(pick(rows[z]))
+            fresh.update(pick(cols[z]))
             fresh -= inside
             inside |= fresh
             queue.extend(fresh)

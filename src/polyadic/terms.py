@@ -23,6 +23,7 @@ from .errors import (
     SizeCapExceeded,
     UnboundVariable,
 )
+from .groups import picker
 from .words import FreeWord, generator
 
 # Deepest nesting of f(...) and ~ that the term parser accepts. Every walker
@@ -302,9 +303,9 @@ def _lookups(ops):
     for table, kid in ops:
         if pending is not None:
             if kid is None:
-                table = tuple(map(table.__getitem__, pending))
+                table = picker(pending)(table)
             else:
-                table = tuple(tuple(map(row.__getitem__, pending)) for row in table)
+                table = tuple(map(picker(pending), table))
             pending = None
         if kid is None:
             pending = table
@@ -314,7 +315,7 @@ def _lookups(ops):
         if not joined:
             return lambda a, c: pending[c]
         table, kid = joined.pop()
-        joined.append((tuple(tuple(map(pending.__getitem__, row)) for row in table), kid))
+        joined.append((tuple(picker(row)(pending) for row in table), kid))
     if len(joined) == 1:
         ((t, k),) = joined
         return lambda a, c: t[k(a)][c]

@@ -173,6 +173,12 @@ def test_postcover_group_roundtrip(tmp_path, capsys):
     assert set(doc["embed"].values()) <= set(doc["group"]["elements"])
 
 
+def test_group_doc_of_order_one():
+    doc = {"name": "Z1", "elements": ["0"], "table": [["0"]]}
+    assert group_to_doc(cyclic_group(1)) == doc
+    assert group_to_doc(group_from_doc(doc)) == doc
+
+
 def test_polyadic_doc_roundtrip(tmp_path, capsys):
     p = polyadic_from_doc(P2)
     doc = polyadic_to_doc(p)

@@ -289,11 +289,20 @@ def test_fewer_definitions_where_rescan_loses_a_deduction():
     assert _enumerate(pres, 9) is None
 
 
-@pytest.mark.parametrize("order", [300, 600])
-def test_dihedral_readout_matches_validate_group(order):
+@pytest.mark.parametrize(
+    "gens, rels, order",
+    [
+        pytest.param("ab", ["a^150", "b^2", "a*b*a*b"], 300, id="300"),
+        pytest.param("ab", ["a^300", "b^2", "a*b*a*b"], 600, id="600"),
+        pytest.param("a", ["a"], 1, id="a|a"),
+        pytest.param("a", ["a^2"], 2, id="a|a^2"),
+    ],
+)
+def test_dihedral_readout_matches_validate_group(gens, rels, order):
     # the readout needs no validate_group: the coset cap bounds the order,
-    # and 600^2 entries fit max_tabulate
-    pres = _pres("ab", [f"a^{order // 2}", "b^2", "a*b*a*b"])
+    # and 600^2 entries fit max_tabulate; orders 1 and 2 compose rows of
+    # one and two entries
+    pres = _pres(gens, rels)
     g = coset_enumerate(pres)
     assert g.order == order
     _check_readout(g)

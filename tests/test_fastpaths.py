@@ -216,7 +216,7 @@ def test_validate_group_matches_cubic_scan(seed, small_bases):
         loop = _relabel(rng, _intercalate_loop(rng, k))
         assert _check_validate_group(loop) is not None
     s3z2 = direct_product(symmetric_group(3), cyclic_group(2))
-    for base in small_bases + [s3z2]:
+    for base in small_bases + [s3z2, cyclic_group(1)]:
         table = _relabel(rng, [list(row) for row in base.table])
         assert _check_validate_group(table) is None
 

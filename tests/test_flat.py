@@ -341,6 +341,7 @@ def test_steps_match_per_tuple_f(seed, small_bases, random_derived):
     """A derived group's steps give f on every tuple."""
     rng = random.Random(seed)
     forms = [random_derived(rng, base, (3, 4, 5)) for base in small_bases]
+    forms += [random_derived(rng, cyclic_group(k), (3,)) for k in (1, 2)]
     for q in forms:
         assert len(q.steps) == q.n - 1
         for args in product(q.elements(), repeat=q.n):
