@@ -113,13 +113,6 @@ class HeightViolation(PolyadicError):
         )
 
 
-class LengthViolation(PolyadicError):
-    def __init__(self, length, n):
-        self.length = length
-        self.n = n
-        super().__init__(f"word length {length} != 1 (mod {n - 1})")
-
-
 class UnboundVariable(PolyadicError):
     def __init__(self, index):
         self.index = index

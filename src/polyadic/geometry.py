@@ -17,10 +17,10 @@ from operator import getitem, itemgetter
 from typing import Optional
 
 from . import caps as _caps
-from .core import as_derived, derive, derive_from_constant, tabulate
+from .core import as_derived, derive, derive_from_constant, skew_table, tabulate
 from .cover import build_post_cover
 from .errors import PolyadicError
-from .groups import GroupAutomorphism, TableGroup, cayley_walk, dimino, psi_u
+from .groups import GroupAutomorphism, TableGroup, dimino, psi_u
 from .terms import Apply, Skew, TermCompiler, Variable, eval_term, is_coefficient_free
 from .terms import term_variables, validate_term
 
@@ -354,7 +354,7 @@ def _term_closure(d, gens, caps, what, u=None):
     list).
     """
     if u is None:
-        skews = [d.skew(x) for x in d.base.elements()]
+        skews = skew_table(d)
         u = tuple(skews[c] for c in gens[0])
     psi, fu = _twist(d, u)
     return u, _generated(d.base, u, list(gens) + [fu], caps, what, psi)
@@ -547,7 +547,8 @@ def theorem63_check(p, system, caps=_caps.DEFAULT):
     cover = build_post_cover(d, caps=caps)
     cg = cover.group
     v_star = solve(derive_from_constant(cg, cg.identity, n, caps=caps), system, caps=caps)
-    powers = cayley_walk(cg, [cover.embed_index(0)])[0]  # x^0, ..., x^(ord(x)-1)
+    # one generator: dimino lists its powers x^0, ..., x^(ord(x)-1) in order
+    powers = dimino([cg.identity], [], [cover.embed_index(0)], cg.right)[0]
     c = powers[len(powers) // (n - 1)]
     gens = [
         tuple(cover.embed_index(pt[j]) for pt in v_g.points) + (c,)

@@ -436,8 +436,9 @@ def cayley_walk(g, gens):
     subgroup gens generate: (order, edges), the elements in visit order
     and every edge (x, position, x . gens[position]), x in that order and
     the generators in turn. The first edge reaching an element defines it,
-    as a Schreier tree edge (Holt, Eick and O'Brien, 2005, 4.1). The hom
-    checks read these edges; a subgroup alone comes from `dimino`."""
+    as a Schreier tree edge (Holt, Eick and O'Brien, 2005, 4.1). Only the
+    hom checks read these edges; a subgroup, or the powers of one element,
+    comes from `dimino`."""
     rows = g.table
     order, seen, edges = [g.identity], {g.identity}, []
     for x in order:  # grows as the walk reaches new elements

@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from . import caps as _caps
-from .core import as_derived
+from .core import as_derived, skew_table
 from .errors import (
     ArityMismatch,
     ParseError,
@@ -143,7 +143,7 @@ class TermCompiler:
 
     @cached_property
     def _skews(self):
-        return tuple(self.p.skew(x) for x in self.p.elements())
+        return skew_table(self.p)
 
     @cached_property
     def _preimages(self):

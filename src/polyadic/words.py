@@ -1,17 +1,15 @@
-"""Free groups of words and two models of the free n-ary group.
+"""Free groups of words and the free n-ary group.
 
 A free n-ary group on a generating set X sits inside the ordinary free
 group on X as the words whose exponent sum (height) is congruent to 1
 modulo n - 1; the n-ary operation is concatenation and the skew element
-of w is w^(2-n). The second model works over the alphabet X together
-with marked letters ~x and identifies words that differ by inserting or
-deleting a block x^(i) ~x x^(n-2-i); equality there is decided through
-the embedding x -> x, ~x -> x^(2-n).
+of w is w^(2-n).
 """
 
 import re
 
-from .errors import ArityMismatch, HeightViolation, LengthViolation, ParseError
+from .core import check_arity
+from .errors import ArityMismatch, HeightViolation, ParseError
 
 
 class FreeWord:
@@ -109,7 +107,8 @@ class PolyadicFreeWord:
     __slots__ = ("word", "n")
 
     def __init__(self, word, n):
-        if word.height % (n - 1) != 1 % (n - 1):
+        check_arity(n)
+        if word.height % (n - 1) != 1:
             raise HeightViolation(0, word.height, n)
         self.word = word
         self.n = n
@@ -134,12 +133,13 @@ class PolyadicFreeWord:
 def f_free(operands, n):
     """n-ary operation on free polyadic words: concatenate, then reduce
     once."""
+    check_arity(n)
     if len(operands) != n:
         raise ArityMismatch(n, len(operands))
     runs = []
     for i, w in enumerate(operands):
         w = w.word if isinstance(w, PolyadicFreeWord) else w
-        if w.height % (n - 1) != 1 % (n - 1):
+        if w.height % (n - 1) != 1:
             raise HeightViolation(i, w.height, n)
         runs.extend(w.runs)
     return PolyadicFreeWord(FreeWord(runs), n)
@@ -150,104 +150,8 @@ def skew_free(w, n=None):
     if isinstance(w, PolyadicFreeWord):
         n = w.n
         w = w.word
+    check_arity(n)
     return PolyadicFreeWord(w ** (2 - n), n)
-
-
-# ---------------------------------------------------------------------------
-# the letter model with marked skews
-
-
-class MpWord:
-    """Word over the alphabet X plus marked letters ~x, of length
-    congruent to 1 modulo n - 1. Letters are (generator, marked) pairs."""
-
-    __slots__ = ("letters", "n")
-
-    def __init__(self, letters, n):
-        letters = tuple((g, bool(m)) for g, m in letters)
-        if len(letters) % (n - 1) != 1 % (n - 1):
-            raise LengthViolation(len(letters), n)
-        self.letters = letters
-        self.n = n
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MpWord)
-            and self.letters == other.letters
-            and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.letters, self.n))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __str__(self):
-        return " ".join(("~" + g) if m else g for g, m in self.letters)
-
-    def __repr__(self):
-        return f"MpWord({self}, n={self.n})"
-
-
-def cancellation_piece(gen, i, n):
-    """The i-th deletable block over one generator: g^(i) ~g g^(n-2-i).
-
-    Valid for 0 <= i <= n-2; the block has n-1 letters and embeds to the
-    empty word, so inserting or deleting it preserves both the length
-    invariant and the embedded element.
-    """
-    if not 0 <= i <= n - 2:
-        raise ValueError(f"piece index {i} out of range 0..{n - 2}")
-    return (
-        tuple((gen, False) for _ in range(i))
-        + ((gen, True),)
-        + tuple((gen, False) for _ in range(n - 2 - i))
-    )
-
-
-def insert_piece(m, pos, gen, i):
-    """New word with the block cancellation_piece(gen, i) inserted at pos."""
-    piece = cancellation_piece(gen, i, m.n)
-    return MpWord(m.letters[:pos] + piece + m.letters[pos:], m.n)
-
-
-def delete_piece(m, pos, gen, i):
-    """Inverse of insert_piece; the block must be present at pos."""
-    piece = cancellation_piece(gen, i, m.n)
-    if m.letters[pos : pos + len(piece)] != piece:
-        raise ValueError(f"no piece ({gen}, {i}) at position {pos}")
-    return MpWord(m.letters[:pos] + m.letters[pos + len(piece) :], m.n)
-
-
-def mp_embed(m):
-    """Embedding into the free model: g -> g, ~g -> g^(2-n)."""
-    runs = tuple(
-        (g, 2 - m.n) if marked else (g, 1) for g, marked in m.letters
-    )
-    return PolyadicFreeWord(FreeWord(runs), m.n)
-
-
-def mp_equal(m1, m2):
-    """Cancellation equivalence, decided through the embedding.
-
-    Soundness (moves never change the embedded word) is exact; whether
-    distinct cancellation classes can embed equal is an open question, so
-    equality here is the embedded-word relation by definition.
-    """
-    if m1.n != m2.n:
-        return False
-    return mp_embed(m1) == mp_embed(m2)
-
-
-def mp_f(operands, n):
-    """n-ary operation in the letter model: concatenation."""
-    if len(operands) != n:
-        raise ArityMismatch(n, len(operands))
-    letters = ()
-    for m in operands:
-        letters = letters + m.letters
-    return MpWord(letters, n)
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +232,3 @@ def _token_run(parts, i):
 def _column(parts, i, offset):
     """0-based column of the offset into parts[i]."""
     return sum(map(len, parts[:i])) + offset
-
-
-def parse_mp_word(text, n):
-    """Letter-model syntax: whitespace or * separated letters, ~g marked."""
-    letters = []
-    for raw in text.replace("*", " ").split():
-        if raw.startswith("~"):
-            name = raw[1:]
-            marked = True
-        else:
-            name = raw
-            marked = False
-        if not re.fullmatch(r"[A-Za-z0-9_]+", name):
-            raise ParseError(f"bad letter {raw!r}")
-        letters.append((name, marked))
-    return MpWord(tuple(letters), n)

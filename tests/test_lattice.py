@@ -392,6 +392,17 @@ def test_dimino_grows_by_whole_cosets(zoo, s4_and_s4xz2):
             assert new <= products[0] <= new + (new // len(start) + 1) * len(got)
 
 
+def test_one_generator_dimino_lists_the_powers(zoo, s4_and_s4xz2):
+    """From the trivial group, `dimino` of one generator x lists x^0, x^1,
+    ..., x^(ord(x)-1) in order, the order `cayley_walk` visits them in,
+    which `theorem63_check` reads its grading element's powers from."""
+    for g in zoo + [s4_and_s4xz2[0]]:
+        for x in g.elements():
+            powers = dimino([g.identity], [], [x], g.right)[0]
+            assert powers == cayley_walk(g, [x])[0], (g, x)
+            assert powers == [g.power(x, k) for k in range(g.element_order(x))], (g, x)
+
+
 def test_subgroups_match_lattice_completion(zoo, s4_and_s4xz2):
     for g in zoo + s4_and_s4xz2:
         assert subgroups(g) == old_subgroups(g), g

@@ -3,29 +3,17 @@ import re
 
 import pytest
 
-from polyadic import words
+import polyadic
+from polyadic import errors, words
 from polyadic.cli import main
 from polyadic.terms import parse_term, term_to_free_word
 
-from polyadic.errors import (
-    ArityMismatch,
-    HeightViolation,
-    LengthViolation,
-    ParseError,
-)
+from polyadic.errors import ArityMismatch, HeightViolation, ParseError, PolyadicError
 from polyadic.words import (
     FreeWord,
-    MpWord,
     PolyadicFreeWord,
-    cancellation_piece,
-    delete_piece,
     f_free,
     generator,
-    insert_piece,
-    mp_embed,
-    mp_equal,
-    mp_f,
-    parse_mp_word,
     parse_word,
     reduce_word,
     skew_free,
@@ -239,6 +227,9 @@ def test_polyadic_free_word_membership():
         PolyadicFreeWord(x ** 2, 4)
     w = x ** 2 * y.inv() * x * y ** 2
     PolyadicFreeWord(w, 4)
+    for n in (0, 1, 2):
+        with pytest.raises(PolyadicError, match="arity must be at least 3"):
+            PolyadicFreeWord(x, n)
 
 
 def test_f_free_heights_and_arity():
@@ -249,6 +240,21 @@ def test_f_free_heights_and_arity():
     with pytest.raises(HeightViolation) as info:
         f_free([x, x ** 2, x], 3)
     assert info.value.index == 1
+    for n in (0, 1, 2):
+        with pytest.raises(PolyadicError, match="arity must be at least 3"):
+            f_free([x] * n, n)
+
+
+def test_skew_free_checks_the_arity(monkeypatch):
+    """The arity is checked before w^(2-n) builds |n - 2| copies of w."""
+    for n in (0, 1, 2):
+        with pytest.raises(PolyadicError, match="arity must be at least 3"):
+            skew_free(x, n)
+    powers = []
+    monkeypatch.setattr(FreeWord, "__pow__", lambda w, k: powers.append(k))
+    with pytest.raises(PolyadicError, match="arity must be at least 3"):
+        skew_free(x, -10 ** 12)
+    assert powers == []
 
 
 def test_f_free_associativity_random():
@@ -286,48 +292,23 @@ def test_skew_free_defining_identity_random():
         assert got.word == w
 
 
-def test_mp_words_and_pieces():
-    m = parse_mp_word("x ~x x", 3)
-    assert len(m.letters) == 3
-    with pytest.raises(LengthViolation):
-        MpWord((("x", False), ("x", False)), 3)
-    # every cancellation piece has n-1 letters and embeds to the identity
-    for n in range(3, 7):
-        for i in range(n - 1):
-            piece = cancellation_piece("x", i, n)
-            assert len(piece) == n - 1
-            acc = FreeWord(())
-            for g, marked in piece:
-                acc = acc * (generator(g) ** (2 - n) if marked else generator(g))
-            assert acc.is_empty(), (n, i)
 
-
-def test_piece_insert_delete_preserve_embedding():
-    for n in (3, 4, 5):
-        base = MpWord((("x", False),) * 1, n)
-        for gen in ("x", "y"):
-            for i in range(n - 1):
-                for pos in range(len(base.letters) + 1):
-                    grown = insert_piece(base, pos, gen, i)
-                    assert mp_embed(grown) == mp_embed(base), (n, gen, i, pos)
-                    back = delete_piece(grown, pos, gen, i)
-                    assert back.letters == base.letters
-
-
-def test_mp_equal_golden():
-    m1 = parse_mp_word("x ~x x", 3)
-    m2 = parse_mp_word("x", 3)
-    assert mp_equal(m1, m2)
-    m3 = parse_mp_word("x x ~x x", 4)
-    m4 = parse_mp_word("x", 4)
-    assert mp_equal(m3, m4)
-    assert not mp_equal(parse_mp_word("x", 3), parse_mp_word("y", 3))
-
-
-def test_mp_f_concatenates():
-    a = parse_mp_word("x", 3)
-    b = parse_mp_word("y", 3)
-    c = parse_mp_word("~z", 3)
-    out = mp_f([a, b, c], 3)
-    assert len(out.letters) == 3
-    assert mp_embed(out).word == generator("x") * generator("y") * generator("z") ** -1
+def test_deleted_letter_model_is_gone():
+    """Free n-ary words have one model, the free-group words of height 1
+    mod n - 1; a skew mark is no word syntax."""
+    deleted = [
+        "MpWord",
+        "cancellation_piece",
+        "insert_piece",
+        "delete_piece",
+        "mp_embed",
+        "mp_equal",
+        "mp_f",
+        "parse_mp_word",
+        "LengthViolation",
+    ]
+    for module in (polyadic, words, errors):
+        for name in deleted:
+            assert not hasattr(module, name), (module.__name__, name)
+    with pytest.raises(ParseError, match="skew marks are not free-group syntax"):
+        parse_word("x ~x x")
